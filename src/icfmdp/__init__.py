@@ -1,11 +1,8 @@
 """Exact interval counterfactual MDPs from observed paths, LP cross-validation,
 robust counterfactual policies, and a Gumbel-max SCM baseline."""
 
-from .bounds import (Assumptions, IntervalCfMdp, ProbInterval, SupportRelation,
-                     bounds_cs_only, bounds_disjoint, bounds_no_assumption,
-                     bounds_observed_pair, bounds_overlapping_lb, bounds_overlapping_ub,
-                     build_interval_cfmdp, classify_support, cs_condition,
-                     transition_row_bounds)
+from .bounds import (Assumptions, IntervalCfMdp, ProbInterval, build_interval_cfmdp,
+                     cs_condition, transition_row_bounds)
 from .coupling import (CanonicalTheta, Coupling, check_coupling_feasible,
                        enumerate_theta_bounds, oracle_bounds, oracle_solution)
 from .envs import (GridSpec, build_frozen_lake, build_gridworld, build_toy_mdp,

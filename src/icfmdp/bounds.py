@@ -13,15 +13,16 @@ the underlying causal mechanism are adopted:
               cannot become less likely, an unobserved-but-possible one not more likely).
 
 Stacking the per-step bounds for every transition yields a time-indexed interval
-counterfactual MDP (ICFMDP). Bounds are computed one (query pair, observed step) row
-at a time, fully vectorized over successors; the per-successor operations are thin
-views into the row computation.
+counterfactual MDP (ICFMDP). One kernel computes the bounds of a block of query rows
+given one observed step, vectorized over rows and successors: the ICFMDP is built one
+(step, action) block at a time, and `transition_row_bounds` is the one-row call.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,12 +42,6 @@ class Assumptions(enum.Enum):
     NONE = "none"
     CS = "cs"
     CS_MON = "cs+mon"
-
-
-class SupportRelation(enum.Enum):
-    OBSERVED_PAIR = "observed_pair"
-    DISJOINT = "disjoint"
-    OVERLAPPING = "overlapping"
 
 
 @dataclass(frozen=True)
@@ -75,26 +70,16 @@ def make_interval(lb: float, ub: float) -> ProbInterval:
     return ProbInterval(lb, ub)
 
 
-def classify_support(m: Mdp, observed_pair: Pair, query_pair: Pair) -> SupportRelation:
-    """Relation between the query pair's support and the observed pair's."""
-    if tuple(query_pair) == tuple(observed_pair):
-        return SupportRelation.OBSERVED_PAIR
-    obs_row = m.transition[observed_pair[0], observed_pair[1]]
-    query_row = m.transition[query_pair[0], query_pair[1]]
-    if np.any((obs_row > 0) & (query_row > 0)):
-        return SupportRelation.OVERLAPPING
-    return SupportRelation.DISJOINT
-
-
-def _cs_mask(obs_row: np.ndarray, s_next: int, query_row: np.ndarray) -> np.ndarray:
+def _cs_mask(obs_row: np.ndarray, s_next: int, query: np.ndarray) -> np.ndarray:
     """Per-successor stability condition: the counterfactual probability must be zero.
+    `query` is one transition row (S,) or a block of them (R, S).
 
     Fires where the observed-pair probability of the successor is positive and the
     observed outcome's likelihood rose strictly more than the successor's under the
     query pair. Compared by cross-multiplication so zero denominators need no special
     casing; the inequality is strict, with no epsilon.
     """
-    return (obs_row > 0) & (query_row[s_next] * obs_row > query_row * obs_row[s_next])
+    return (obs_row > 0) & (query[..., s_next, None] * obs_row > query * obs_row[s_next])
 
 
 def cs_condition(m: Mdp, obs: ObsTriple, query: tuple[int, int, int]) -> bool:
@@ -104,164 +89,64 @@ def cs_condition(m: Mdp, obs: ObsTriple, query: tuple[int, int, int]) -> bool:
     return bool(_cs_mask(m.transition[s_t, a_t], s_next, m.transition[s, a])[s_cf])
 
 
-# ---------------------------------------------------------------------------
-# Row-level bound computations (one query pair, all successors)
-# ---------------------------------------------------------------------------
+def _bound_block(obs_row: np.ndarray, s_next: int, query: np.ndarray, is_observed: np.ndarray,
+                 assumptions: Assumptions,
+                 row_name: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-successor (lb, ub) for a block of query rows given one observed transition.
 
-def _observed_pair_rows(n: int, s_next: int) -> tuple[np.ndarray, np.ndarray]:
-    lb = np.zeros(n)
-    lb[s_next] = 1.0
-    return lb, lb.copy()
-
-
-def _no_assumption_rows(obs_row, s_next, query_row) -> tuple[np.ndarray, np.ndarray]:
+    `query` is (R, S), one transition row per query pair; `is_observed` (R,) marks the
+    row of the observed pair itself. Rows whose support is disjoint from the observed
+    pair's take the assumption-free formulas, since stability and monotonicity are
+    vacuous there. `row_name(r)` names row r in the error raised when a row leaves no
+    valid distribution.
+    """
     p_obs = obs_row[s_next]
-    ub = np.minimum(1.0, query_row / p_obs)
-    lb = np.maximum(0.0, (query_row - (1.0 - p_obs)) / p_obs)
-    return lb, ub
+    lb = np.maximum(0.0, (query - (1.0 - p_obs)) / p_obs)
+    ub = np.minimum(1.0, query / p_obs)
+    if assumptions is not Assumptions.NONE:
+        cs = _cs_mask(obs_row, s_next, query)
+        overlap = np.any((obs_row > 0) & (query > 0), axis=1, keepdims=True)
+        p_next_q = query[:, s_next, None]
+        if assumptions is Assumptions.CS:
+            ub[cs] = 0.0  # cs never fires on a disjoint row
+            ub_o = ub
+        else:
+            ub_o = np.where(obs_row > 0, np.minimum(query, 1.0 - p_next_q),
+                            np.minimum(1.0 - p_next_q, query / p_obs))
+            ub_o[cs] = 0.0
+            ub_o[:, s_next] = np.minimum(p_obs, p_next_q[:, 0]) / p_obs
+        leftover = 1.0 - (ub_o.sum(axis=1, keepdims=True) - ub_o)  # mass the others cannot absorb
+        lb_o = np.maximum(0.0, leftover)
+        lb_o[cs] = 0.0
+        if assumptions is Assumptions.CS_MON:
+            lb_o[:, s_next] = np.maximum(p_next_q[:, 0], leftover[:, s_next])
+        lb = np.where(overlap, lb_o, lb)
+        ub = np.where(overlap, ub_o, ub)
+    # Same mechanism input reproduces the observed outcome, under every assumption set.
+    lb[is_observed] = ub[is_observed] = 0.0
+    lb[is_observed, s_next] = ub[is_observed, s_next] = 1.0
 
-
-def _cs_only_rows(obs_row, s_next, query_row, disjoint: bool) -> tuple[np.ndarray, np.ndarray]:
-    p_obs = obs_row[s_next]
-    cs = _cs_mask(obs_row, s_next, query_row)
-    ub = np.where(cs, 0.0, np.minimum(1.0, query_row / p_obs))
-    if disjoint:
-        lb = np.maximum(0.0, (query_row - (1.0 - p_obs)) / p_obs)
-    else:
-        leftover = 1.0 - (ub.sum() - ub)  # mass the other successors cannot absorb
-        lb = np.where(cs, 0.0, np.maximum(0.0, leftover))
-    return lb, ub
-
-
-def _overlapping_ub_row(obs_row, s_next, query_row) -> np.ndarray:
-    p_obs = obs_row[s_next]
-    p_next_q = query_row[s_next]
-    cs = _cs_mask(obs_row, s_next, query_row)
-    ub = np.where(obs_row > 0,
-                  np.minimum(query_row, 1.0 - p_next_q),
-                  np.minimum(1.0 - p_next_q, query_row / p_obs))
-    ub[cs] = 0.0
-    ub[s_next] = min(p_obs, p_next_q) / p_obs
-    return ub
-
-
-def _overlapping_lb_row(obs_row, s_next, query_row, ub_row) -> np.ndarray:
-    cs = _cs_mask(obs_row, s_next, query_row)
-    leftover = 1.0 - (ub_row.sum() - ub_row)
-    lb = np.maximum(0.0, leftover)
-    lb[cs] = 0.0
-    lb[s_next] = max(query_row[s_next], leftover[s_next])
-    return lb
-
-
-def _cs_mon_rows(obs_row, s_next, query_row, disjoint: bool) -> tuple[np.ndarray, np.ndarray]:
-    p_obs = obs_row[s_next]
-    if disjoint:
-        ub = np.where(query_row < p_obs, query_row / p_obs, 1.0)
-        lb = np.where(query_row > 1.0 - p_obs, (query_row - (1.0 - p_obs)) / p_obs, 0.0)
-        return lb, ub
-    ub = _overlapping_ub_row(obs_row, s_next, query_row)
-    return _overlapping_lb_row(obs_row, s_next, query_row, ub), ub
-
-
-def transition_row_bounds(m: Mdp, obs: ObsTriple, query_pair: Pair,
-                          assumptions: Assumptions) -> tuple[np.ndarray, np.ndarray]:
-    """Per-successor (lb, ub) arrays for one query pair and one observed transition."""
-    relation = classify_support(m, obs[:2], query_pair)
-    if relation is SupportRelation.OBSERVED_PAIR:
-        # Same mechanism input reproduces the observed outcome, under every assumption set.
-        return _observed_pair_rows(m.num_states, obs[2])
-    obs_row = m.transition[obs[0], obs[1]]
-    query_row = m.transition[query_pair[0], query_pair[1]]
-    disjoint = relation is SupportRelation.DISJOINT
-    if assumptions is Assumptions.NONE:
-        lb, ub = _no_assumption_rows(obs_row, obs[2], query_row)
-    elif assumptions is Assumptions.CS:
-        lb, ub = _cs_only_rows(obs_row, obs[2], query_row, disjoint)
-    else:
-        lb, ub = _cs_mon_rows(obs_row, obs[2], query_row, disjoint)
-
-    if lb.sum() > 1.0 + CLAMP_TOL or ub.sum() < 1.0 - CLAMP_TOL:
+    lb_sum, ub_sum = lb.sum(axis=1), ub.sum(axis=1)
+    bad = np.flatnonzero((lb_sum > 1.0 + CLAMP_TOL) | (ub_sum < 1.0 - CLAMP_TOL))
+    if bad.size:
+        r = bad[0]
         raise InvariantViolation(
-            f"row bounds for pair {query_pair} given {obs} leave no valid distribution: "
-            f"sum(lb)={lb.sum():.12g}, sum(ub)={ub.sum():.12g}")
+            f"row bounds for {row_name(r)} leave no valid distribution: "
+            f"sum(lb)={lb_sum[r]:.12g}, sum(ub)={ub_sum[r]:.12g}")
     np.clip(ub, 0.0, 1.0, out=ub)
     np.minimum(lb, ub, out=lb)
     np.clip(lb, 0.0, 1.0, out=lb)
     return lb, ub
 
 
-# ---------------------------------------------------------------------------
-# Per-successor operations (views into the row computations, with precondition checks)
-# ---------------------------------------------------------------------------
-
-def bounds_observed_pair(m: Mdp, obs: ObsTriple) -> tuple[np.ndarray, np.ndarray]:
-    """Degenerate bounds for the observed pair itself, identical for every assumption set."""
-    return _observed_pair_rows(m.num_states, obs[2])
-
-
-def bounds_disjoint(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int) -> ProbInterval:
-    """Bounds for a pair whose support is disjoint from the observed pair's; the
-    stability/monotonicity constraints are vacuous, so one formula serves every
-    assumption set."""
-    if classify_support(m, obs[:2], query_pair) is not SupportRelation.DISJOINT:
-        raise ValueError("query pair does not have disjoint support from the observed pair")
-    lb, ub = _cs_mon_rows(m.transition[obs[0], obs[1]], obs[2],
-                          m.transition[query_pair[0], query_pair[1]], disjoint=True)
-    return make_interval(lb[s_cf], ub[s_cf])
-
-
-def _require_overlapping(m: Mdp, obs: ObsTriple, query_pair: Pair) -> None:
-    if classify_support(m, obs[:2], query_pair) is not SupportRelation.OVERLAPPING:
-        raise ValueError("query pair does not have overlapping support with the observed pair")
-
-
-def bounds_overlapping_ub(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int) -> float:
-    """Upper bound for an overlapping-support pair under CS + monotonicity."""
-    _require_overlapping(m, obs, query_pair)
-    row = _overlapping_ub_row(m.transition[obs[0], obs[1]], obs[2],
-                              m.transition[query_pair[0], query_pair[1]])
-    return float(row[s_cf])
-
-
-def bounds_overlapping_lb(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int,
-                          ub_row: np.ndarray) -> float:
-    """Lower bound for an overlapping-support pair under CS + monotonicity; `ub_row`
-    must hold the upper bounds of the same (query pair, observed step) row."""
-    _require_overlapping(m, obs, query_pair)
-    row = _overlapping_lb_row(m.transition[obs[0], obs[1]], obs[2],
-                              m.transition[query_pair[0], query_pair[1]], np.asarray(ub_row))
-    return float(row[s_cf])
-
-
-def bounds_no_assumption(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int) -> ProbInterval:
-    """Assumption-free bounds for any pair other than the observed one."""
-    lb, ub = _no_assumption_rows(m.transition[obs[0], obs[1]], obs[2],
-                                 m.transition[query_pair[0], query_pair[1]])
-    return make_interval(lb[s_cf], ub[s_cf])
-
-
-def bounds_cs_only_ub(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int) -> float:
-    """Upper bound under counterfactual stability alone."""
-    _, ub = _cs_only_rows(m.transition[obs[0], obs[1]], obs[2],
-                          m.transition[query_pair[0], query_pair[1]], disjoint=False)
-    return float(ub[s_cf])
-
-
-def bounds_cs_only(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int,
-                   ub_row: np.ndarray) -> ProbInterval:
-    """Bounds under counterfactual stability alone, for a pair other than the observed
-    one. `ub_row` must hold `bounds_cs_only_ub` for every successor of this pair."""
-    obs_row = m.transition[obs[0], obs[1]]
-    query_row = m.transition[query_pair[0], query_pair[1]]
-    ub_row = np.asarray(ub_row)
-    ub = float(ub_row[s_cf])
-    if classify_support(m, obs[:2], query_pair) is SupportRelation.DISJOINT:
-        p_obs = obs_row[obs[2]]
-        return make_interval(max(0.0, (query_row[s_cf] - (1.0 - p_obs)) / p_obs), ub)
-    if cs_condition(m, obs, (query_pair[0], query_pair[1], s_cf)):
-        return make_interval(0.0, ub)
-    return make_interval(max(0.0, 1.0 - (ub_row.sum() - ub)), ub)
+def transition_row_bounds(m: Mdp, obs: ObsTriple, query_pair: Pair,
+                          assumptions: Assumptions) -> tuple[np.ndarray, np.ndarray]:
+    """Per-successor (lb, ub) arrays for one query pair and one observed transition."""
+    s, a = query_pair
+    lb, ub = _bound_block(m.transition[obs[0], obs[1]], obs[2], m.transition[s, a][None],
+                          np.array([(s, a) == tuple(obs[:2])]), assumptions,
+                          lambda r: f"pair {query_pair} given {obs}")
+    return lb[0], ub[0]
 
 
 @dataclass(frozen=True)
@@ -292,16 +177,16 @@ def build_interval_cfmdp(m: Mdp, path: ObservedPath, assumptions: Assumptions) -
     if problems:
         raise ValueError("path invalid for this MDP: " + "; ".join(problems))
     t_len, n, k = path.horizon, m.num_states, m.num_actions
-    lb = np.zeros((t_len, n, k, n))
-    ub = np.zeros((t_len, n, k, n))
+    lb = np.empty((t_len, n, k, n))
+    ub = np.empty((t_len, n, k, n))
+    states = np.arange(n)
     for t in range(t_len):
         obs = path.step(t)
-        for s in range(n):
-            for a in range(k):
-                try:
-                    lb[t, s, a], ub[t, s, a] = transition_row_bounds(m, obs, (s, a), assumptions)
-                except InvariantViolation as exc:
-                    raise InvariantViolation(f"at (t={t}, s={s}, a={a}): {exc}") from exc
+        for a in range(k):
+            lb[t, :, a], ub[t, :, a] = _bound_block(
+                m.transition[obs[0], obs[1]], obs[2], m.transition[:, a],
+                (states == obs[0]) & (a == obs[1]), assumptions,
+                lambda s: f"(t={t}, s={s}, a={a}) given {obs}")
     return IntervalCfMdp(t_len, lb, ub, assumptions, m, path)
 
 

@@ -14,8 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import experiments
-from .bounds import (Assumptions, build_interval_cfmdp, icfmdp_to_json, transition_row_bounds,
-                     write_icfmdp_csv)
+from .bounds import Assumptions, build_interval_cfmdp, icfmdp_to_json, write_icfmdp_csv
 from .coupling import oracle_bounds
 from .envs import grid_spec_from_json, gridworld_spec, resolve_env
 from .errors import ConfigError, InvariantViolation
@@ -166,6 +165,7 @@ def _cmd_bounds(args) -> None:
 def _cmd_verify(args) -> None:
     m, path = _load_inputs(args)
     assumptions = Assumptions(args.assumptions)
+    icf = build_interval_cfmdp(m, path, assumptions)
     writer = csv.writer(sys.stdout)
     out_fh = None
     if args.out is not None:
@@ -180,7 +180,7 @@ def _cmd_verify(args) -> None:
             obs = path.step(t)
             for s in range(m.num_states):
                 for a in range(m.num_actions):
-                    lb_row, ub_row = transition_row_bounds(m, obs, (s, a), assumptions)
+                    lb_row, ub_row = icf.lb[t, s, a], icf.ub[t, s, a]
                     for s2 in range(m.num_states):
                         lp = oracle_bounds(m, obs, (s, a), s2, assumptions)
                         delta = max(abs(lb_row[s2] - lp.lb), abs(ub_row[s2] - lp.ub))

@@ -117,9 +117,13 @@ class ValueTable:
 def validate_mdp(m: Mdp) -> list[str]:
     """Return human-readable descriptions of every violated MDP invariant (empty if none)."""
     problems = []
+    for name in ("transition", "reward", "initial_dist"):
+        bad = np.argwhere(~np.isfinite(getattr(m, name)))
+        if bad.size:
+            problems.append(f"{name}{bad[0].tolist()} is not finite")
     if np.any(m.transition < 0) or np.any(m.transition > 1):
         bad = np.argwhere((m.transition < 0) | (m.transition > 1))[0]
-        problems.append(f"transition[{tuple(bad)}] outside [0, 1]")
+        problems.append(f"transition{bad.tolist()} outside [0, 1]")
     row_sums = m.transition.sum(axis=2)
     for s, a in np.argwhere(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
         problems.append(f"transition row (s={s}, a={a}) sums to {row_sums[s, a]:.12g}, not 1")
@@ -222,15 +226,24 @@ def mdp_from_json(d: dict) -> Mdp:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed MDP JSON: {exc}") from exc
     labels = tuple(d["state_labels"]) if "state_labels" in d else None
+    if labels is not None and len(labels) != num_states:
+        raise ConfigError(f"MDP JSON: {len(labels)} state_labels for {num_states} states")
 
-    if transition.shape != (num_states, num_actions, num_states):
-        raise ConfigError("MDP JSON: transition shape inconsistent with num_states/num_actions")
+    for name, arr, shape in [("transition", transition, (num_states, num_actions, num_states)),
+                             ("reward", reward, (num_states, num_actions)),
+                             ("initial_dist", initial, (num_states,))]:
+        if arr.shape != shape:
+            raise ConfigError(f"MDP JSON: {name} shape {arr.shape} != {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError(f"MDP JSON: {name} has a non-finite entry")
     if np.any(transition < 0) or np.any(transition > 1):
         raise ConfigError("MDP JSON: transition probabilities outside [0, 1]")
     row_sums = transition.sum(axis=2)
     if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
         raise ConfigError("MDP JSON: a transition row deviates from sum 1 by more than 1e-9")
     transition = transition / row_sums[:, :, None]
+    if np.any(initial < 0) or np.any(initial > 1):
+        raise ConfigError("MDP JSON: initial_dist entries outside [0, 1]")
     if abs(initial.sum() - 1.0) > ROW_SUM_TOL:
         raise ConfigError("MDP JSON: initial_dist deviates from sum 1 by more than 1e-9")
     initial = initial / initial.sum()

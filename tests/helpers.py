@@ -34,6 +34,11 @@ def random_observed(m, rng):
     return (s_t, a_t, s_next)
 
 
+def supports_overlap(m, pair, other):
+    """True iff the transition rows of the two (state, action) pairs share a successor."""
+    return bool(np.any((m.transition[pair] > 0) & (m.transition[other] > 0)))
+
+
 def random_path(m, rng, horizon):
     """A random positive-probability path (states chosen by transition sampling)."""
     s = int(rng.choice(m.num_states, p=m.initial_dist))

@@ -64,16 +64,17 @@ def test_c01_table1_exactness():
 def test_c02_oracle_equivalence(mdp_suite):
     t0 = time.perf_counter()
     worst_lp = 0.0
-    n_lp = 0
-    for m, obs in mdp_suite:
+    lp_bounds = {}  # (MDP index, assumptions, s, a, s2) -> oracle interval, reused below
+    for i, (m, obs) in enumerate(mdp_suite):
         for assumptions in Assumptions:
             for s in range(m.num_states):
                 for a in range(m.num_actions):
                     lb, ub = transition_row_bounds(m, obs, (s, a), assumptions)
                     for s2 in range(m.num_states):
                         iv = oracle_bounds(m, obs, (s, a), s2, assumptions)
+                        lp_bounds[i, assumptions, s, a, s2] = iv
                         worst_lp = max(worst_lp, abs(lb[s2] - iv.lb), abs(ub[s2] - iv.ub))
-                        n_lp += 1
+    n_lp = len(lp_bounds)
     assert worst_lp <= 1e-8
 
     # Mechanism enumeration: exhaustive at small scale; the largest tier (65536
@@ -83,7 +84,7 @@ def test_c02_oracle_equivalence(mdp_suite):
     worst_th = 0.0
     n_th = 0
     big_checked = 0
-    for m, obs in mdp_suite:
+    for i, (m, obs) in enumerate(mdp_suite):
         n_mech = m.num_states ** (m.num_states * m.num_actions)
         if n_mech <= 1000:
             triples = [(s, a, s2) for s in range(m.num_states)
@@ -96,7 +97,7 @@ def test_c02_oracle_equivalence(mdp_suite):
             continue
         for assumptions in Assumptions:
             for s, a, s2 in triples:
-                via_q = oracle_bounds(m, obs, (s, a), s2, assumptions)
+                via_q = lp_bounds[i, assumptions, s, a, s2]  # the oracle is deterministic
                 via_theta = enumerate_theta_bounds(m, obs, (s, a, s2), assumptions)
                 worst_th = max(worst_th, abs(via_q.lb - via_theta.lb),
                                abs(via_q.ub - via_theta.ub))

@@ -3,14 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icfmdp import (Assumptions, Mdp, ObservedPath, ProbInterval, SupportRelation,
-                    bounds_cs_only, bounds_disjoint, bounds_no_assumption,
-                    bounds_observed_pair, bounds_overlapping_lb, bounds_overlapping_ub,
-                    build_interval_cfmdp, classify_support, cs_condition, oracle_bounds,
+from icfmdp import (Assumptions, Mdp, ObservedPath, ProbInterval, build_gridworld,
+                    build_interval_cfmdp, cs_condition, gridworld_spec, oracle_bounds,
                     transition_row_bounds)
-from icfmdp.bounds import bounds_cs_only_ub, make_interval
+from icfmdp.bounds import make_interval
 from icfmdp.errors import InvariantViolation
-from helpers import make_random_mdp, random_observed
+from helpers import make_random_mdp, random_observed, random_path, supports_overlap
 
 # Reference intervals for the toy MDP after observing 0 -> 1, per (s, a, s'):
 # no-assumption column and stability+monotonicity column.
@@ -50,13 +48,24 @@ def cs_firing_mdp():
     return Mdp(3, 1, t, np.zeros((3, 1)), np.array([1.0, 0, 0]))
 
 
-class TestClassifySupport:
-    def test_observed_pair(self, toy):
-        assert classify_support(toy, (0, 0), (0, 0)) is SupportRelation.OBSERVED_PAIR
+def cs_mon_row(m, obs, pair):
+    return transition_row_bounds(m, obs, pair, Assumptions.CS_MON)
 
-    def test_toy_overlapping(self, toy):
-        # (1, 0) puts mass on states 0 and 2, both reachable from (0, 0)
-        assert classify_support(toy, (0, 0), (1, 0)) is SupportRelation.OVERLAPPING
+
+class TestClassifySupport:
+    """The bound kernel picks the observed-pair, overlapping or disjoint formulas per row."""
+
+    def test_observed_pair(self, toy):
+        # Observing 0 -> 0 (prob. 0.2) makes pair (0, 0) one-hot on 0, not its nominal row.
+        lb, ub = cs_mon_row(toy, (0, 0, 0), (0, 0))
+        assert lb.tolist() == ub.tolist() == [1.0, 0.0, 0.0]
+
+    def test_toy_overlapping(self, toy, toy_obs):
+        # (1, 0) puts mass on states 0 and 2, both reachable from (0, 0): monotonicity
+        # pins the row to its nominal value, which the disjoint formulas would not.
+        assert supports_overlap(toy, toy_obs[:2], (1, 0))
+        lb, ub = cs_mon_row(toy, toy_obs, (1, 0))
+        assert lb == pytest.approx([0.4, 0.0, 0.6]) and ub == pytest.approx([0.4, 0.0, 0.6])
 
     def test_point_masses_disjoint(self):
         t = np.zeros((3, 1, 3))
@@ -64,7 +73,10 @@ class TestClassifySupport:
         t[1, 0, 2] = 1.0
         t[2, 0, 2] = 1.0
         m = Mdp(3, 1, t, np.zeros((3, 1)), np.array([1.0, 0, 0]))
-        assert classify_support(m, (0, 0), (1, 0)) is SupportRelation.DISJOINT
+        assert not supports_overlap(m, (0, 0), (1, 0))
+        for assumptions in Assumptions:
+            lb, ub = transition_row_bounds(m, (0, 0, 1), (1, 0), assumptions)
+            assert lb.tolist() == [0.0, 0.0, 1.0] and ub.tolist() == [0.0, 0.0, 1.0]
 
 
 class TestCsCondition:
@@ -95,82 +107,74 @@ class TestObservedPair:
         assert np.all(lb[[0, 2]] == 0.0) and np.all(ub[[0, 2]] == 0.0)
 
     def test_rows_directly(self, toy, toy_obs):
-        lb, ub = bounds_observed_pair(toy, toy_obs)
+        lb, ub = transition_row_bounds(toy, toy_obs, (0, 0), Assumptions.NONE)
         assert lb[1] == ub[1] == 1.0 and lb.sum() == ub.sum() == 1.0
 
 
 class TestDisjoint:
     def test_half_against_point_eight(self):
         m = disjoint_pair_mdp(p_query=0.5, p_obs=0.8)
-        iv = bounds_disjoint(m, (0, 0, 0), (1, 0), 2)
-        assert iv.lb == pytest.approx(0.375, abs=1e-12)
-        assert iv.ub == pytest.approx(0.625, abs=1e-12)
         lp = oracle_bounds(m, (0, 0, 0), (1, 0), 2, Assumptions.CS_MON)
-        assert iv.lb == pytest.approx(lp.lb, abs=1e-9)
-        assert iv.ub == pytest.approx(lp.ub, abs=1e-9)
+        for assumptions in Assumptions:
+            lb, ub = transition_row_bounds(m, (0, 0, 0), (1, 0), assumptions)
+            assert lb[2] == pytest.approx(0.375, abs=1e-12)
+            assert ub[2] == pytest.approx(0.625, abs=1e-12)
+            assert lb[2] == pytest.approx(lp.lb, abs=1e-9)
+            assert ub[2] == pytest.approx(lp.ub, abs=1e-9)
 
     def test_deterministic_counterfactual_row(self):
         m = disjoint_pair_mdp(p_query=1.0, p_obs=0.8)
-        iv = bounds_disjoint(m, (0, 0, 0), (1, 0), 2)
-        assert (iv.lb, iv.ub) == (1.0, 1.0)
+        lb, ub = cs_mon_row(m, (0, 0, 0), (1, 0))
+        assert (lb[2], ub[2]) == (1.0, 1.0)
 
     def test_small_query_probability(self):
         m = disjoint_pair_mdp(p_query=0.1, p_obs=0.8)
-        iv = bounds_disjoint(m, (0, 0, 0), (1, 0), 2)
-        assert iv.lb == pytest.approx(0.0, abs=1e-12)
-        assert iv.ub == pytest.approx(0.125, abs=1e-12)
+        lb, ub = cs_mon_row(m, (0, 0, 0), (1, 0))
+        assert lb[2] == pytest.approx(0.0, abs=1e-12)
+        assert ub[2] == pytest.approx(0.125, abs=1e-12)
         lp = oracle_bounds(m, (0, 0, 0), (1, 0), 2, Assumptions.CS_MON)
-        assert iv.ub == pytest.approx(lp.ub, abs=1e-9)
-
-    def test_rejects_overlapping_pair(self, toy, toy_obs):
-        with pytest.raises(ValueError):
-            bounds_disjoint(toy, toy_obs, (1, 0), 0)
+        assert ub[2] == pytest.approx(lp.ub, abs=1e-9)
 
 
 class TestOverlapping:
     def test_upper_bounds_toy(self, toy, toy_obs):
-        assert bounds_overlapping_ub(toy, toy_obs, (1, 0), 0) == pytest.approx(0.4)
-        assert bounds_overlapping_ub(toy, toy_obs, (1, 0), 1) == pytest.approx(0.0)
-        assert bounds_overlapping_ub(toy, toy_obs, (2, 0), 2) == pytest.approx(1.0)
+        assert cs_mon_row(toy, toy_obs, (1, 0))[1][0] == pytest.approx(0.4)
+        assert cs_mon_row(toy, toy_obs, (1, 0))[1][1] == pytest.approx(0.0)
+        assert cs_mon_row(toy, toy_obs, (2, 0))[1][2] == pytest.approx(1.0)
 
     def test_lower_bounds_toy(self, toy, toy_obs):
-        ub_row = np.array([bounds_overlapping_ub(toy, toy_obs, (1, 0), j) for j in range(3)])
-        assert bounds_overlapping_lb(toy, toy_obs, (1, 0), 0, ub_row) == pytest.approx(0.4)
-        assert bounds_overlapping_lb(toy, toy_obs, (1, 0), 2, ub_row) == pytest.approx(0.6)
-        assert bounds_overlapping_lb(toy, toy_obs, (1, 0), 1, ub_row) == pytest.approx(0.0)
-
-    def test_rejects_disjoint_pair(self):
-        m = disjoint_pair_mdp(0.5, 0.8)
-        with pytest.raises(ValueError):
-            bounds_overlapping_ub(m, (0, 0, 0), (1, 0), 2)
+        lb, _ = cs_mon_row(toy, toy_obs, (1, 0))
+        assert lb[0] == pytest.approx(0.4)
+        assert lb[2] == pytest.approx(0.6)
+        assert lb[1] == pytest.approx(0.0)
 
 
 class TestNoAssumption:
     def test_toy_values(self, toy, toy_obs):
-        assert bounds_no_assumption(toy, toy_obs, (1, 0), 0) == ProbInterval(0.0, 1.0)
-        assert bounds_no_assumption(toy, toy_obs, (2, 0), 2) == ProbInterval(1.0, 1.0)
-        assert bounds_no_assumption(toy, toy_obs, (1, 0), 1) == ProbInterval(0.0, 0.0)
+        def iv(pair, s_cf):
+            lb, ub = transition_row_bounds(toy, toy_obs, pair, Assumptions.NONE)
+            return ProbInterval(lb[s_cf], ub[s_cf])
+        assert iv((1, 0), 0) == ProbInterval(0.0, 1.0)
+        assert iv((2, 0), 2) == ProbInterval(1.0, 1.0)
+        assert iv((1, 0), 1) == ProbInterval(0.0, 0.0)
 
 
 class TestCsOnly:
     def test_toy_trivial_interval(self, toy, toy_obs):
-        ub_row = np.array([bounds_cs_only_ub(toy, toy_obs, (1, 0), j) for j in range(3)])
-        iv = bounds_cs_only(toy, toy_obs, (1, 0), 0, ub_row)
-        assert (iv.lb, iv.ub) == (0.0, 1.0)
+        lb, ub = transition_row_bounds(toy, toy_obs, (1, 0), Assumptions.CS)
+        assert (lb[0], ub[0]) == (0.0, 1.0)
         lp = oracle_bounds(toy, toy_obs, (1, 0), 0, Assumptions.CS)
         assert (lp.lb, lp.ub) == (pytest.approx(0.0, abs=1e-9), pytest.approx(1.0, abs=1e-9))
 
     def test_disjoint_branch_deterministic_row(self):
         m = disjoint_pair_mdp(p_query=1.0, p_obs=0.8)
-        ub_row = np.array([bounds_cs_only_ub(m, (0, 0, 0), (1, 0), j) for j in range(4)])
-        iv = bounds_cs_only(m, (0, 0, 0), (1, 0), 2, ub_row)
-        assert (iv.lb, iv.ub) == (1.0, 1.0)
+        lb, ub = transition_row_bounds(m, (0, 0, 0), (1, 0), Assumptions.CS)
+        assert (lb[2], ub[2]) == (1.0, 1.0)
 
     def test_cs_branch_forces_zero(self):
         m = cs_firing_mdp()
-        ub_row = np.array([bounds_cs_only_ub(m, (0, 0, 0), (1, 0), j) for j in range(3)])
-        iv = bounds_cs_only(m, (0, 0, 0), (1, 0), 1, ub_row)
-        assert (iv.lb, iv.ub) == (0.0, 0.0)
+        lb, ub = transition_row_bounds(m, (0, 0, 0), (1, 0), Assumptions.CS)
+        assert (lb[1], ub[1]) == (0.0, 0.0)
 
 
 class TestBuildIntervalCfMdp:
@@ -196,6 +200,31 @@ class TestBuildIntervalCfMdp:
     def test_invalid_path_rejected(self, toy):
         with pytest.raises(ValueError, match="step 0"):
             build_interval_cfmdp(toy, ObservedPath((1, 1), (0,)), Assumptions.NONE)
+
+    @pytest.mark.parametrize("assumptions", list(Assumptions))
+    def test_layers_equal_stacked_rows(self, rng, assumptions):
+        """Each layer, built one action block at a time, equals the one-row bounds bitwise."""
+        cases = [(m, random_path(m, rng, 4)) for m in
+                 [build_gridworld(gridworld_spec(p)) for p in (0.4, 0.9)]
+                 + [make_random_mdp(rng, int(rng.integers(2, 7)), int(rng.integers(1, 4)),
+                                    sparse=True) for _ in range(20)]]
+        for m, path in cases:
+            icf = build_interval_cfmdp(m, path, assumptions)
+            for t in range(path.horizon):
+                rows = [[transition_row_bounds(m, path.step(t), (s, a), assumptions)
+                         for a in range(m.num_actions)] for s in range(m.num_states)]
+                lb, ub = np.moveaxis(np.array(rows), 2, 0)
+                assert np.array_equal(icf.lb[t], lb) and np.array_equal(icf.ub[t], ub)
+
+    def test_infeasible_row_named(self, toy, toy_path):
+        # Rows of a valid MDP always leave a distribution, so corrupt one to sum to 2.
+        t = np.array(toy.transition)
+        t[1, 0] = [1.0, 0.0, 1.0]
+        m = Mdp(3, 1, t, toy.reward, toy.initial_dist)
+        with pytest.raises(InvariantViolation, match=r"\(t=0, s=1, a=0\).*sum\(lb\)=2,"):
+            build_interval_cfmdp(m, toy_path, Assumptions.NONE)
+        with pytest.raises(InvariantViolation, match=r"pair \(1, 0\)"):
+            transition_row_bounds(m, (0, 0, 1), (1, 0), Assumptions.NONE)
 
 
 def _assumption_rows(m, obs, pair):
@@ -229,7 +258,7 @@ class TestRowInvariants:
             s_next = obs[2]
             for s in range(4):
                 for a in range(2):
-                    if classify_support(m, obs[:2], (s, a)) is not SupportRelation.OVERLAPPING:
+                    if (s, a) == obs[:2] or not supports_overlap(m, obs[:2], (s, a)):
                         continue
                     lb, ub = transition_row_bounds(m, obs, (s, a), Assumptions.CS_MON)
                     assert lb[s_next] >= m.transition[s, a, s_next] - 1e-12
@@ -248,7 +277,7 @@ class TestRowInvariants:
             obs = random_observed(m, rng)
             for s in range(4):
                 for a in range(2):
-                    if classify_support(m, obs[:2], (s, a)) is SupportRelation.DISJOINT:
+                    if not supports_overlap(m, obs[:2], (s, a)):
                         rows = _assumption_rows(m, obs, (s, a))
                         for key in (Assumptions.CS, Assumptions.CS_MON):
                             assert np.allclose(rows[key], rows[Assumptions.NONE], atol=1e-12)

@@ -117,6 +117,40 @@ def test_malformed_mdp_is_config_error(tmp_path, toy_files):
     assert res.returncode == 1
 
 
+def solve_patched_toy(toy_files, tmp_path, patch):
+    """Run `solve` on the toy MDP JSON after `patch` edits it; return the result."""
+    mdp_file, path_file = toy_files
+    d = json.loads(mdp_file.read_text())
+    patch(d)
+    bad = tmp_path / "patched.json"
+    bad.write_text(json.dumps(d))
+    return run_cli("solve", "--mdp", str(bad), "--path", str(path_file))
+
+
+def assert_config_error(res):
+    assert res.returncode == 1
+    assert "config error" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_non_finite_mdp_is_config_error(toy_files, tmp_path):
+    def patch(d):
+        d["transition"][1][0][1] = float("nan")
+        d["reward"][1] = [float("inf")]
+    assert_config_error(solve_patched_toy(toy_files, tmp_path, patch))
+
+
+def test_initial_dist_outside_unit_interval_is_config_error(toy_files, tmp_path):
+    def patch(d):
+        d["initial_dist"] = [1.5, -0.5, 0.0]
+    assert_config_error(solve_patched_toy(toy_files, tmp_path, patch))
+
+
+def test_wrong_reward_shape_is_config_error(toy_files, tmp_path):
+    def patch(d):
+        d["reward"] = [[0.0, 0.0]] * 3
+    assert_config_error(solve_patched_toy(toy_files, tmp_path, patch))
+
+
 def test_invalid_path_is_config_error(toy_files, tmp_path):
     mdp_file, _ = toy_files
     path_file = tmp_path / "impossible.json"

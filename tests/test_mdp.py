@@ -138,6 +138,45 @@ def test_loader_renormalizes_tiny_slack(toy):
     assert abs(m.transition[0, 0].sum() - 1.0) < 1e-15
 
 
+def test_loader_rejects_non_finite_entries(toy):
+    d = mdp_to_json(toy)
+    d["transition"][1][0][1] = float("nan")
+    d["reward"][1] = [float("inf")]
+    with pytest.raises(ConfigError, match="non-finite"):
+        mdp_from_json(json.loads(json.dumps(d)))
+
+
+def test_loader_rejects_initial_dist_outside_unit_interval(toy):
+    d = mdp_to_json(toy)
+    d["initial_dist"] = [1.5, -0.5, 0.0]
+    with pytest.raises(ConfigError, match="initial_dist"):
+        mdp_from_json(d)
+
+
+def test_loader_rejects_wrong_reward_shape(toy):
+    d = mdp_to_json(toy)
+    d["reward"] = [[0.0, 0.0]] * 3
+    with pytest.raises(ConfigError, match="reward shape"):
+        mdp_from_json(d)
+
+
+def test_loader_rejects_wrong_state_labels_length(toy):
+    d = mdp_to_json(toy)
+    d["state_labels"] = ["a", "b"]
+    with pytest.raises(ConfigError, match="state_labels"):
+        mdp_from_json(d)
+
+
+def test_validate_flags_non_finite_entries(toy):
+    t = np.array(toy.transition)
+    t[1, 0, 1] = np.nan
+    reward = np.array(toy.reward)
+    reward[1, 0] = np.inf
+    problems = validate_mdp(Mdp(3, 1, t, reward, toy.initial_dist))
+    assert "transition[1, 0, 1] is not finite" in problems
+    assert "reward[1, 0] is not finite" in problems
+
+
 def test_path_json_round_trip():
     path = ObservedPath((0, 1, 2), (0, 0))
     assert path_from_json(json.loads(json.dumps(path_to_json(path)))) == path
