@@ -111,7 +111,13 @@ def oracle_solution(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int,
 
 def oracle_bounds(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int,
                   assumptions: Assumptions) -> ProbInterval:
-    """Exact counterfactual probability bounds by LP over the two-pair coupling."""
+    """Exact counterfactual probability bounds by LP over the two-pair coupling.
+
+    A query outcome the query pair cannot reach has the interval [0, 0] without a solve:
+    the column-marginal constraint forces q[:, s_cf] = 0.
+    """
+    if m.transition[query_pair][s_cf] == 0.0:
+        return make_interval(0.0, 0.0)
     lo, _ = oracle_solution(m, obs, query_pair, s_cf, assumptions, "min")
     hi, _ = oracle_solution(m, obs, query_pair, s_cf, assumptions, "max")
     return make_interval(lo, hi)

@@ -4,13 +4,17 @@ CFMDPs, plus sampling of concrete CFMDPs from the intervals.
 The inner optimization of each Bellman backup -- extremize an expectation over all
 distributions inside per-successor probability intervals -- is solved exactly by
 order-and-fill: start every successor at its lower bound and hand out the remaining
-mass in value order (worst-first when pessimistic, best-first when optimistic).
+mass in value order (worst-first when pessimistic, best-first when optimistic). One
+kernel does this for all rows of a time step at once: the next-step values are sorted
+once, and each row's fill is a cumulative sum of the room ub - lb clipped to the mass
+left over.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,11 +51,40 @@ class SampledCfMdp:
         self.transition.setflags(write=False)
 
 
-def _check_row_feasible(lb: np.ndarray, ub: np.ndarray, where: str = "") -> None:
-    if lb.sum() > 1.0 + FEAS_TOL or ub.sum() < 1.0 - FEAS_TOL:
+def _check_feasible(lb: np.ndarray, ub: np.ndarray,
+                    row_name: Callable[[tuple], str] = lambda idx: "") -> np.ndarray:
+    """sum(lb) of every row of (..., S) intervals; raises InfeasibleRow naming the first
+    row (by `row_name` of its index) that admits no distribution."""
+    lb_sum, ub_sum = lb.sum(axis=-1), ub.sum(axis=-1)
+    bad = (lb_sum > 1.0 + FEAS_TOL) | (ub_sum < 1.0 - FEAS_TOL)
+    if bad.any():
+        idx = np.unravel_index(np.argmax(bad), bad.shape)
         raise InfeasibleRow(
-            f"interval row {where} admits no distribution: "
-            f"sum(lb)={lb.sum():.12g}, sum(ub)={ub.sum():.12g}")
+            f"interval row {row_name(tuple(int(i) for i in idx))} admits no distribution: "
+            f"sum(lb)={lb_sum[idx]:.12g}, sum(ub)={ub_sum[idx]:.12g}")
+    return lb_sum
+
+
+def _order_fill(v_next: np.ndarray, lb: np.ndarray, ub: np.ndarray, mode: Mode,
+                row_name: Callable[[tuple], str] = lambda idx: "") -> np.ndarray:
+    """Extreme of p @ v_next over {lb <= p <= ub, sum(p) = 1} for every row of (..., S)
+    intervals.
+
+    Successors are sorted by value once (stable, so value ties go to the lower index).
+    Each row starts at lb and hands 1 - sum(lb) out in that order, so the mass a
+    successor receives is its room ub - lb clipped to what the successors before it
+    left over. The `lb @ v_next` term keeps rows with lb == ub bit-equal to a plain
+    expectation.
+    """
+    lb_sum = _check_feasible(lb, ub, row_name)
+    order = np.argsort(v_next if mode is Mode.PESSIMISTIC else -v_next, kind="stable")
+    room = ub[..., order].astype(float, copy=False)
+    room -= lb[..., order]
+    fill = np.cumsum(room, axis=-1)
+    fill -= room  # mass handed out before each successor
+    np.subtract((1.0 - lb_sum)[..., None], fill, out=fill)
+    np.clip(fill, 0.0, room, out=fill)
+    return lb @ v_next + fill @ v_next[order]
 
 
 def robust_expectation(values: np.ndarray, lb: np.ndarray, ub: np.ndarray, mode: Mode) -> float:
@@ -59,42 +92,21 @@ def robust_expectation(values: np.ndarray, lb: np.ndarray, ub: np.ndarray, mode:
 
     Ties in value are broken by successor index, so the result is bit-deterministic.
     """
-    _check_row_feasible(lb, ub)
-    p = lb.astype(float).copy()
-    remaining = 1.0 - p.sum()
-    keys = values if mode is Mode.PESSIMISTIC else -values
-    order = np.argsort(keys, kind="stable")
-    for i in order:
-        if remaining <= 0.0:
-            break
-        add = min(ub[i] - p[i], remaining)
-        p[i] += add
-        remaining -= add
-    return float(p @ values)
-
-
-def _backup_layer(lb_t: np.ndarray, ub_t: np.ndarray, reward: np.ndarray,
-                  v_next: np.ndarray, mode: Mode) -> np.ndarray:
-    """Q[s, a] = R[s, a] + extremized expectation of v_next over the (s, a) intervals."""
-    n, k, _ = lb_t.shape
-    q = np.empty((n, k))
-    for s in range(n):
-        for a in range(k):
-            q[s, a] = reward[s, a] + robust_expectation(v_next, lb_t[s, a], ub_t[s, a], mode)
-    return q
+    return float(_order_fill(values, lb, ub, mode))
 
 
 def robust_value_iteration(icf: IntervalCfMdp, reward: np.ndarray, mode: Mode) -> RobustSolution:
-    """Optimal robust policy by backward induction; action ties go to the lowest index."""
+    """Optimal robust policy by backward induction.
+
+    Action ties go to the lowest index among Q-values equal in floating point.
+    """
     t_len = icf.horizon
     n = icf.base.num_states
     v = np.zeros((t_len + 1, n))
     acts = np.zeros((t_len, n), dtype=np.int64)
     for t in range(t_len - 1, -1, -1):
-        try:
-            q = _backup_layer(icf.lb[t], icf.ub[t], reward, v[t + 1], mode)
-        except InfeasibleRow as exc:
-            raise InfeasibleRow(f"at t={t}: {exc}") from exc
+        q = reward + _order_fill(v[t + 1], icf.lb[t], icf.ub[t], mode,
+                                 lambda idx: f"at (t={t}, s={idx[0]}, a={idx[1]})")
         acts[t] = np.argmax(q, axis=1)
         v[t] = q[np.arange(n), acts[t]]
     return RobustSolution(PolicySchedule(t_len, acts), ValueTable(v), mode)
@@ -106,16 +118,13 @@ def robust_policy_eval(icf: IntervalCfMdp, policy: PolicySchedule, mode: Mode) -
         raise ValueError("policy horizon shorter than the ICFMDP horizon")
     t_len = icf.horizon
     n = icf.base.num_states
-    reward = icf.base.reward
+    s_idx = np.arange(n)
     v = np.zeros((t_len + 1, n))
     for t in range(t_len - 1, -1, -1):
-        for s in range(n):
-            a = int(policy.action_at[t, s])
-            try:
-                exp = robust_expectation(v[t + 1], icf.lb[t, s, a], icf.ub[t, s, a], mode)
-            except InfeasibleRow as exc:
-                raise InfeasibleRow(f"at (t={t}, s={s}, a={a}): {exc}") from exc
-            v[t, s] = reward[s, a] + exp
+        a = policy.action_at[t]
+        v[t] = icf.base.reward[s_idx, a] + _order_fill(
+            v[t + 1], icf.lb[t, s_idx, a], icf.ub[t, s_idx, a], mode,
+            lambda idx: f"at (t={t}, s={idx[0]}, a={a[idx[0]]})")
     return ValueTable(v)
 
 
@@ -152,7 +161,11 @@ def sample_row(lb: np.ndarray, ub: np.ndarray, rng: np.random.Generator) -> np.n
     Not exactly uniform over the polytope, but feasible by construction and free of
     systematic per-coordinate bias thanks to the random visiting order.
     """
-    _check_row_feasible(lb, ub)
+    _check_feasible(lb, ub)
+    return _sample_feasible_row(lb, ub, rng)
+
+
+def _sample_feasible_row(lb: np.ndarray, ub: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     n = lb.shape[0]
     order = rng.permutation(n)
     p = np.zeros(n)
@@ -178,13 +191,15 @@ def sample_row(lb: np.ndarray, ub: np.ndarray, rng: np.random.Generator) -> np.n
 def sample_cfmdp(icf: IntervalCfMdp, seed: int) -> SampledCfMdp:
     """Draw a concrete CFMDP from the intervals; rows are sampled independently."""
     t_len, n, k, _ = icf.lb.shape
+    _check_feasible(icf.lb, icf.ub, lambda idx: "at (t={}, s={}, a={})".format(*idx))
     transition = np.empty((t_len, n, k, n))
     for t in range(t_len):
         for s in range(n):
             for a in range(k):
                 rng = rng_from(seed, t, s, a)
                 try:
-                    transition[t, s, a] = sample_row(icf.lb[t, s, a], icf.ub[t, s, a], rng)
+                    transition[t, s, a] = _sample_feasible_row(icf.lb[t, s, a], icf.ub[t, s, a],
+                                                               rng)
                 except InfeasibleRow as exc:
                     raise InfeasibleRow(f"at (t={t}, s={s}, a={a}): {exc}") from exc
     return SampledCfMdp(t_len, transition, seed)

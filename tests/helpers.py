@@ -6,7 +6,7 @@ deliberately avoid the library code paths they are used to check.
 
 import numpy as np
 
-from icfmdp import IntervalCfMdp, Mdp, ObservedPath
+from icfmdp import IntervalCfMdp, Mdp, Mode, ObservedPath
 from icfmdp.bounds import Assumptions
 
 
@@ -63,6 +63,33 @@ def random_interval_cfmdp(rng, num_states=3, num_actions=2, horizon=3, scale=0.5
     lb = nominal * (1.0 - scale * rng.random(nominal.shape))
     ub = nominal + (1.0 - nominal) * scale * rng.random(nominal.shape)
     return IntervalCfMdp(horizon, lb.copy(), ub.copy(), Assumptions.NONE, m, path)
+
+
+def sequential_fill_expectation(values, lb, ub, mode):
+    """Reference order-and-fill for one feasible interval row: start at lb and hand the
+    remaining mass out one successor at a time in value order."""
+    p = lb.astype(float).copy()
+    remaining = 1.0 - p.sum()
+    keys = values if mode is Mode.PESSIMISTIC else -values
+    order = np.argsort(keys, kind="stable")
+    for i in order:
+        if remaining <= 0.0:
+            break
+        add = min(ub[i] - p[i], remaining)
+        p[i] += add
+        remaining -= add
+    return float(p @ values)
+
+
+def sequential_robust_values(icf, reward, mode):
+    """Reference robust value iteration: one sequential fill per (t, s, a) row."""
+    t_len, n, k, _ = icf.lb.shape
+    v = np.zeros((t_len + 1, n))
+    for t in range(t_len - 1, -1, -1):
+        for s in range(n):
+            v[t, s] = max(reward[s, a] + sequential_fill_expectation(
+                v[t + 1], icf.lb[t, s, a], icf.ub[t, s, a], mode) for a in range(k))
+    return v
 
 
 def interval_simplex_vertices_2(lb, ub):

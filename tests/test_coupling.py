@@ -34,6 +34,34 @@ class TestOracleBounds:
                             assert ub[s2] == pytest.approx(iv.ub, abs=1e-8)
 
 
+    def test_zero_query_entries_are_zero_in_the_lp(self, rng):
+        # oracle_bounds answers these without a solve; the full LP must agree.
+        for _ in range(8):
+            m = make_random_mdp(rng, int(rng.integers(2, 5)), int(rng.integers(1, 3)),
+                                sparse=True)
+            obs = random_observed(m, rng)
+            for s, a, s_cf in np.argwhere(m.transition == 0).tolist():
+                for assumptions in Assumptions:
+                    for sense in ("min", "max"):
+                        value, _ = oracle_solution(m, obs, (s, a), s_cf, assumptions, sense)
+                        assert abs(value) <= 1e-12
+
+    def test_zero_query_entry_skips_the_lp(self, rng, monkeypatch):
+        m = make_random_mdp(rng, 4, 2, sparse=True)
+        obs = random_observed(m, rng)
+        zeros = np.argwhere(m.transition == 0).tolist()
+        assert zeros
+
+        def no_solve(problem):
+            raise AssertionError("LP solved for a zero-query entry")
+
+        monkeypatch.setattr("icfmdp.coupling.lp_solve", no_solve)
+        for s, a, s_cf in zeros:
+            for assumptions in Assumptions:
+                iv = oracle_bounds(m, obs, (s, a), s_cf, assumptions)
+                assert (iv.lb, iv.ub) == (0.0, 0.0)
+
+
 class TestCouplingFeasibility:
     def test_independent_coupling_feasible_without_assumptions(self, toy, toy_obs):
         q = np.outer(toy.transition[0, 0], toy.transition[1, 0])

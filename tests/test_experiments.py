@@ -124,6 +124,20 @@ class TestTraces:
         assert {r.metrics["method"] for r in records} == {"icfmdp", "gumbel"}
 
 
+WALL_CLOCK_METRICS = {"icfmdp_seconds", "gumbel_seconds", "speedup"}
+
+
+@pytest.mark.parametrize("runner", [run_ope, run_robustness, run_bound_stats, run_timing,
+                                    run_cf_traces])
+def test_runners_deterministic_given_seed(runner):
+    cfg = small_cfg(env="gridworld", p=0.4, num_paths=2, horizon=4)
+    a, b = runner(cfg), runner(cfg)
+    assert [r.trial for r in a] == [r.trial for r in b]
+    for ra, rb in zip(a, b):
+        assert {k: v for k, v in ra.metrics.items() if k not in WALL_CLOCK_METRICS} == \
+            {k: v for k, v in rb.metrics.items() if k not in WALL_CLOCK_METRICS}
+
+
 class TestCsvEmission:
     def test_columns_and_append(self, tmp_path):
         cfg = small_cfg(num_paths=2, output_dir=tmp_path)

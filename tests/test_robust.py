@@ -10,8 +10,10 @@ from icfmdp import (Assumptions, InfeasibleRow, Mode, PolicySchedule,
                     sample_cfmdp, sample_row)
 from icfmdp.bounds import IntervalCfMdp
 from icfmdp.mdp import rng_from
+from icfmdp.robust import FEAS_TOL, _order_fill
 from helpers import (interval_simplex_vertices_2, make_random_mdp, mc_nonstationary_value,
-                     random_interval_cfmdp, random_path, rejection_sample_feasible)
+                     random_interval_cfmdp, random_path, rejection_sample_feasible,
+                     sequential_fill_expectation, sequential_robust_values)
 
 
 class TestRobustExpectation:
@@ -23,9 +25,10 @@ class TestRobustExpectation:
 
     def test_fully_free_mass(self):
         v = np.array([0.0, 10.0])
-        lb, ub = np.zeros(2), np.ones(2)
-        assert robust_expectation(v, lb, ub, Mode.PESSIMISTIC) == 0.0
-        assert robust_expectation(v, lb, ub, Mode.OPTIMISTIC) == 10.0
+        for dtype in (float, int):
+            lb, ub = np.zeros(2, dtype=dtype), np.ones(2, dtype=dtype)
+            assert robust_expectation(v, lb, ub, Mode.PESSIMISTIC) == 0.0
+            assert robust_expectation(v, lb, ub, Mode.OPTIMISTIC) == 10.0
 
     def test_two_successor_reference_case(self):
         v = np.array([0.0, 10.0])
@@ -88,6 +91,89 @@ def test_property_nominal_between_extremes(case):
     hi = robust_expectation(v, lb, ub, Mode.OPTIMISTIC)
     assert lo <= nominal @ v + 1e-9
     assert nominal @ v <= hi + 1e-9
+
+
+def interval_row_batch(rng, n):
+    """Feasible (lb, ub) rows of width n, stacked: random, degenerate (lb == ub),
+    sum(lb) just above 1 within FEAS_TOL, 1 - sum(lb) exactly 0, and fully free."""
+    nominal = rng.dirichlet(np.ones(n), size=4)
+    tight = nominal * (1.0 + FEAS_TOL / 2)
+    dyadic = rng.multinomial(64, np.full(n, 1.0 / n), size=4) / 64.0
+    lb = np.concatenate([nominal * rng.random(nominal.shape), nominal, tight, dyadic,
+                         np.zeros((1, n))])
+    ub = np.concatenate([nominal + (1.0 - nominal) * rng.random(nominal.shape), nominal,
+                         tight + (1.0 - nominal) * rng.random(nominal.shape),
+                         dyadic + (1.0 - dyadic) * rng.random(dyadic.shape), np.ones((1, n))])
+    lb_sum = lb.sum(axis=1)
+    assert np.all((lb_sum[8:12] > 1.0) & (lb_sum[8:12] <= 1.0 + FEAS_TOL))
+    assert np.all(1.0 - lb_sum[12:16] == 0.0)
+    return lb, ub
+
+
+def assert_kernel_matches_sequential_fill(v, lb, ub):
+    for mode in Mode:
+        got = _order_fill(v, lb, ub, mode)
+        want = [sequential_fill_expectation(v, lo, hi, mode) for lo, hi in zip(lb, ub)]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+class TestOrderFillKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 257])
+    def test_matches_sequential_fill(self, rng, n):
+        lb, ub = interval_row_batch(rng, n)
+        assert_kernel_matches_sequential_fill(rng.normal(size=n), lb, ub)
+        assert_kernel_matches_sequential_fill(rng.integers(-2, 3, size=n).astype(float), lb, ub)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 257), st.integers(0, 2**32 - 1), st.booleans())
+    def test_property_matches_sequential_fill(self, n, seed, tied):
+        rng = np.random.default_rng(seed)
+        v = rng.integers(-2, 3, size=n).astype(float) if tied else rng.normal(size=n)
+        assert_kernel_matches_sequential_fill(v, *interval_row_batch(rng, n))
+
+    def test_value_iteration_matches_sequential_fill(self, rng):
+        for num_states in (3, 8, 20):
+            icf = random_interval_cfmdp(rng, num_states=num_states, num_actions=3, horizon=4)
+            for mode in Mode:
+                got = robust_value_iteration(icf, icf.base.reward, mode).values.values
+                want = sequential_robust_values(icf, icf.base.reward, mode)
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+class TestInfeasibleRows:
+    @staticmethod
+    def icf_with_bad_row(rng, lb_row, ub_row):
+        """An ICFMDP whose row (t=1, s=2, a=1) admits no distribution."""
+        icf = random_interval_cfmdp(rng, num_states=4, num_actions=2, horizon=3)
+        lb, ub = icf.lb.copy(), icf.ub.copy()
+        lb[1, 2, 1], ub[1, 2, 1] = lb_row, ub_row
+        return IntervalCfMdp(icf.horizon, lb, ub, icf.assumptions, icf.base, icf.path)
+
+    CASES = [(0.5, 0.6, r"sum\(lb\)=2, sum\(ub\)=2\.4"),
+             (0.0, 0.1, r"sum\(lb\)=0, sum\(ub\)=0\.4")]
+
+    @pytest.mark.parametrize("lb_row, ub_row, sums", CASES)
+    def test_value_iteration_names_the_row(self, rng, lb_row, ub_row, sums):
+        icf = self.icf_with_bad_row(rng, lb_row, ub_row)
+        for mode in Mode:
+            with pytest.raises(InfeasibleRow, match=r"\(t=1, s=2, a=1\).*" + sums):
+                robust_value_iteration(icf, icf.base.reward, mode)
+
+    @pytest.mark.parametrize("lb_row, ub_row, sums", CASES)
+    def test_policy_eval_names_the_row(self, rng, lb_row, ub_row, sums):
+        icf = self.icf_with_bad_row(rng, lb_row, ub_row)
+        takes_row = PolicySchedule(3, np.ones((3, 4), dtype=np.int64))
+        avoids_row = PolicySchedule(3, np.zeros((3, 4), dtype=np.int64))
+        for mode in Mode:
+            with pytest.raises(InfeasibleRow, match=r"\(t=1, s=2, a=1\).*" + sums):
+                robust_policy_eval(icf, takes_row, mode)
+            robust_policy_eval(icf, avoids_row, mode)
+
+    @pytest.mark.parametrize("lb_row, ub_row, sums", CASES)
+    def test_sample_cfmdp_names_the_row(self, rng, lb_row, ub_row, sums):
+        icf = self.icf_with_bad_row(rng, lb_row, ub_row)
+        with pytest.raises(InfeasibleRow, match=r"\(t=1, s=2, a=1\).*" + sums):
+            sample_cfmdp(icf, seed=0)
 
 
 class TestRobustValueIteration:
