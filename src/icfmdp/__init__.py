@@ -9,8 +9,7 @@ from .envs import (GridSpec, build_frozen_lake, build_gridworld, build_toy_mdp,
                    gridworld_spec, resolve_env)
 from .errors import (ConfigError, Infeasible, InfeasibleRow, InvariantViolation,
                      ScaleExceeded, Unbounded)
-from .gumbel import (GumbelCfMdp, GumbelPosteriorSample, build_gumbel_cfmdp,
-                     gumbel_cf_probs, gumbel_posterior_sample)
+from .gumbel import GumbelCfMdp, build_gumbel_cfmdp, gumbel_cf_probs
 from .lp import LpProblem, lp_solve
 from .mdp import (Mdp, ObservedPath, PolicySchedule, ValueTable, exact_policy_value,
                   load_mdp, load_path, mdp_from_json, mdp_to_json, optimal_policy,

@@ -203,6 +203,8 @@ def _cmd_solve(args) -> None:
 
 
 def _cmd_gumbel(args) -> None:
+    if args.samples < 1:
+        raise ConfigError("samples must be >= 1")
     m, path = _load_inputs(args)
     cf = build_gumbel_cfmdp(m, path, args.samples, args.seed)
     payload = gumbel_cfmdp_to_json(cf, m, path)

@@ -1,12 +1,15 @@
 """Gumbel-max SCM baseline: posterior noise inference for an observed transition and
 Monte-Carlo counterfactual transition probabilities.
 
-The noise of a categorical draw seen through the Gumbel-max trick is a vector of
-Gumbel variables, one per state. Conditioned on the observed outcome, the posterior
-is sampled top-down: the maximum is a standard Gumbel (the row's log-normalizer is 0),
-it is assigned to the observed state, and every other in-support state gets a Gumbel
-truncated below the maximum. States outside the observed row's support are
-unconstrained by the observation, so their posterior equals the prior.
+In the Gumbel-max SCM (Oberst & Sontag, 2019) a categorical draw is the argmax of its
+log-probabilities plus one exogenous Gumbel per state, and that one noise vector drives
+every counterfactual of the step. Conditioned on the observed outcome, the posterior
+noise is sampled top-down (Maddison, Tarlow & Minka, 2014): the maximum is a standard
+Gumbel (the row's log-normalizer is 0), it is assigned to the observed state, and every
+other in-support state gets a Gumbel truncated below the maximum. States outside the
+observed row's support are unconstrained by the observation, so their posterior equals
+the prior. One batched kernel draws the noise once per step and replays it through the
+rows of every query pair.
 """
 
 from __future__ import annotations
@@ -16,17 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import Mdp, ObservedPath, rng_from
-
-
-@dataclass(frozen=True)
-class GumbelPosteriorSample:
-    """One posterior draw of the per-state Gumbel noise for an observed transition."""
-
-    noise: np.ndarray  # (S,)
-    observed_key: tuple[int, int, int]
-
-    def __post_init__(self):
-        self.noise.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -42,60 +34,42 @@ class GumbelCfMdp:
         self.transition.setflags(write=False)
 
 
-def _truncated_gumbel(loc, cap, rng: np.random.Generator, size) -> np.ndarray:
-    """Gumbel(loc) draws truncated above at cap."""
-    g = rng.gumbel(loc=loc, size=size)
-    return -np.logaddexp(-cap, -g)
+def _gumbel_rows(obs_row: np.ndarray, s_next: int, query: np.ndarray, num_samples: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Counterfactual probabilities of every query row of (R, S) for one observed step.
 
-
-def gumbel_posterior_sample(row: np.ndarray, observed: int, seed: int,
-                            observed_key: tuple[int, int, int] | None = None,
-                            ) -> GumbelPosteriorSample:
-    """Draw the noise vector for one observed categorical outcome.
-
-    By construction argmax_s(log row[s] + noise[s]) over the support equals `observed`.
-    `observed_key` tags the sample with its (s_t, a_t, s_{t+1}) origin when known.
+    One posterior noise draw of shape (num_samples, S) is shared by all rows. Each row is
+    scored only on its support, padded to the widest support, and its argmax is taken
+    column by column with a strict `>`, so ties go to the lower state index. Entries are
+    argmax frequencies, so rows sum to one and are zero off the query support.
     """
-    row = np.asarray(row, dtype=float)
-    if row[observed] <= 0:
-        raise ValueError("observed outcome has zero probability")
-    rng = rng_from(seed)
-    noise = np.empty(row.shape[0])
-    top = rng.gumbel()
-    noise[observed] = top - np.log(row[observed])
-    for s in range(row.shape[0]):
-        if s == observed:
-            continue
-        if row[s] > 0:
-            logit = np.log(row[s])
-            noise[s] = _truncated_gumbel(logit, top, rng, None) - logit
-        else:
-            noise[s] = rng.gumbel()
-    if observed_key is None:
-        observed_key = (-1, -1, observed)
-    return GumbelPosteriorSample(noise, observed_key)
-
-
-def _posterior_scores(obs_row: np.ndarray, observed: int, query_row: np.ndarray,
-                      num_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Replay scores log(query_row) + posterior noise, only at query-support states.
-
-    Returns (num_samples, n_support) scores aligned with np.flatnonzero(query_row > 0).
-    """
-    candidates = np.flatnonzero(query_row > 0)
-    scores = np.empty((num_samples, candidates.shape[0]))
+    if num_samples < 1:
+        raise ValueError("num_samples must be >= 1")
+    if not obs_row[s_next] > 0:
+        raise ValueError(f"path invalid for this MDP: observed outcome {s_next} has zero "
+                         "probability")
+    num_rows, n = query.shape
     top = rng.gumbel(size=num_samples)
-    for col, s in enumerate(candidates):
-        log_q = np.log(query_row[s])
-        if s == observed:
-            noise = top - np.log(obs_row[s])
-        elif obs_row[s] > 0:
-            logit = np.log(obs_row[s])
-            noise = _truncated_gumbel(logit, top, rng, num_samples) - logit
-        else:
-            noise = rng.gumbel(size=num_samples)
-        scores[:, col] = log_q + noise
-    return scores
+    noise = rng.gumbel(size=(num_samples, n))
+    in_support = obs_row > 0
+    logit = np.log(obs_row[in_support])
+    noise[:, in_support] = -np.logaddexp(-top[:, None], -(logit + noise[:, in_support])) - logit
+    noise[:, s_next] = top - np.log(obs_row[s_next])
+
+    width = int((query > 0).sum(axis=1).max())
+    cand = np.argsort(query <= 0, axis=1, kind="stable")[:, :width]  # support first, ascending
+    q_cand = np.take_along_axis(query, cand, axis=1)
+    log_q = np.full(q_cand.shape, -np.inf)
+    np.log(q_cand, out=log_q, where=q_cand > 0)
+    best = log_q[:, 0] + noise[:, cand[:, 0]]
+    winner = np.broadcast_to(cand[:, 0], best.shape).copy()
+    for col in range(1, width):
+        score = log_q[:, col] + noise[:, cand[:, col]]
+        better = score > best
+        best = np.where(better, score, best)
+        winner = np.where(better, cand[:, col], winner)
+    winner += n * np.arange(num_rows)
+    return np.bincount(winner.ravel(), minlength=num_rows * n).reshape(num_rows, n) / num_samples
 
 
 def gumbel_cf_probs(m: Mdp, obs: tuple[int, int, int], query_pair: tuple[int, int],
@@ -105,29 +79,21 @@ def gumbel_cf_probs(m: Mdp, obs: tuple[int, int, int], query_pair: tuple[int, in
     Entries are argmax frequencies over `num_samples` posterior draws, so they sum to
     one exactly; zero-probability successors of the query pair are never selected.
     """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
     s_t, a_t, s_next = obs
-    obs_row = m.transition[s_t, a_t]
-    query_row = m.transition[query_pair[0], query_pair[1]]
-    rng = rng_from(seed)
-    candidates = np.flatnonzero(query_row > 0)
-    scores = _posterior_scores(obs_row, s_next, query_row, num_samples, rng)
-    winners = candidates[np.argmax(scores, axis=1)]
-    counts = np.bincount(winners, minlength=m.num_states)
-    return counts / num_samples
+    query = m.transition[query_pair[0], query_pair[1]][None]
+    return _gumbel_rows(m.transition[s_t, a_t], s_next, query, num_samples, rng_from(seed))[0]
 
 
 def build_gumbel_cfmdp(m: Mdp, path: ObservedPath, num_samples: int, seed: int) -> GumbelCfMdp:
-    """Point CFMDP with per-(t, s, a) rows estimated independently (per-row seeds)."""
+    """Point CFMDP: at step t every (s, a) row replays one posterior noise draw from
+    `rng_from(seed, t)`."""
     t_len, n, k = path.horizon, m.num_states, m.num_actions
     transition = np.empty((t_len, n, k, n))
+    query = m.transition.reshape(n * k, n)
     for t in range(t_len):
-        obs = path.step(t)
-        for s in range(n):
-            for a in range(k):
-                row_seed = np.random.SeedSequence([int(seed), t, s, a]).generate_state(1)[0]
-                transition[t, s, a] = gumbel_cf_probs(m, obs, (s, a), num_samples, int(row_seed))
+        s_t, a_t, s_next = path.step(t)
+        transition[t] = _gumbel_rows(m.transition[s_t, a_t], s_next, query, num_samples,
+                                     rng_from(seed, t)).reshape(n, k, n)
     return GumbelCfMdp(t_len, transition, num_samples, seed)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ConfigError
 
 ROW_SUM_TOL = 1e-9
+ACTION_TIE_RTOL = 1e-12
 
 
 def rng_from(seed: int, *stream: int) -> np.random.Generator:
@@ -181,14 +182,25 @@ def exact_policy_value(m: Mdp, policy: PolicySchedule, horizon: int) -> ValueTab
     return ValueTable(v)
 
 
+def _greedy(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Action choice and value of every state of (S, A) Q-values.
+
+    The action is the lowest one whose Q lies within ACTION_TIE_RTOL * max(1, |q_max|)
+    of the maximum, so that Q-values equal in exact arithmetic pick the same action
+    whatever order the backup summed in. The value is the maximum itself.
+    """
+    q_max = q.max(axis=1)
+    near = q >= (q_max - ACTION_TIE_RTOL * np.maximum(1.0, np.abs(q_max)))[:, None]
+    return np.argmax(near, axis=1), q_max
+
+
 def optimal_policy(m: Mdp, horizon: int) -> tuple[PolicySchedule, ValueTable]:
-    """Finite-horizon optimal deterministic policy by value iteration (ties -> lowest action)."""
+    """Finite-horizon optimal deterministic policy by value iteration (near-ties -> lowest
+    action)."""
     v = np.zeros((horizon + 1, m.num_states))
     acts = np.zeros((horizon, m.num_states), dtype=np.int64)
     for t in range(horizon - 1, -1, -1):
-        q = m.reward + m.transition @ v[t + 1]  # (S, A)
-        acts[t] = np.argmax(q, axis=1)
-        v[t] = q[np.arange(m.num_states), acts[t]]
+        acts[t], v[t] = _greedy(m.reward + m.transition @ v[t + 1])
     return PolicySchedule(horizon, acts), ValueTable(v)
 
 

@@ -8,6 +8,10 @@ mass in value order (worst-first when pessimistic, best-first when optimistic). 
 kernel does this for all rows of a time step at once: the next-step values are sorted
 once, and each row's fill is a cumulative sum of the room ub - lb clipped to the mass
 left over.
+
+Concrete CFMDPs are sampled from the intervals by sequential conditional sampling, one
+batched kernel per time step: every row of the step draws its own random visiting
+order from the step's generator, and the ranks are filled in turn for all rows at once.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .bounds import IntervalCfMdp
 from .errors import InfeasibleRow
-from .mdp import Mdp, ObservedPath, PolicySchedule, ValueTable, rng_from
+from .mdp import Mdp, ObservedPath, PolicySchedule, ValueTable, _greedy, rng_from
 
 FEAS_TOL = 1e-9
 
@@ -98,17 +102,16 @@ def robust_expectation(values: np.ndarray, lb: np.ndarray, ub: np.ndarray, mode:
 def robust_value_iteration(icf: IntervalCfMdp, reward: np.ndarray, mode: Mode) -> RobustSolution:
     """Optimal robust policy by backward induction.
 
-    Action ties go to the lowest index among Q-values equal in floating point.
+    Action near-ties go to the lowest index (see `mdp._greedy`).
     """
     t_len = icf.horizon
     n = icf.base.num_states
     v = np.zeros((t_len + 1, n))
     acts = np.zeros((t_len, n), dtype=np.int64)
     for t in range(t_len - 1, -1, -1):
-        q = reward + _order_fill(v[t + 1], icf.lb[t], icf.ub[t], mode,
-                                 lambda idx: f"at (t={t}, s={idx[0]}, a={idx[1]})")
-        acts[t] = np.argmax(q, axis=1)
-        v[t] = q[np.arange(n), acts[t]]
+        acts[t], v[t] = _greedy(reward + _order_fill(
+            v[t + 1], icf.lb[t], icf.ub[t], mode,
+            lambda idx: f"at (t={t}, s={idx[0]}, a={idx[1]})"))
     return RobustSolution(PolicySchedule(t_len, acts), ValueTable(v), mode)
 
 
@@ -135,9 +138,7 @@ def point_value_iteration(transition: np.ndarray, reward: np.ndarray
     v = np.zeros((t_len + 1, n))
     acts = np.zeros((t_len, n), dtype=np.int64)
     for t in range(t_len - 1, -1, -1):
-        q = reward + transition[t] @ v[t + 1]
-        acts[t] = np.argmax(q, axis=1)
-        v[t] = q[np.arange(n), acts[t]]
+        acts[t], v[t] = _greedy(reward + transition[t] @ v[t + 1])
     return PolicySchedule(t_len, acts), ValueTable(v)
 
 
@@ -153,6 +154,44 @@ def point_policy_eval(transition: np.ndarray, reward: np.ndarray,
     return ValueTable(v)
 
 
+def _sample_rows(lb: np.ndarray, ub: np.ndarray, rng: np.random.Generator,
+                 row_name: Callable[[int], str] = lambda r: "") -> np.ndarray:
+    """One distribution inside [lb, ub] for every feasible row of (R, S) intervals, by
+    sequential conditional sampling run over rank for all rows at once.
+
+    Each row visits its successors in its own random order (the argsort of one uniform
+    per entry). At each rank the mass drawn is uniform over the range that keeps the rest
+    of the row completable, given the mass left and the suffix sums of lb and ub; the
+    last successor takes the remainder, so rows sum to one up to rounding.
+    """
+    num_rows, n = lb.shape
+    order = np.argsort(rng.random((num_rows, n)), axis=1)
+    u = rng.random((num_rows, n))
+    lb_o = np.take_along_axis(lb, order, axis=1)
+    ub_o = np.take_along_axis(ub, order, axis=1)
+    # mass bounds of the successors after each rank
+    lb_after = np.cumsum(lb_o[:, ::-1], axis=1)[:, ::-1] - lb_o
+    ub_after = np.cumsum(ub_o[:, ::-1], axis=1)[:, ::-1] - ub_o
+    drawn = np.empty((num_rows, n))
+    p_o = np.empty((num_rows, n))
+    remaining = np.ones(num_rows)
+    for rank in range(n - 1):
+        lo = np.maximum(lb_o[:, rank], remaining - ub_after[:, rank])
+        hi = np.minimum(ub_o[:, rank], remaining - lb_after[:, rank])
+        drawn[:, rank] = np.where(hi > lo, lo + u[:, rank] * (hi - lo), lo)
+        p_o[:, rank] = np.clip(drawn[:, rank], lb_o[:, rank], ub_o[:, rank])
+        remaining -= p_o[:, rank]
+    drawn[:, -1] = p_o[:, -1] = remaining
+    escaped = (drawn < lb_o - FEAS_TOL) | (drawn > ub_o + FEAS_TOL)
+    if escaped.any():
+        r, rank = np.unravel_index(np.argmax(escaped), escaped.shape)
+        raise InfeasibleRow(f"sampled mass {drawn[r, rank]} escapes [{lb_o[r, rank]}, "
+                            f"{ub_o[r, rank]}] {row_name(int(r))}")
+    p = np.empty_like(p_o)
+    np.put_along_axis(p, order, p_o, axis=1)
+    return p
+
+
 def sample_row(lb: np.ndarray, ub: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Sample one distribution inside [lb, ub] by sequential conditional sampling.
 
@@ -162,46 +201,22 @@ def sample_row(lb: np.ndarray, ub: np.ndarray, rng: np.random.Generator) -> np.n
     systematic per-coordinate bias thanks to the random visiting order.
     """
     _check_feasible(lb, ub)
-    return _sample_feasible_row(lb, ub, rng)
-
-
-def _sample_feasible_row(lb: np.ndarray, ub: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    n = lb.shape[0]
-    order = rng.permutation(n)
-    p = np.zeros(n)
-    remaining = 1.0
-    lb_left = lb[order].sum()
-    ub_left = ub[order].sum()
-    for rank, i in enumerate(order):
-        lb_left -= lb[i]
-        ub_left -= ub[i]
-        if rank == n - 1:
-            value = remaining
-        else:
-            lo = max(lb[i], remaining - ub_left)
-            hi = min(ub[i], remaining - lb_left)
-            value = rng.uniform(lo, hi) if hi > lo else lo
-        if not (lb[i] - FEAS_TOL <= value <= ub[i] + FEAS_TOL):
-            raise InfeasibleRow(f"sampled mass {value} escapes [{lb[i]}, {ub[i]}]")
-        p[i] = min(max(value, lb[i]), ub[i])
-        remaining -= p[i]
-    return p
+    return _sample_rows(lb[None], ub[None], rng)[0]
 
 
 def sample_cfmdp(icf: IntervalCfMdp, seed: int) -> SampledCfMdp:
-    """Draw a concrete CFMDP from the intervals; rows are sampled independently."""
+    """Draw a concrete CFMDP from the intervals.
+
+    Rows are sampled independently; layer t uses its own generator `rng_from(seed, t)`,
+    so it depends only on the seed, t and that layer's bounds.
+    """
     t_len, n, k, _ = icf.lb.shape
     _check_feasible(icf.lb, icf.ub, lambda idx: "at (t={}, s={}, a={})".format(*idx))
     transition = np.empty((t_len, n, k, n))
     for t in range(t_len):
-        for s in range(n):
-            for a in range(k):
-                rng = rng_from(seed, t, s, a)
-                try:
-                    transition[t, s, a] = _sample_feasible_row(icf.lb[t, s, a], icf.ub[t, s, a],
-                                                               rng)
-                except InfeasibleRow as exc:
-                    raise InfeasibleRow(f"at (t={t}, s={s}, a={a}): {exc}") from exc
+        transition[t] = _sample_rows(
+            icf.lb[t].reshape(n * k, n), icf.ub[t].reshape(n * k, n), rng_from(seed, t),
+            lambda r: f"at (t={t}, s={r // k}, a={r % k})").reshape(n, k, n)
     return SampledCfMdp(t_len, transition, seed)
 
 

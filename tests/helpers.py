@@ -81,15 +81,21 @@ def sequential_fill_expectation(values, lb, ub, mode):
     return float(p @ values)
 
 
-def sequential_robust_values(icf, reward, mode):
-    """Reference robust value iteration: one sequential fill per (t, s, a) row."""
+def sequential_robust_vi(icf, reward, mode, tie_rtol=1e-12):
+    """Reference robust value iteration: one sequential fill per (t, s, a) row. Returns
+    the values and the policy, whose action is the lowest one with Q within
+    tie_rtol * max(1, |max Q|) of the maximum."""
     t_len, n, k, _ = icf.lb.shape
     v = np.zeros((t_len + 1, n))
+    acts = np.zeros((t_len, n), dtype=np.int64)
     for t in range(t_len - 1, -1, -1):
         for s in range(n):
-            v[t, s] = max(reward[s, a] + sequential_fill_expectation(
-                v[t + 1], icf.lb[t, s, a], icf.ub[t, s, a], mode) for a in range(k))
-    return v
+            q = [reward[s, a] + sequential_fill_expectation(
+                v[t + 1], icf.lb[t, s, a], icf.ub[t, s, a], mode) for a in range(k)]
+            v[t, s] = max(q)
+            acts[t, s] = next(a for a in range(k)
+                              if q[a] >= v[t, s] - tie_rtol * max(1.0, abs(v[t, s])))
+    return v, acts
 
 
 def interval_simplex_vertices_2(lb, ub):
@@ -140,3 +146,55 @@ def mc_nonstationary_value(transition, reward, policy, start_state, num_paths, r
         u = rng.random((num_paths, 1))
         states = np.minimum((u > np.cumsum(rows, axis=1)).sum(axis=1), n - 1)
     return totals.mean(), totals.std(ddof=1) / np.sqrt(num_paths)
+
+
+def gumbel_cf_oracle(obs_row, s_next, query_row, nodes=256):
+    """P(counterfactual = j) for every j under the Gumbel-max SCM, by deterministic
+    quadrature (independent of the library's sampler).
+
+    Given the top Gumbel T of the posterior, the query scores X_s = log q_s + noise_s are
+    independent: the observed state's is the point log(q_o / p_o) + T, an in-support
+    state's is a Gumbel truncated at log(q_s / p_s) + T, and an off-support state's is a
+    Gumbel(log q_s). With w = exp(-x) and y = exp(-T), every other CDF has the form
+    exp(-max(0, q_s w - b_s)), where b_s = p_s y on the observed support and 0 off it.
+
+    P(j | T) integrates over the CDF level u = exp(-t) of j's score. The integrand is
+    zero once j's score falls below the observed state's (t > t_max) and has a kink
+    wherever another state's truncation binds; between those points its log is linear
+    in t, so the inner integral is summed exactly piece by piece. The outer integral
+    over the CDF level of T uses Gauss-Legendre nodes.
+    """
+    p = np.asarray(obs_row, dtype=float)
+    q = np.asarray(query_row, dtype=float)
+    o = int(s_next)
+    x, weight = np.polynomial.legendre.leggauss(nodes)
+    z = (x + 1.0) / 2.0
+    weight = weight * 2.0 * z**3  # CDF level of T taken as z**4: dv = 4 z^3 dz, dz = dx / 2
+    y = -4.0 * np.log(z)  # exp(-T) at each node, (O,)
+    b = p[None, :] * y[:, None]  # (O, S)
+    w_obs = p[o] * y / q[o] if q[o] > 0 else np.full_like(y, np.inf)
+    rivals = [s for s in np.flatnonzero(q > 0) if s != o]
+
+    probs = np.zeros(q.shape[0])
+    if q[o] > 0:
+        log_at_obs = sum((-np.maximum(0.0, q[s] * w_obs - b[:, s]) for s in rivals),
+                         np.zeros_like(y))
+        probs[o] = weight @ np.exp(log_at_obs)
+    for j in rivals:
+        others = [s for s in rivals if s != j]
+        ratio = {s: q[s] / q[j] for s in others}
+        kink = {s: b[:, s] / ratio[s] - b[:, j] for s in others}  # (O,) each
+        t_max = q[j] * w_obs - b[:, j]
+
+        def log_f(t):  # log integrand at t = q_j w - b_j, (O,)
+            return -t - sum(np.maximum(0.0, ratio[s] * (t + b[:, j]) - b[:, s]) for s in others)
+
+        edges = np.sort(np.clip(np.stack([np.zeros_like(y), *kink.values(), t_max], axis=1),
+                                0.0, np.maximum(t_max, 0.0)[:, None]), axis=1)
+        total = np.zeros_like(y)
+        for lo, hi in zip(edges[:, :-1].T, edges[:, 1:].T):
+            inside = np.where(np.isinf(hi), lo + 1.0, (lo + hi) / 2.0)
+            slope = 1.0 + sum(ratio[s] * (inside > kink[s]) for s in others)
+            total += np.exp(log_f(lo)) * -np.expm1(-slope * (hi - lo)) / slope
+        probs[j] = weight @ total
+    return probs

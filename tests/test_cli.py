@@ -107,6 +107,15 @@ def test_gumbel_with_policy(toy_files):
     assert "policy" in payload
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_gumbel_without_samples_is_config_error(toy_files, samples):
+    mdp_file, path_file = toy_files
+    res = run_cli("gumbel", "--mdp", str(mdp_file), "--path", str(path_file),
+                  "--samples", samples)
+    assert_config_error(res)
+    assert res.stderr.strip() == "config error: samples must be >= 1"
+
+
 def test_malformed_mdp_is_config_error(tmp_path, toy_files):
     _, path_file = toy_files
     bad = tmp_path / "bad.json"

@@ -1,9 +1,28 @@
 import numpy as np
 import pytest
 
-from icfmdp import (Assumptions, Mdp, ObservedPath, build_gumbel_cfmdp, gumbel_cf_probs,
-                    gumbel_posterior_sample, transition_row_bounds)
-from helpers import make_random_mdp, random_observed, random_path
+from icfmdp import (Assumptions, Mdp, ObservedPath, build_gridworld, build_gumbel_cfmdp,
+                    build_interval_cfmdp, gumbel_cf_probs, gridworld_spec,
+                    transition_row_bounds)
+from helpers import gumbel_cf_oracle, make_random_mdp, random_observed, random_path
+
+
+def one_pair_mdp(row, rng):
+    """A one-action MDP whose pair (0, 0) has transition row `row`; other rows random."""
+    n = row.shape[0]
+    t = rng.dirichlet(np.ones(n), size=(n, 1))
+    t[0, 0] = row
+    return Mdp(n, 1, t, np.zeros((n, 1)), np.eye(n)[0])
+
+
+def assert_observed_row_is_point_mass(m, observed, num_samples, seed):
+    """Replaying the posterior through the observed pair's own row returns the observed
+    outcome in every draw, through both entry points."""
+    want = np.eye(m.num_states)[observed]
+    probs = gumbel_cf_probs(m, (0, 0, observed), (0, 0), num_samples, seed)
+    assert np.array_equal(probs, want)
+    cf = build_gumbel_cfmdp(m, ObservedPath((0, observed), (0,)), num_samples, seed)
+    assert np.array_equal(cf.transition[0, 0, 0], want)
 
 
 def test_posterior_argmax_consistency(rng):
@@ -14,14 +33,20 @@ def test_posterior_argmax_consistency(rng):
             row[rng.integers(n)] = 0.0
             row = row / row.sum()
         observed = int(rng.choice(n, p=row))
-        sample = gumbel_posterior_sample(row, observed, seed=trial)
-        scores = np.where(row > 0, np.log(np.where(row > 0, row, 1.0)) + sample.noise, -np.inf)
-        assert int(np.argmax(scores)) == observed
+        assert_observed_row_is_point_mass(one_pair_mdp(row, rng), observed, 20, seed=trial)
 
 
 def test_posterior_rejects_zero_probability_outcome():
-    with pytest.raises(ValueError):
-        gumbel_posterior_sample(np.array([0.5, 0.5, 0.0]), 2, seed=0)
+    t = np.array([[[0.5, 0.5, 0.0]], [[0.2, 0.3, 0.5]], [[1 / 3, 1 / 3, 1 / 3]]])
+    m = Mdp(3, 1, t, np.zeros((3, 1)), np.array([1.0, 0.0, 0.0]))
+    path = ObservedPath((0, 2), (0,))
+    with pytest.raises(ValueError, match="path invalid for this MDP"):
+        build_gumbel_cfmdp(m, path, num_samples=100, seed=0)
+    for query in ((0, 0), (1, 0), (2, 0)):
+        with pytest.raises(ValueError, match="path invalid for this MDP"):
+            gumbel_cf_probs(m, (0, 0, 2), query, num_samples=100, seed=0)
+    with pytest.raises(ValueError, match="path invalid for this MDP"):
+        build_interval_cfmdp(m, path, Assumptions.CS)
 
 
 def test_deterministic_row_replays_observed():
@@ -34,12 +59,7 @@ def test_deterministic_row_replays_observed():
 
 def test_uniform_row_replay_is_exact(rng):
     row = np.full(3, 1.0 / 3.0)
-    hits = 0
-    n = 2000
-    for i in range(n):
-        sample = gumbel_posterior_sample(row, 1, seed=i)
-        hits += int(np.argmax(np.log(row) + sample.noise) == 1)
-    assert hits == n
+    assert_observed_row_is_point_mass(one_pair_mdp(row, rng), 1, num_samples=2000, seed=0)
 
 
 def test_toy_counterfactual_probabilities(toy, toy_obs):
@@ -103,6 +123,40 @@ def test_build_gumbel_cfmdp_seeded_and_stochastic(toy, rng):
     assert np.abs(a.transition.sum(axis=3) - 1.0).max() == 0.0
 
 
-def test_sample_count_validated(toy, toy_obs):
+def test_sample_count_validated(toy, toy_obs, toy_path):
     with pytest.raises(ValueError):
         gumbel_cf_probs(toy, toy_obs, (1, 0), num_samples=0, seed=0)
+    with pytest.raises(ValueError):
+        build_gumbel_cfmdp(toy, toy_path, num_samples=0, seed=0)
+
+
+def assert_rows_match_oracle(m, path, num_samples, seed):
+    """Every row of the Gumbel CFMDP lies within 4 standard errors of the quadrature
+    oracle; the SE is floored at one count's worth, 1/num_samples, so that near-zero
+    probabilities do not demand an exact zero."""
+    cf = build_gumbel_cfmdp(m, path, num_samples, seed)
+    for t in range(path.horizon):
+        s_t, a_t, s_next = path.step(t)
+        for s in range(m.num_states):
+            for a in range(m.num_actions):
+                want = gumbel_cf_oracle(m.transition[s_t, a_t], s_next, m.transition[s, a])
+                assert abs(want.sum() - 1.0) <= 1e-12
+                se = np.sqrt(np.maximum(want * (1.0 - want), 1.0 / num_samples) / num_samples)
+                assert np.all(np.abs(cf.transition[t, s, a] - want) <= 4.0 * se), (t, s, a)
+
+
+def test_rows_match_quadrature_oracle(rng):
+    m = build_gridworld(gridworld_spec(0.4))
+    assert_rows_match_oracle(m, random_path(m, rng, 3), num_samples=2000, seed=1)
+    for trial in range(10):
+        m = make_random_mdp(rng, int(rng.integers(2, 6)), int(rng.integers(1, 3)), sparse=True)
+        assert_rows_match_oracle(m, random_path(m, rng, 2), num_samples=2000, seed=trial)
+
+
+def test_quadrature_oracle_on_toy(toy, toy_obs):
+    # one independent check of the oracle itself: the toy row (1, 0) sits near the
+    # 0.35/0.65 the acceptance test C05 expects of Monte Carlo
+    want = gumbel_cf_oracle(toy.transition[0, 0], toy_obs[2], toy.transition[1, 0])
+    assert want[1] == 0.0
+    assert want[0] == pytest.approx(0.35, abs=0.005)
+    assert want.sum() == pytest.approx(1.0, abs=1e-12)

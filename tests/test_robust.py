@@ -3,17 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icfmdp import (Assumptions, InfeasibleRow, Mode, PolicySchedule,
-                    build_interval_cfmdp, exact_policy_value, optimal_policy,
+from icfmdp import (Assumptions, InfeasibleRow, Mdp, Mode, ObservedPath, PolicySchedule,
+                    build_gridworld, build_interval_cfmdp, exact_policy_value,
+                    gridworld_spec, optimal_policy,
                     point_policy_eval, point_value_iteration, robust_expectation,
                     robust_policy_eval, robust_value_iteration, rollout_rewards,
                     sample_cfmdp, sample_row)
 from icfmdp.bounds import IntervalCfMdp
-from icfmdp.mdp import rng_from
+from icfmdp.mdp import _greedy, rng_from
 from icfmdp.robust import FEAS_TOL, _order_fill
 from helpers import (interval_simplex_vertices_2, make_random_mdp, mc_nonstationary_value,
                      random_interval_cfmdp, random_path, rejection_sample_feasible,
-                     sequential_fill_expectation, sequential_robust_values)
+                     sequential_fill_expectation, sequential_robust_vi)
 
 
 class TestRobustExpectation:
@@ -135,9 +136,22 @@ class TestOrderFillKernel:
         for num_states in (3, 8, 20):
             icf = random_interval_cfmdp(rng, num_states=num_states, num_actions=3, horizon=4)
             for mode in Mode:
-                got = robust_value_iteration(icf, icf.base.reward, mode).values.values
-                want = sequential_robust_values(icf, icf.base.reward, mode)
-                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+                got = robust_value_iteration(icf, icf.base.reward, mode)
+                values, policy = sequential_robust_vi(icf, icf.base.reward, mode)
+                np.testing.assert_allclose(got.values.values, values, rtol=0.0, atol=1e-12)
+                assert np.array_equal(got.policy.action_at, policy)
+
+    def test_policy_matches_sequential_fill_on_gridworld(self, rng):
+        # GridWorld Q-values tie exactly in many states; the kernel and the sequential
+        # fill sum in different orders, so only a tie-aware action choice agrees
+        m = build_gridworld(gridworld_spec(0.4))
+        for _ in range(3):
+            path = random_path(m, rng, 10)
+            for assumptions in Assumptions:
+                icf = build_interval_cfmdp(m, path, assumptions)
+                for mode in Mode:
+                    got = robust_value_iteration(icf, m.reward, mode).policy.action_at
+                    assert np.array_equal(got, sequential_robust_vi(icf, m.reward, mode)[1])
 
 
 class TestInfeasibleRows:
@@ -279,6 +293,36 @@ class TestSampleCfMdp:
         icf = random_interval_cfmdp(rng)
         assert np.array_equal(sample_cfmdp(icf, 5).transition, sample_cfmdp(icf, 5).transition)
 
+    def test_layer_depends_only_on_seed_t_and_its_bounds(self, rng):
+        a = random_interval_cfmdp(rng, num_states=4, num_actions=2, horizon=3)
+        b = random_interval_cfmdp(rng, num_states=4, num_actions=2, horizon=3)
+        mixed = IntervalCfMdp(3, np.stack([b.lb[0], a.lb[1], b.lb[2]]),
+                              np.stack([b.ub[0], a.ub[1], b.ub[2]]), a.assumptions, a.base,
+                              a.path)
+        short = IntervalCfMdp(2, a.lb[:2].copy(), a.ub[:2].copy(), a.assumptions, a.base,
+                              a.path)
+        want = sample_cfmdp(a, 7).transition
+        assert np.array_equal(sample_cfmdp(mixed, 7).transition[1], want[1])
+        assert np.array_equal(sample_cfmdp(short, 7).transition, want[:2])
+        assert not np.array_equal(sample_cfmdp(a, 8).transition[1], want[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 257), st.integers(0, 2**32 - 1))
+    def test_property_batched_rows_feasible(self, n, seed):
+        rng = np.random.default_rng(seed)
+        lb_rows, ub_rows = interval_row_batch(rng, n)
+        k = -(-len(lb_rows) // n)  # enough actions to hold every row at least once
+        rows = [np.arange(n * k) % len(lb_rows), rng.permutation(n * k) % len(lb_rows)]
+        lb = np.stack([lb_rows[r].reshape(n, k, n) for r in rows])
+        ub = np.stack([ub_rows[r].reshape(n, k, n) for r in rows])
+        m = Mdp(n, k, np.full((n, k, n), 1.0 / n), np.zeros((n, k)), np.eye(n)[0])
+        icf = IntervalCfMdp(2, lb, ub, Assumptions.NONE, m, ObservedPath((0, 0, 0), (0, 0)))
+        p = sample_cfmdp(icf, seed).transition
+        assert np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-12
+        # rows with sum(lb) in (1, 1 + FEAS_TOL] hold no distribution inside [lb, ub]
+        tol = np.where(lb.sum(axis=-1) > 1.0, FEAS_TOL, 1e-12)[..., None]
+        assert np.all(p >= lb - tol) and np.all(p <= ub + tol)
+
 
 class TestMonteCarloSandwich:
     def test_sampled_cfmdp_values_inside_robust_bounds(self, rng):
@@ -304,6 +348,12 @@ class TestPointBackups:
         policy_star, v_star = optimal_policy(m, 5)
         assert np.allclose(values.values, v_star.values, atol=1e-12)
         assert np.array_equal(policy.action_at, policy_star.action_at)
+
+    def test_near_tied_actions_go_to_the_lowest(self):
+        q = np.array([[1.0, 1.0 + 1e-13, 0.5], [3e12, 3e12 + 1.0, 0.0], [0.0, 1e-9, 0.0]])
+        acts, values = _greedy(q)
+        assert acts.tolist() == [0, 0, 1]
+        assert np.array_equal(values, q.max(axis=1))
 
     def test_rollouts_agree_with_point_eval(self, rng):
         m = make_random_mdp(rng, 3, 2)
