@@ -15,7 +15,14 @@ the underlying causal mechanism are adopted:
 Stacking the per-step bounds for every transition yields a time-indexed interval
 counterfactual MDP (ICFMDP). One kernel computes the bounds of a block of query rows
 given one observed step, vectorized over rows and successors: the ICFMDP is built one
-(step, action) block at a time, and `transition_row_bounds` is the one-row call.
+observed step at a time, and `transition_row_bounds` is the one-row call.
+
+Layout. Every bound is zero off the query row's support, and the bounds of a step depend
+only on its observed triple. An `IntervalCfMdp` therefore stores one (S, A, K) layer per
+unique observed triple, on the base MDP's support columns padded to K = the widest row
+(`Mdp.support_cols`), plus a (T,) index from steps to layers. The dense (T, S, A, S)
+`lb`/`ub` are read-only views built on first access, for serialization, sampling and
+checks; robust DP reads only the compact layers.
 """
 
 from __future__ import annotations
@@ -24,12 +31,13 @@ import csv
 import enum
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .mdp import Mdp, ObservedPath, validate_path
+from .mdp import Mdp, ObservedPath, support_columns, validate_path
 
 # Slack for clamping float dust in computed bounds; anything larger is a real bug.
 CLAMP_TOL = 1e-9
@@ -70,61 +78,70 @@ def make_interval(lb: float, ub: float) -> ProbInterval:
     return ProbInterval(lb, ub)
 
 
-def _cs_mask(obs_row: np.ndarray, s_next: int, query: np.ndarray) -> np.ndarray:
+def _cs_mask(obs: np.ndarray, p_obs: float, query: np.ndarray,
+             p_next_q: np.ndarray) -> np.ndarray:
     """Per-successor stability condition: the counterfactual probability must be zero.
-    `query` is one transition row (S,) or a block of them (R, S).
 
+    `obs` and `query` hold the observed pair's and the query pairs' probabilities on the
+    same successors, one row (K,) or a block (R, K); `p_obs` is the observed outcome's
+    probability under the observed pair and `p_next_q` (or (R, 1)) under each query pair.
     Fires where the observed-pair probability of the successor is positive and the
     observed outcome's likelihood rose strictly more than the successor's under the
     query pair. Compared by cross-multiplication so zero denominators need no special
     casing; the inequality is strict, with no epsilon.
     """
-    return (obs_row > 0) & (query[..., s_next, None] * obs_row > query * obs_row[s_next])
+    return (obs > 0) & (p_next_q * obs > query * p_obs)
 
 
 def cs_condition(m: Mdp, obs: ObsTriple, query: tuple[int, int, int]) -> bool:
     """True iff counterfactual stability forces the probability of `query` to zero."""
     s_t, a_t, s_next = obs
     s, a, s_cf = query
-    return bool(_cs_mask(m.transition[s_t, a_t], s_next, m.transition[s, a])[s_cf])
+    obs_row, query_row = m.transition[s_t, a_t], m.transition[s, a]
+    return bool(_cs_mask(obs_row, obs_row[s_next], query_row, query_row[s_next])[s_cf])
 
 
-def _bound_block(obs_row: np.ndarray, s_next: int, query: np.ndarray, is_observed: np.ndarray,
-                 assumptions: Assumptions,
+def _bound_block(obs_row: np.ndarray, s_next: int, query: np.ndarray, cols: np.ndarray,
+                 is_observed: np.ndarray, assumptions: Assumptions,
                  row_name: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
     """Per-successor (lb, ub) for a block of query rows given one observed transition.
 
-    `query` is (R, S), one transition row per query pair; `is_observed` (R,) marks the
-    row of the observed pair itself. Rows whose support is disjoint from the observed
-    pair's take the assumption-free formulas, since stability and monotonicity are
-    vacuous there. `row_name(r)` names row r in the error raised when a row leaves no
-    valid distribution.
+    `query` (R, K) holds each query row's probabilities on its columns `cols` (R, K):
+    distinct successors covering the row's support, padded with ones it cannot reach.
+    Every bound is zero off the query row's support, so no other successor is needed.
+    `is_observed` (R,) marks the row of the observed pair itself. Rows whose support is
+    disjoint from the observed pair's take the assumption-free formulas, since stability
+    and monotonicity are vacuous there. `row_name(r)` names row r in the error raised
+    when a row leaves no valid distribution.
     """
     p_obs = obs_row[s_next]
+    obs = obs_row[cols]
+    at_next = cols == s_next
     lb = np.maximum(0.0, (query - (1.0 - p_obs)) / p_obs)
     ub = np.minimum(1.0, query / p_obs)
     if assumptions is not Assumptions.NONE:
-        cs = _cs_mask(obs_row, s_next, query)
-        overlap = np.any((obs_row > 0) & (query > 0), axis=1, keepdims=True)
-        p_next_q = query[:, s_next, None]
+        p_next_q = np.where(at_next, query, 0.0).max(axis=1, keepdims=True)
+        cs = _cs_mask(obs, p_obs, query, p_next_q)
+        overlap = np.any((obs > 0) & (query > 0), axis=1, keepdims=True)
         if assumptions is Assumptions.CS:
             ub[cs] = 0.0  # cs never fires on a disjoint row
             ub_o = ub
         else:
-            ub_o = np.where(obs_row > 0, np.minimum(query, 1.0 - p_next_q),
+            ub_o = np.where(obs > 0, np.minimum(query, 1.0 - p_next_q),
                             np.minimum(1.0 - p_next_q, query / p_obs))
             ub_o[cs] = 0.0
-            ub_o[:, s_next] = np.minimum(p_obs, p_next_q[:, 0]) / p_obs
+            ub_o = np.where(at_next, np.minimum(p_obs, p_next_q) / p_obs, ub_o)
         leftover = 1.0 - (ub_o.sum(axis=1, keepdims=True) - ub_o)  # mass the others cannot absorb
         lb_o = np.maximum(0.0, leftover)
-        lb_o[cs] = 0.0
         if assumptions is Assumptions.CS_MON:
-            lb_o[:, s_next] = np.maximum(p_next_q[:, 0], leftover[:, s_next])
+            lb_o = np.where(at_next, np.maximum(p_next_q, leftover), lb_o)
+        lb_o[cs | (query <= 0)] = 0.0  # off the support (padding too), before the row check
         lb = np.where(overlap, lb_o, lb)
         ub = np.where(overlap, ub_o, ub)
     # Same mechanism input reproduces the observed outcome, under every assumption set.
     lb[is_observed] = ub[is_observed] = 0.0
-    lb[is_observed, s_next] = ub[is_observed, s_next] = 1.0
+    hit = is_observed[:, None] & at_next
+    lb[hit] = ub[hit] = 1.0
 
     lb_sum, ub_sum = lb.sum(axis=1), ub.sum(axis=1)
     bad = np.flatnonzero((lb_sum > 1.0 + CLAMP_TOL) | (ub_sum < 1.0 - CLAMP_TOL))
@@ -143,51 +160,104 @@ def transition_row_bounds(m: Mdp, obs: ObsTriple, query_pair: Pair,
                           assumptions: Assumptions) -> tuple[np.ndarray, np.ndarray]:
     """Per-successor (lb, ub) arrays for one query pair and one observed transition."""
     s, a = query_pair
-    lb, ub = _bound_block(m.transition[obs[0], obs[1]], obs[2], m.transition[s, a][None],
-                          np.array([(s, a) == tuple(obs[:2])]), assumptions,
+    cols = m.support_cols[s, a]
+    lb, ub = _bound_block(m.transition[obs[0], obs[1]], obs[2], m.transition[s, a, cols][None],
+                          cols[None], np.array([(s, a) == tuple(obs[:2])]), assumptions,
                           lambda r: f"pair {query_pair} given {obs}")
-    return lb[0], ub[0]
+    dense = np.zeros((2, m.num_states))
+    dense[:, cols] = lb[0], ub[0]
+    return dense[0], dense[1]
 
 
 @dataclass(frozen=True)
 class IntervalCfMdp:
-    """Time-indexed interval counterfactual MDP for one observed path."""
+    """Time-indexed interval counterfactual MDP for one observed path.
+
+    Step t uses layer `layer[t]`: `layer_lb[layer[t], s, a, j]` and `layer_ub[...]` bound
+    the counterfactual probability of successor `cols[s, a, j]`, and every successor not
+    in `cols[s, a]` has the interval [0, 0]. The dense (T, S, A, S) `lb` and `ub` are
+    built on first access and cached.
+    """
 
     horizon: int
-    lb: np.ndarray  # (T, S, A, S)
-    ub: np.ndarray  # (T, S, A, S)
+    cols: np.ndarray  # (S, A, K) successor columns, ascending within a row
+    layer: np.ndarray  # (T,) layer of each step
+    layer_lb: np.ndarray  # (U, S, A, K)
+    layer_ub: np.ndarray  # (U, S, A, K)
     assumptions: Assumptions
     base: Mdp
     path: ObservedPath
 
     def __post_init__(self):
-        self.lb.setflags(write=False)
-        self.ub.setflags(write=False)
+        for name in ("cols", "layer", "layer_lb", "layer_ub"):
+            getattr(self, name).setflags(write=False)
+
+    @classmethod
+    def from_dense(cls, lb: np.ndarray, ub: np.ndarray, assumptions: Assumptions, base: Mdp,
+                   path: ObservedPath) -> "IntervalCfMdp":
+        """ICFMDP of dense (T, S, A, S) bounds: one layer per step, on the columns where
+        some step's lb or ub is nonzero."""
+        cols = support_columns(np.any((lb != 0) | (ub != 0), axis=0))
+        return cls(lb.shape[0], cols, np.arange(lb.shape[0]),
+                   np.take_along_axis(lb, cols[None], axis=3),
+                   np.take_along_axis(ub, cols[None], axis=3), assumptions, base, path)
+
+    def _dense(self, layers: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.horizon,) + self.cols.shape[:2] + (self.base.num_states,))
+        np.put_along_axis(out, self.cols[None], layers[self.layer], axis=3)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def lb(self) -> np.ndarray:
+        """Dense (T, S, A, S) lower bounds (read-only)."""
+        return self._dense(self.layer_lb)
+
+    @cached_property
+    def ub(self) -> np.ndarray:
+        """Dense (T, S, A, S) upper bounds (read-only)."""
+        return self._dense(self.layer_ub)
 
     def interval(self, t: int, s: int, a: int, s_cf: int) -> ProbInterval:
-        return ProbInterval(float(self.lb[t, s, a, s_cf]), float(self.ub[t, s, a, s_cf]))
+        u, hit = self.layer[t], np.flatnonzero(self.cols[s, a] == s_cf)
+        if not hit.size:
+            return ProbInterval(0.0, 0.0)
+        return ProbInterval(float(self.layer_lb[u, s, a, hit[0]]),
+                            float(self.layer_ub[u, s, a, hit[0]]))
 
     def widths(self) -> np.ndarray:
         return self.ub - self.lb
 
 
 def build_interval_cfmdp(m: Mdp, path: ObservedPath, assumptions: Assumptions) -> IntervalCfMdp:
-    """Interval CFMDP covering every transition of m at every observed step of the path."""
+    """Interval CFMDP covering every transition of m at every observed step of the path.
+
+    Each unique observed triple is bounded once, over all (s, a) rows in one block.
+    """
     problems = validate_path(m, path)
     if problems:
         raise ValueError("path invalid for this MDP: " + "; ".join(problems))
-    t_len, n, k = path.horizon, m.num_states, m.num_actions
-    lb = np.empty((t_len, n, k, n))
-    ub = np.empty((t_len, n, k, n))
-    states = np.arange(n)
-    for t in range(t_len):
+    n, k = m.num_states, m.num_actions
+    cols = m.support_cols
+    rows = cols.reshape(n * k, -1)
+    query = np.take_along_axis(m.transition, cols, axis=2).reshape(rows.shape)
+    pairs = np.arange(n * k)
+    layers: dict[ObsTriple, int] = {}
+    lb, ub = [], []
+    for t in range(path.horizon):
         obs = path.step(t)
-        for a in range(k):
-            lb[t, :, a], ub[t, :, a] = _bound_block(
-                m.transition[obs[0], obs[1]], obs[2], m.transition[:, a],
-                (states == obs[0]) & (a == obs[1]), assumptions,
-                lambda s: f"(t={t}, s={s}, a={a}) given {obs}")
-    return IntervalCfMdp(t_len, lb, ub, assumptions, m, path)
+        if obs in layers:
+            continue
+        layers[obs] = len(layers)
+        lo, hi = _bound_block(m.transition[obs[0], obs[1]], obs[2], query, rows,
+                              pairs == obs[0] * k + obs[1], assumptions,
+                              lambda r: f"(t={t}, s={r // k}, a={r % k}) given {obs}")
+        lb.append(lo)
+        ub.append(hi)
+    layer = np.array([layers[path.step(t)] for t in range(path.horizon)], dtype=np.int64)
+    shape = (len(layers),) + cols.shape
+    return IntervalCfMdp(path.horizon, cols, layer, np.reshape(lb, shape), np.reshape(ub, shape),
+                         assumptions, m, path)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .bounds import Assumptions, ObsTriple, Pair, ProbInterval, cs_condition, make_interval
+from .bounds import Assumptions, ObsTriple, Pair, ProbInterval, _cs_mask, make_interval
 from .errors import ScaleExceeded
 from .lp import LpProblem, lp_solve
 from .mdp import Mdp
@@ -68,9 +68,8 @@ def _coupling_lp(m: Mdp, obs: ObsTriple, query_pair: Pair,
 
     a_ub_rows, b_ub = [], []
     if assumptions in (Assumptions.CS, Assumptions.CS_MON):
-        for j in range(n):
-            if cs_condition(m, obs, (s, a, j)):
-                upper[s_next * n + j] = 0.0
+        cs = _cs_mask(obs_row, p_obs, query_row, query_row[s_next])
+        upper[s_next * n + np.flatnonzero(cs)] = 0.0
     if assumptions is Assumptions.CS_MON:
         if query_row[s_next] > 0:
             # observed outcome cannot become less likely: q[s_next, s_next] >= P * p_obs
@@ -142,9 +141,8 @@ def check_coupling_feasible(coupling: Coupling, m: Mdp, obs: ObsTriple, query_pa
     if (s, a) == (s_t, a_t) and np.max(np.abs(q - np.diag(np.diag(q)))) > tol:
         return False
     if assumptions in (Assumptions.CS, Assumptions.CS_MON):
-        for j in range(m.num_states):
-            if cs_condition(m, obs, (s, a, j)) and q[s_next, j] > tol:
-                return False
+        if np.any(q[s_next, _cs_mask(obs_row, p_obs, query_row, query_row[s_next])] > tol):
+            return False
     if assumptions is Assumptions.CS_MON:
         if query_row[s_next] > 0 and q[s_next, s_next] < query_row[s_next] * p_obs - tol:
             return False
@@ -216,10 +214,9 @@ def enumerate_theta_bounds(m: Mdp, obs: ObsTriple, query_triple: tuple[int, int,
 
     a_ub_rows, b_ub = [], []
     if assumptions in (Assumptions.CS, Assumptions.CS_MON):
-        for j in range(n):
-            if cs_condition(m, obs, (s, a, j)):
-                a_eq_rows.append(sel_obs & (digits[(s, a)] == j))
-                b_eq.append(0.0)
+        for j in np.flatnonzero(_cs_mask(obs_row, p_obs, query_row, query_row[s_next])):
+            a_eq_rows.append(sel_obs & (digits[(s, a)] == j))
+            b_eq.append(0.0)
     if assumptions is Assumptions.CS_MON:
         if query_row[s_next] > 0:
             a_ub_rows.append(-(sel_obs & (digits[(s, a)] == s_next)).astype(float))

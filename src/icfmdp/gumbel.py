@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import Mdp, ObservedPath, rng_from
+from .mdp import Mdp, ObservedPath, rng_from, validate_path
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,9 @@ def gumbel_cf_probs(m: Mdp, obs: tuple[int, int, int], query_pair: tuple[int, in
 def build_gumbel_cfmdp(m: Mdp, path: ObservedPath, num_samples: int, seed: int) -> GumbelCfMdp:
     """Point CFMDP: at step t every (s, a) row replays one posterior noise draw from
     `rng_from(seed, t)`."""
+    problems = validate_path(m, path)
+    if problems:
+        raise ValueError("path invalid for this MDP: " + "; ".join(problems))
     t_len, n, k = path.horizon, m.num_states, m.num_actions
     transition = np.empty((t_len, n, k, n))
     query = m.transition.reshape(n * k, n)

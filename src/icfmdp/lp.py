@@ -41,12 +41,9 @@ def lp_solve(problem: LpProblem) -> tuple[float, np.ndarray]:
     c = np.asarray(problem.c, dtype=float)
     sign = 1.0 if problem.sense == "min" else -1.0
     n = c.shape[0]
-    lower = np.broadcast_to(np.asarray(problem.lower, dtype=float), (n,))
-    if problem.upper is None:
-        bounds = [(lo, None) for lo in lower]
-    else:
-        upper = np.broadcast_to(np.asarray(problem.upper, dtype=float), (n,))
-        bounds = list(zip(lower, upper))
+    upper = np.inf if problem.upper is None else problem.upper
+    bounds = np.empty((n, 2))
+    bounds[:, 0], bounds[:, 1] = problem.lower, upper
     res = linprog(sign * c, A_ub=problem.a_ub, b_ub=problem.b_ub,
                   A_eq=problem.a_eq, b_eq=problem.b_eq, bounds=bounds, method="highs")
     if res.status == 2:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,22 @@ def _frozen(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def support_columns(mask: np.ndarray) -> np.ndarray:
+    """Padded column indices of every row of a (..., S) boolean mask, shape (..., K) with
+    K = max(1, most True entries in a row).
+
+    Each row lists its True columns and, if it has fewer than K, its lowest False columns
+    as padding, all distinct and ascending.
+    """
+    nnz = mask.sum(axis=-1, keepdims=True)
+    width = max(int(nnz.max(initial=0)), 1)
+    # The first `width` columns hold at least `width - nnz` False ones for the padding.
+    free = ~mask[..., :width]
+    padded = mask.copy()
+    padded[..., :width] |= free & (np.cumsum(free, axis=-1) <= width - nnz)
+    return np.nonzero(padded)[-1].reshape(mask.shape[:-1] + (width,))
 
 
 @dataclass(frozen=True)
@@ -53,6 +70,12 @@ class Mdp:
             raise ValueError(f"initial_dist shape {self.initial_dist.shape} != {(s,)}")
         if self.state_labels is not None and len(self.state_labels) != s:
             raise ValueError("state_labels length mismatch")
+
+    @cached_property
+    def support_cols(self) -> np.ndarray:
+        """(S, A, K) successor columns of every transition row: its support, padded to the
+        widest row with unreachable successors (see `support_columns`)."""
+        return _frozen(support_columns(self.transition > 0), dtype=np.int64)
 
 
 @dataclass(frozen=True)

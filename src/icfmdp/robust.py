@@ -5,9 +5,11 @@ The inner optimization of each Bellman backup -- extremize an expectation over a
 distributions inside per-successor probability intervals -- is solved exactly by
 order-and-fill: start every successor at its lower bound and hand out the remaining
 mass in value order (worst-first when pessimistic, best-first when optimistic). One
-kernel does this for all rows of a time step at once: the next-step values are sorted
-once, and each row's fill is a cumulative sum of the room ub - lb clipped to the mass
-left over.
+kernel does this for all rows of a time step at once: each row's K successor values are
+sorted, and its fill is a cumulative sum of the room ub - lb clipped to the mass left
+over. Robust value iteration and policy evaluation run it on the ICFMDP's compact
+layers, gathering the next-step values on each row's support columns, so a backup
+touches S·A·K entries rather than S·A·S; they never build the dense (T, S, A, S) view.
 
 Concrete CFMDPs are sampled from the intervals by sequential conditional sampling, one
 batched kernel per time step: every row of the step draws its own random visiting
@@ -69,26 +71,27 @@ def _check_feasible(lb: np.ndarray, ub: np.ndarray,
     return lb_sum
 
 
-def _order_fill(v_next: np.ndarray, lb: np.ndarray, ub: np.ndarray, mode: Mode,
+def _order_fill(v: np.ndarray, lb: np.ndarray, ub: np.ndarray, mode: Mode,
                 row_name: Callable[[tuple], str] = lambda idx: "") -> np.ndarray:
-    """Extreme of p @ v_next over {lb <= p <= ub, sum(p) = 1} for every row of (..., S)
-    intervals.
+    """Extreme of p @ v over {lb <= p <= ub, sum(p) = 1} for every row of (..., K)
+    intervals, where v (..., K) holds the values of each row's successors.
 
-    Successors are sorted by value once (stable, so value ties go to the lower index).
-    Each row starts at lb and hands 1 - sum(lb) out in that order, so the mass a
-    successor receives is its room ub - lb clipped to what the successors before it
-    left over. The `lb @ v_next` term keeps rows with lb == ub bit-equal to a plain
-    expectation.
+    Each row's successors are sorted by value (stable, so value ties go to the earlier
+    column; columns ascend by state index). Each row starts at lb and hands 1 - sum(lb)
+    out in that order, so the mass a successor receives is its room ub - lb clipped to
+    what the successors before it left over.
     """
     lb_sum = _check_feasible(lb, ub, row_name)
-    order = np.argsort(v_next if mode is Mode.PESSIMISTIC else -v_next, kind="stable")
-    room = ub[..., order].astype(float, copy=False)
-    room -= lb[..., order]
+    keys = v if mode is Mode.PESSIMISTIC else -v  # ascending keys: fill order
+    room = np.take_along_axis(ub - lb, np.argsort(keys, axis=-1, kind="stable"),
+                              axis=-1).astype(float, copy=False)
     fill = np.cumsum(room, axis=-1)
     fill -= room  # mass handed out before each successor
     np.subtract((1.0 - lb_sum)[..., None], fill, out=fill)
-    np.clip(fill, 0.0, room, out=fill)
-    return lb @ v_next + fill @ v_next[order]
+    np.minimum(np.maximum(fill, 0.0, out=fill), room, out=fill)
+    # the sorted keys are the values in fill order, negated when optimistic
+    extra = np.einsum("...k,...k->...", fill, np.sort(keys, axis=-1))
+    return np.einsum("...k,...k->...", lb, v) + (extra if mode is Mode.PESSIMISTIC else -extra)
 
 
 def robust_expectation(values: np.ndarray, lb: np.ndarray, ub: np.ndarray, mode: Mode) -> float:
@@ -109,8 +112,9 @@ def robust_value_iteration(icf: IntervalCfMdp, reward: np.ndarray, mode: Mode) -
     v = np.zeros((t_len + 1, n))
     acts = np.zeros((t_len, n), dtype=np.int64)
     for t in range(t_len - 1, -1, -1):
+        u = icf.layer[t]
         acts[t], v[t] = _greedy(reward + _order_fill(
-            v[t + 1], icf.lb[t], icf.ub[t], mode,
+            v[t + 1][icf.cols], icf.layer_lb[u], icf.layer_ub[u], mode,
             lambda idx: f"at (t={t}, s={idx[0]}, a={idx[1]})"))
     return RobustSolution(PolicySchedule(t_len, acts), ValueTable(v), mode)
 
@@ -124,10 +128,10 @@ def robust_policy_eval(icf: IntervalCfMdp, policy: PolicySchedule, mode: Mode) -
     s_idx = np.arange(n)
     v = np.zeros((t_len + 1, n))
     for t in range(t_len - 1, -1, -1):
-        a = policy.action_at[t]
+        a, u = policy.action_at[t], icf.layer[t]
         v[t] = icf.base.reward[s_idx, a] + _order_fill(
-            v[t + 1], icf.lb[t, s_idx, a], icf.ub[t, s_idx, a], mode,
-            lambda idx: f"at (t={t}, s={idx[0]}, a={a[idx[0]]})")
+            v[t + 1][icf.cols[s_idx, a]], icf.layer_lb[u, s_idx, a], icf.layer_ub[u, s_idx, a],
+            mode, lambda idx: f"at (t={t}, s={idx[0]}, a={a[idx[0]]})")
     return ValueTable(v)
 
 

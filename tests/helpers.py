@@ -51,8 +51,8 @@ def random_path(m, rng, horizon):
     return ObservedPath(tuple(states), tuple(actions))
 
 
-def random_interval_cfmdp(rng, num_states=3, num_actions=2, horizon=3, scale=0.5):
-    """Synthetic ICFMDP: random base MDP with intervals inflated around its rows.
+def random_interval_bounds(rng, num_states=3, num_actions=2, horizon=3, scale=0.5):
+    """Random base MDP, path and dense (T, S, A, S) intervals inflated around its rows.
 
     Feasibility holds by construction because the nominal row sits inside every
     interval. `scale` controls how far bounds move away from the nominal value.
@@ -62,7 +62,13 @@ def random_interval_cfmdp(rng, num_states=3, num_actions=2, horizon=3, scale=0.5
     nominal = np.broadcast_to(m.transition, (horizon,) + m.transition.shape)
     lb = nominal * (1.0 - scale * rng.random(nominal.shape))
     ub = nominal + (1.0 - nominal) * scale * rng.random(nominal.shape)
-    return IntervalCfMdp(horizon, lb.copy(), ub.copy(), Assumptions.NONE, m, path)
+    return m, path, lb, ub
+
+
+def random_interval_cfmdp(rng, num_states=3, num_actions=2, horizon=3, scale=0.5):
+    """Synthetic ICFMDP of `random_interval_bounds`."""
+    m, path, lb, ub = random_interval_bounds(rng, num_states, num_actions, horizon, scale)
+    return IntervalCfMdp.from_dense(lb, ub, Assumptions.NONE, m, path)
 
 
 def sequential_fill_expectation(values, lb, ub, mode):

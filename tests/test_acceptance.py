@@ -185,7 +185,7 @@ def test_c06_robust_vi_correctness():
         m = make_random_mdp(rng, 4, 2)
         path = random_path(m, rng, 5)
         nominal = np.broadcast_to(m.transition, (5,) + m.transition.shape).copy()
-        icf = IntervalCfMdp(5, nominal.copy(), nominal.copy(), Assumptions.NONE, m, path)
+        icf = IntervalCfMdp.from_dense(nominal, nominal, Assumptions.NONE, m, path)
         _, v_star = optimal_policy(m, 5)
         for mode in Mode:
             sol = robust_value_iteration(icf, m.reward, mode)

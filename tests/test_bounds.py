@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from icfmdp import (Assumptions, Mdp, ObservedPath, ProbInterval, build_gridworld,
                     build_interval_cfmdp, cs_condition, gridworld_spec, oracle_bounds,
                     transition_row_bounds)
-from icfmdp.bounds import make_interval
+from icfmdp.bounds import IntervalCfMdp, make_interval
 from icfmdp.errors import InvariantViolation
-from helpers import make_random_mdp, random_observed, random_path, supports_overlap
+from helpers import (make_random_mdp, random_interval_bounds, random_observed, random_path,
+                     supports_overlap)
 
 # Reference intervals for the toy MDP after observing 0 -> 1, per (s, a, s'):
 # no-assumption column and stability+monotonicity column.
@@ -225,6 +226,45 @@ class TestBuildIntervalCfMdp:
             build_interval_cfmdp(m, toy_path, Assumptions.NONE)
         with pytest.raises(InvariantViolation, match=r"pair \(1, 0\)"):
             transition_row_bounds(m, (0, 0, 1), (1, 0), Assumptions.NONE)
+
+
+class TestCompactLayout:
+    def test_repeated_triple_shares_its_layer(self):
+        m = build_gridworld(gridworld_spec(0.4))
+        path = ObservedPath((0, 1, 0, 1, 1, 0), (3, 2, 3, 0, 2))
+        triples = [path.step(t) for t in range(path.horizon)]
+        assert triples[0] == triples[2] and triples[1] == triples[4]
+        icf = build_interval_cfmdp(m, path, Assumptions.CS_MON)
+        assert icf.layer.tolist() == [0, 1, 0, 2, 1]
+        assert icf.layer_lb.shape == (len(set(triples)),) + m.support_cols.shape
+        assert np.array_equal(icf.lb[0], icf.lb[2]) and np.array_equal(icf.ub[4], icf.ub[1])
+
+    def test_dense_view_is_one_cached_read_only_array(self, rng):
+        m = build_gridworld(gridworld_spec(0.4))
+        icf = build_interval_cfmdp(m, random_path(m, rng, 4), Assumptions.CS)
+        assert "lb" not in vars(icf) and "ub" not in vars(icf)
+        assert icf.lb is icf.lb and not icf.lb.flags.writeable and not icf.ub.flags.writeable
+        off_support = np.broadcast_to(m.transition == 0, icf.ub.shape)
+        assert not icf.ub[off_support].any()
+
+    def test_from_dense_round_trips(self, rng):
+        for sizes in [(3, 2), (6, 3)]:
+            m, path, lb, ub = random_interval_bounds(rng, *sizes, horizon=4)
+            icf = IntervalCfMdp.from_dense(lb, ub, Assumptions.NONE, m, path)
+            assert np.array_equal(icf.lb, lb) and np.array_equal(icf.ub, ub)
+        m = build_gridworld(gridworld_spec(0.9))  # sparse rows: padded columns
+        for assumptions in Assumptions:
+            built = build_interval_cfmdp(m, random_path(m, rng, 6), assumptions)
+            again = IntervalCfMdp.from_dense(built.lb, built.ub, assumptions, m, built.path)
+            assert again.layer_lb.shape[-1] <= m.support_cols.shape[-1]
+            assert np.array_equal(again.lb, built.lb) and np.array_equal(again.ub, built.ub)
+
+    def test_interval_reads_the_compact_layers(self, rng):
+        m = make_random_mdp(rng, 5, 2, sparse=True)
+        icf = build_interval_cfmdp(m, random_path(m, rng, 3), Assumptions.CS_MON)
+        for t, s, a, s_cf in np.ndindex(3, 5, 2, 5):
+            iv = icf.interval(t, s, a, s_cf)
+            assert (iv.lb, iv.ub) == (icf.lb[t, s, a, s_cf], icf.ub[t, s, a, s_cf])
 
 
 def _assumption_rows(m, obs, pair):

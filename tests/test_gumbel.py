@@ -49,6 +49,13 @@ def test_posterior_rejects_zero_probability_outcome():
         build_interval_cfmdp(m, path, Assumptions.CS)
 
 
+@pytest.mark.parametrize("path", [ObservedPath((0, 7), (0,)), ObservedPath((0, 1), (3,))])
+def test_out_of_range_path_rejected(toy, path):
+    with pytest.raises(ValueError, match=r"path invalid for this MDP: step 0: indices .* out of "
+                                         r"range"):
+        build_gumbel_cfmdp(toy, path, num_samples=100, seed=0)
+
+
 def test_deterministic_row_replays_observed():
     row = np.array([0.0, 1.0, 0.0])
     probs = gumbel_cf_probs(Mdp(3, 1, np.tile(row, (3, 1, 1)), np.zeros((3, 1)),

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icfmdp import (Assumptions, InfeasibleRow, Mdp, Mode, ObservedPath, PolicySchedule,
-                    build_gridworld, build_interval_cfmdp, exact_policy_value,
+from icfmdp import (Assumptions, GridSpec, InfeasibleRow, Mdp, Mode, ObservedPath,
+                    PolicySchedule, build_gridworld, build_interval_cfmdp, exact_policy_value,
                     gridworld_spec, optimal_policy,
                     point_policy_eval, point_value_iteration, robust_expectation,
                     robust_policy_eval, robust_value_iteration, rollout_rewards,
@@ -113,7 +113,7 @@ def interval_row_batch(rng, n):
 
 def assert_kernel_matches_sequential_fill(v, lb, ub):
     for mode in Mode:
-        got = _order_fill(v, lb, ub, mode)
+        got = _order_fill(np.broadcast_to(v, lb.shape), lb, ub, mode)
         want = [sequential_fill_expectation(v, lo, hi, mode) for lo, hi in zip(lb, ub)]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -154,6 +154,51 @@ class TestOrderFillKernel:
                     assert np.array_equal(got, sequential_robust_vi(icf, m.reward, mode)[1])
 
 
+def large_grid(side):
+    """A side x side GridWorld, p=0.9, with four danger cells."""
+    q = side // 4
+    return build_gridworld(GridSpec(
+        width=side, height=side, start=(0, 0), goal=(side - 1, side - 1),
+        danger_cells=frozenset({(q - 1, q), (q + 1, 3 * q), (2 * q, 2 * q), (3 * q, q + 1)}),
+        p_intended=0.9))
+
+
+class TestCompactRobustDp:
+    def test_robust_dp_never_builds_the_dense_view(self, rng):
+        m = build_gridworld(gridworld_spec(0.4))
+        icf = build_interval_cfmdp(m, random_path(m, rng, 10), Assumptions.CS_MON)
+        policy, _ = optimal_policy(m, 10)
+        for mode in Mode:
+            robust_value_iteration(icf, m.reward, mode)
+            robust_policy_eval(icf, policy, mode)
+        assert "lb" not in vars(icf) and "ub" not in vars(icf)
+
+    def test_grid16_matches_sequential_fill(self, rng):
+        m = large_grid(16)
+        icf = build_interval_cfmdp(m, random_path(m, rng, 10), Assumptions.CS_MON)
+        assert icf.cols.shape == (257, 4, 4)
+        for mode in Mode:
+            got = robust_value_iteration(icf, m.reward, mode)
+            values, policy = sequential_robust_vi(icf, m.reward, mode)
+            err = np.abs(got.values.values - values)
+            assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(values)))
+            assert np.array_equal(got.policy.action_at, policy)
+
+    def test_grid32_runs_without_the_dense_view(self, rng):
+        # S = 1,025: the dense (T, S, A, S) lb/ub pair alone would take about 670 MB
+        m = large_grid(32)
+        icf = build_interval_cfmdp(m, random_path(m, rng, 10), Assumptions.CS_MON)
+        sol = robust_value_iteration(icf, m.reward, Mode.PESSIMISTIC)
+        own = robust_policy_eval(icf, sol.policy, Mode.PESSIMISTIC).values
+        policy = PolicySchedule(10, rng.integers(0, 4, size=(10, m.num_states)))
+        other = robust_policy_eval(icf, policy, Mode.PESSIMISTIC).values
+        assert "lb" not in vars(icf) and "ub" not in vars(icf)
+        assert icf.layer_lb.shape[1:] == (1025, 4, 4)
+        assert np.all(np.isfinite(sol.values.values))
+        np.testing.assert_allclose(own, sol.values.values, rtol=1e-12, atol=1e-12)
+        assert np.all(other <= sol.values.values + 1e-9)
+
+
 class TestInfeasibleRows:
     @staticmethod
     def icf_with_bad_row(rng, lb_row, ub_row):
@@ -161,7 +206,7 @@ class TestInfeasibleRows:
         icf = random_interval_cfmdp(rng, num_states=4, num_actions=2, horizon=3)
         lb, ub = icf.lb.copy(), icf.ub.copy()
         lb[1, 2, 1], ub[1, 2, 1] = lb_row, ub_row
-        return IntervalCfMdp(icf.horizon, lb, ub, icf.assumptions, icf.base, icf.path)
+        return IntervalCfMdp.from_dense(lb, ub, icf.assumptions, icf.base, icf.path)
 
     CASES = [(0.5, 0.6, r"sum\(lb\)=2, sum\(ub\)=2\.4"),
              (0.0, 0.1, r"sum\(lb\)=0, sum\(ub\)=0\.4")]
@@ -201,7 +246,7 @@ class TestRobustValueIteration:
             m = make_random_mdp(rng, 4, 2)
             path = random_path(m, rng, 5)
             nominal = np.broadcast_to(m.transition, (5,) + m.transition.shape).copy()
-            icf = IntervalCfMdp(5, nominal.copy(), nominal.copy(), Assumptions.NONE, m, path)
+            icf = IntervalCfMdp.from_dense(nominal, nominal, Assumptions.NONE, m, path)
             policy_star, v_star = optimal_policy(m, 5)
             for mode in Mode:
                 sol = robust_value_iteration(icf, m.reward, mode)
@@ -218,10 +263,8 @@ class TestRobustValueIteration:
     def test_widening_intervals_is_monotone(self, rng):
         for _ in range(5):
             icf = random_interval_cfmdp(rng, scale=0.3)
-            wider = IntervalCfMdp(icf.horizon,
-                                  icf.lb * 0.5,
-                                  icf.ub + (1.0 - icf.ub) * 0.5,
-                                  icf.assumptions, icf.base, icf.path)
+            wider = IntervalCfMdp.from_dense(icf.lb * 0.5, icf.ub + (1.0 - icf.ub) * 0.5,
+                                             icf.assumptions, icf.base, icf.path)
             lo_narrow = robust_value_iteration(icf, icf.base.reward, Mode.PESSIMISTIC)
             lo_wide = robust_value_iteration(wider, icf.base.reward, Mode.PESSIMISTIC)
             hi_narrow = robust_value_iteration(icf, icf.base.reward, Mode.OPTIMISTIC)
@@ -252,7 +295,7 @@ class TestRobustPolicyEval:
         m = make_random_mdp(rng, 4, 2)
         path = random_path(m, rng, 4)
         nominal = np.broadcast_to(m.transition, (4,) + m.transition.shape).copy()
-        icf = IntervalCfMdp(4, nominal.copy(), nominal.copy(), Assumptions.NONE, m, path)
+        icf = IntervalCfMdp.from_dense(nominal, nominal, Assumptions.NONE, m, path)
         policy = PolicySchedule(4, rng.integers(0, 2, size=(4, 4)))
         expected = exact_policy_value(m, policy, 4)
         for mode in Mode:
@@ -265,7 +308,7 @@ class TestSampleCfMdp:
         m = make_random_mdp(rng, 3, 2)
         path = random_path(m, rng, 3)
         nominal = np.broadcast_to(m.transition, (3,) + m.transition.shape).copy()
-        icf = IntervalCfMdp(3, nominal.copy(), nominal.copy(), Assumptions.NONE, m, path)
+        icf = IntervalCfMdp.from_dense(nominal, nominal, Assumptions.NONE, m, path)
         cf = sample_cfmdp(icf, seed=0)
         assert np.allclose(cf.transition, nominal, atol=1e-12)
 
@@ -296,11 +339,10 @@ class TestSampleCfMdp:
     def test_layer_depends_only_on_seed_t_and_its_bounds(self, rng):
         a = random_interval_cfmdp(rng, num_states=4, num_actions=2, horizon=3)
         b = random_interval_cfmdp(rng, num_states=4, num_actions=2, horizon=3)
-        mixed = IntervalCfMdp(3, np.stack([b.lb[0], a.lb[1], b.lb[2]]),
-                              np.stack([b.ub[0], a.ub[1], b.ub[2]]), a.assumptions, a.base,
-                              a.path)
-        short = IntervalCfMdp(2, a.lb[:2].copy(), a.ub[:2].copy(), a.assumptions, a.base,
-                              a.path)
+        mixed = IntervalCfMdp.from_dense(np.stack([b.lb[0], a.lb[1], b.lb[2]]),
+                                         np.stack([b.ub[0], a.ub[1], b.ub[2]]), a.assumptions,
+                                         a.base, a.path)
+        short = IntervalCfMdp.from_dense(a.lb[:2], a.ub[:2], a.assumptions, a.base, a.path)
         want = sample_cfmdp(a, 7).transition
         assert np.array_equal(sample_cfmdp(mixed, 7).transition[1], want[1])
         assert np.array_equal(sample_cfmdp(short, 7).transition, want[:2])
@@ -316,7 +358,8 @@ class TestSampleCfMdp:
         lb = np.stack([lb_rows[r].reshape(n, k, n) for r in rows])
         ub = np.stack([ub_rows[r].reshape(n, k, n) for r in rows])
         m = Mdp(n, k, np.full((n, k, n), 1.0 / n), np.zeros((n, k)), np.eye(n)[0])
-        icf = IntervalCfMdp(2, lb, ub, Assumptions.NONE, m, ObservedPath((0, 0, 0), (0, 0)))
+        icf = IntervalCfMdp.from_dense(lb, ub, Assumptions.NONE, m,
+                                       ObservedPath((0, 0, 0), (0, 0)))
         p = sample_cfmdp(icf, seed).transition
         assert np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-12
         # rows with sum(lb) in (1, 1 + FEAS_TOL] hold no distribution inside [lb, ub]

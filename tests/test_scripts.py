@@ -6,12 +6,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_toy_table_gumbel_column():
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, str(ROOT / "scripts" / "toy_table.py"),
-                          "--samples", "20000"], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+                          capture_output=True, text=True, env=env)
+
+
+def test_toy_table_gumbel_column():
+    res = run_script("toy_table.py", "--samples", "20000")
     assert res.returncode == 0, res.stderr
     # columns: s a s_next nominal no-assum-lb ub gumbel cs+mon-lb ub
     gumbel = {(int(f[0]), int(f[2])): float(f[6]) for f in map(str.split, res.stdout.splitlines())
@@ -20,3 +24,12 @@ def test_toy_table_gumbel_column():
     assert abs(gumbel[1, 0] - 0.35) <= 0.02
     assert gumbel[1, 1] == 0.0
     assert abs(gumbel[1, 2] - 0.65) <= 0.02
+
+
+def test_run_all_quick(tmp_path):
+    res = run_script("run_all.py", "--quick", "--out", tmp_path)
+    assert res.returncode == 0, res.stderr
+    for env in ("gridworld-p0.9", "gridworld-p0.4", "frozen_lake"):
+        for study in ("ope", "robustness", "boundstats", "boundstats_detail", "timing", "traces"):
+            lines = (tmp_path / env / f"{study}.csv").read_text().splitlines()
+            assert len(lines) > 1, (env, study)
