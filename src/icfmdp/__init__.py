@@ -16,7 +16,7 @@ from .mdp import (Mdp, ObservedPath, PolicySchedule, ValueTable, exact_policy_va
                   path_from_json, path_return, path_to_json, random_policy_schedule,
                   rng_from, sample_path, validate_mdp, validate_path)
 from .robust import (Mode, RobustSolution, SampledCfMdp, point_policy_eval,
-                     point_value_iteration, robust_expectation, robust_policy_eval,
-                     robust_value_iteration, rollout_rewards, sample_cfmdp, sample_row)
+                     point_value_iteration, robust_policy_eval, robust_value_iteration,
+                     rollout_rewards, sample_cfmdp)
 
 __version__ = "0.1.0"

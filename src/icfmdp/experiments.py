@@ -220,7 +220,7 @@ def run_bound_stats(cfg: RunConfig) -> list[ExperimentRecord]:
             mask = icf.ub > 0
             key = _ASSUMPTION_KEY[assumption]
             widths[key] = icf.widths()
-            metrics[f"mean_width_{key}"] = float(icf.widths()[mask].mean())
+            metrics[f"mean_width_{key}"] = float(widths[key][mask].mean())
             metrics[f"num_intervals_{key}"] = int(mask.sum())
         records.append(ExperimentRecord("boundstats", run_id, trial, metrics))
         if cfg.output_dir is not None:

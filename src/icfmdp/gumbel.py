@@ -101,9 +101,11 @@ def build_gumbel_cfmdp(m: Mdp, path: ObservedPath, num_samples: int, seed: int) 
 
 
 def gumbel_cfmdp_to_json(cf: GumbelCfMdp, base: Mdp, path: ObservedPath) -> dict:
-    from .robust import SampledCfMdp, sampled_cfmdp_to_json
-
-    out = sampled_cfmdp_to_json(SampledCfMdp(cf.horizon, np.array(cf.transition), cf.seed),
-                                base, path)
-    out["num_samples"] = cf.num_samples
-    return out
+    """Serialize as one MDP JSON per time layer (initial state pinned to the path's)."""
+    initial = np.zeros(base.num_states)
+    initial[path.states[0]] = 1.0
+    layers = [{"num_states": base.num_states, "num_actions": base.num_actions,
+               "transition": layer.tolist(), "reward": base.reward.tolist(),
+               "initial_dist": initial.tolist()} for layer in cf.transition]
+    return {"horizon": cf.horizon, "seed": cf.seed, "layers": layers,
+            "num_samples": cf.num_samples}

@@ -2,11 +2,17 @@
 
 All types are immutable after construction (arrays are marked read-only), so they can
 be shared freely across threads. Every stochastic operation takes an explicit seed.
+
+One backward-induction routine, `_backward`, serves all six finite-horizon DP entry
+points: `optimal_policy` and `exact_policy_value` here, and the robust and point value
+iteration and policy evaluation in `robust`. Each passes only its backup; `_backward`
+owns the loop over t, the action choice (`_greedy`) and the policy-horizon check.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -172,8 +178,7 @@ def validate_path(m: Mdp, path: ObservedPath) -> list[str]:
 
 def sample_path(m: Mdp, policy: PolicySchedule, horizon: int, seed: int) -> ObservedPath:
     """Sample one path of `horizon` transitions; deterministic for a fixed seed."""
-    if horizon > policy.horizon:
-        raise ValueError("horizon exceeds policy horizon")
+    _check_policy_horizon(policy, horizon)
     rng = rng_from(seed)
     s = int(rng.choice(m.num_states, p=m.initial_dist))
     states, actions = [s], []
@@ -193,18 +198,6 @@ def path_return(m: Mdp, path: ObservedPath) -> float:
     return float(sum(m.reward[s, a] for s, a in zip(path.states, path.actions)))
 
 
-def exact_policy_value(m: Mdp, policy: PolicySchedule, horizon: int) -> ValueTable:
-    """Backward-induction expected undiscounted return of a fixed policy."""
-    if horizon > policy.horizon:
-        raise ValueError("horizon exceeds policy horizon")
-    s_idx = np.arange(m.num_states)
-    v = np.zeros((horizon + 1, m.num_states))
-    for t in range(horizon - 1, -1, -1):
-        a = policy.action_at[t]
-        v[t] = m.reward[s_idx, a] + m.transition[s_idx, a] @ v[t + 1]
-    return ValueTable(v)
-
-
 def _greedy(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Action choice and value of every state of (S, A) Q-values.
 
@@ -217,14 +210,46 @@ def _greedy(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.argmax(near, axis=1), q_max
 
 
+def _check_policy_horizon(policy: PolicySchedule, horizon: int) -> None:
+    if policy.horizon < horizon:
+        raise ValueError(f"policy horizon {policy.horizon} is shorter than the horizon "
+                         f"{horizon}")
+
+
+def _backward(horizon: int, reward: np.ndarray, expect: Callable,
+              policy: PolicySchedule | None = None) -> tuple[PolicySchedule, ValueTable]:
+    """Finite-horizon backward induction, the one loop behind every DP entry point.
+
+    `expect(t, v_next, rows)` returns the expected next-step value of the (S, A) rows
+    selected by `rows` at step t: all rows `(slice(None), slice(None))` when the action is
+    chosen by `_greedy`, else `(states, actions)` with each state's action under the fixed
+    `policy`. Returns the policy followed (the greedy one, or `policy` itself) and its
+    values; `values[horizon]` is zero.
+    """
+    if policy is not None:
+        _check_policy_horizon(policy, horizon)
+    n = reward.shape[0]
+    s_idx = np.arange(n)
+    v = np.zeros((horizon + 1, n))
+    acts = np.zeros((horizon, n), dtype=np.int64)
+    for t in range(horizon - 1, -1, -1):
+        if policy is None:
+            acts[t], v[t] = _greedy(reward + expect(t, v[t + 1], np.s_[:, :]))
+        else:
+            rows = s_idx, policy.action_at[t]
+            v[t] = reward[rows] + expect(t, v[t + 1], rows)
+    return policy if policy is not None else PolicySchedule(horizon, acts), ValueTable(v)
+
+
+def exact_policy_value(m: Mdp, policy: PolicySchedule, horizon: int) -> ValueTable:
+    """Backward-induction expected undiscounted return of a fixed policy."""
+    return _backward(horizon, m.reward, lambda t, v, rows: m.transition[rows] @ v, policy)[1]
+
+
 def optimal_policy(m: Mdp, horizon: int) -> tuple[PolicySchedule, ValueTable]:
     """Finite-horizon optimal deterministic policy by value iteration (near-ties -> lowest
     action)."""
-    v = np.zeros((horizon + 1, m.num_states))
-    acts = np.zeros((horizon, m.num_states), dtype=np.int64)
-    for t in range(horizon - 1, -1, -1):
-        acts[t], v[t] = _greedy(m.reward + m.transition @ v[t + 1])
-    return PolicySchedule(horizon, acts), ValueTable(v)
+    return _backward(horizon, m.reward, lambda t, v, rows: m.transition[rows] @ v)
 
 
 def random_policy_schedule(num_states: int, num_actions: int, horizon: int,

@@ -10,6 +10,9 @@ sorted, and its fill is a cumulative sum of the room ub - lb clipped to the mass
 over. Robust value iteration and policy evaluation run it on the ICFMDP's compact
 layers, gathering the next-step values on each row's support columns, so a backup
 touches S·A·K entries rather than S·A·S; they never build the dense (T, S, A, S) view.
+Both, and the point versions on a concrete CFMDP (backup `transition[t][rows] @ v`), are
+thin calls to `mdp._backward`, the one backward-induction routine of all six DP entry
+points.
 
 Concrete CFMDPs are sampled from the intervals by sequential conditional sampling, one
 batched kernel per time step: every row of the step draws its own random visiting
@@ -19,16 +22,14 @@ order from the step's generator, and the ranks are filled in turn for all rows a
 from __future__ import annotations
 
 import enum
-import json
 from collections.abc import Callable
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .bounds import IntervalCfMdp
 from .errors import InfeasibleRow
-from .mdp import Mdp, ObservedPath, PolicySchedule, ValueTable, _greedy, rng_from
+from .mdp import PolicySchedule, ValueTable, _backward, _check_policy_horizon, rng_from
 
 FEAS_TOL = 1e-9
 
@@ -94,12 +95,18 @@ def _order_fill(v: np.ndarray, lb: np.ndarray, ub: np.ndarray, mode: Mode,
     return np.einsum("...k,...k->...", lb, v) + (extra if mode is Mode.PESSIMISTIC else -extra)
 
 
-def robust_expectation(values: np.ndarray, lb: np.ndarray, ub: np.ndarray, mode: Mode) -> float:
-    """Extreme of sum(p * values) over {p : lb <= p <= ub, sum(p) = 1}.
+def _robust_backup(icf: IntervalCfMdp, mode: Mode) -> Callable:
+    """`mdp._backward` backup of an ICFMDP: order-and-fill on the compact layer of step t,
+    with the next-step values gathered on each row's support columns."""
+    def expect(t, v_next, rows):
+        def row_name(idx):
+            s, a = idx if len(idx) == 2 else (idx[0], rows[1][idx[0]])
+            return f"at (t={t}, s={s}, a={a})"
 
-    Ties in value are broken by successor index, so the result is bit-deterministic.
-    """
-    return float(_order_fill(values, lb, ub, mode))
+        u = icf.layer[t]
+        return _order_fill(v_next[icf.cols[rows]], icf.layer_lb[u][rows], icf.layer_ub[u][rows],
+                           mode, row_name)
+    return expect
 
 
 def robust_value_iteration(icf: IntervalCfMdp, reward: np.ndarray, mode: Mode) -> RobustSolution:
@@ -107,55 +114,25 @@ def robust_value_iteration(icf: IntervalCfMdp, reward: np.ndarray, mode: Mode) -
 
     Action near-ties go to the lowest index (see `mdp._greedy`).
     """
-    t_len = icf.horizon
-    n = icf.base.num_states
-    v = np.zeros((t_len + 1, n))
-    acts = np.zeros((t_len, n), dtype=np.int64)
-    for t in range(t_len - 1, -1, -1):
-        u = icf.layer[t]
-        acts[t], v[t] = _greedy(reward + _order_fill(
-            v[t + 1][icf.cols], icf.layer_lb[u], icf.layer_ub[u], mode,
-            lambda idx: f"at (t={t}, s={idx[0]}, a={idx[1]})"))
-    return RobustSolution(PolicySchedule(t_len, acts), ValueTable(v), mode)
+    return RobustSolution(*_backward(icf.horizon, reward, _robust_backup(icf, mode)), mode)
 
 
 def robust_policy_eval(icf: IntervalCfMdp, policy: PolicySchedule, mode: Mode) -> ValueTable:
     """Worst/best-case value of a fixed policy over all CFMDPs inside the intervals."""
-    if policy.horizon < icf.horizon:
-        raise ValueError("policy horizon shorter than the ICFMDP horizon")
-    t_len = icf.horizon
-    n = icf.base.num_states
-    s_idx = np.arange(n)
-    v = np.zeros((t_len + 1, n))
-    for t in range(t_len - 1, -1, -1):
-        a, u = policy.action_at[t], icf.layer[t]
-        v[t] = icf.base.reward[s_idx, a] + _order_fill(
-            v[t + 1][icf.cols[s_idx, a]], icf.layer_lb[u, s_idx, a], icf.layer_ub[u, s_idx, a],
-            mode, lambda idx: f"at (t={t}, s={idx[0]}, a={a[idx[0]]})")
-    return ValueTable(v)
+    return _backward(icf.horizon, icf.base.reward, _robust_backup(icf, mode), policy)[1]
 
 
 def point_value_iteration(transition: np.ndarray, reward: np.ndarray
                           ) -> tuple[PolicySchedule, ValueTable]:
     """Finite-horizon VI on a concrete time-indexed CFMDP (degenerate intervals)."""
-    t_len, n, _, _ = transition.shape
-    v = np.zeros((t_len + 1, n))
-    acts = np.zeros((t_len, n), dtype=np.int64)
-    for t in range(t_len - 1, -1, -1):
-        acts[t], v[t] = _greedy(reward + transition[t] @ v[t + 1])
-    return PolicySchedule(t_len, acts), ValueTable(v)
+    return _backward(len(transition), reward, lambda t, v, rows: transition[t][rows] @ v)
 
 
 def point_policy_eval(transition: np.ndarray, reward: np.ndarray,
                       policy: PolicySchedule) -> ValueTable:
     """Evaluate a fixed policy on a concrete time-indexed CFMDP."""
-    t_len, n, _, _ = transition.shape
-    s_idx = np.arange(n)
-    v = np.zeros((t_len + 1, n))
-    for t in range(t_len - 1, -1, -1):
-        a = policy.action_at[t]
-        v[t] = reward[s_idx, a] + np.einsum("ij,j->i", transition[t, s_idx, a], v[t + 1])
-    return ValueTable(v)
+    return _backward(len(transition), reward, lambda t, v, rows: transition[t][rows] @ v,
+                     policy)[1]
 
 
 def _sample_rows(lb: np.ndarray, ub: np.ndarray, rng: np.random.Generator,
@@ -196,18 +173,6 @@ def _sample_rows(lb: np.ndarray, ub: np.ndarray, rng: np.random.Generator,
     return p
 
 
-def sample_row(lb: np.ndarray, ub: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Sample one distribution inside [lb, ub] by sequential conditional sampling.
-
-    Successors are visited in random order; each draw is uniform over the range that
-    keeps the rest of the row completable, and the last successor takes the remainder.
-    Not exactly uniform over the polytope, but feasible by construction and free of
-    systematic per-coordinate bias thanks to the random visiting order.
-    """
-    _check_feasible(lb, ub)
-    return _sample_rows(lb[None], ub[None], rng)[0]
-
-
 def sample_cfmdp(icf: IntervalCfMdp, seed: int) -> SampledCfMdp:
     """Draw a concrete CFMDP from the intervals.
 
@@ -228,6 +193,7 @@ def rollout_rewards(transition: np.ndarray, reward: np.ndarray, policy: PolicySc
                     start_state: int, num_paths: int, seed: int) -> np.ndarray:
     """Instant rewards, shape (num_paths, T), of vectorized rollouts on a concrete CFMDP."""
     t_len, n, _, _ = transition.shape
+    _check_policy_horizon(policy, t_len)
     rng = rng_from(seed)
     states = np.full(num_paths, start_state, dtype=np.int64)
     out = np.empty((num_paths, t_len))
@@ -250,23 +216,3 @@ def solution_to_json(sol: RobustSolution) -> dict:
         "values": sol.values.values.tolist(),
         "policy": sol.policy.action_at.tolist(),
     }
-
-
-def sampled_cfmdp_to_json(cf: SampledCfMdp, base: Mdp, path: ObservedPath) -> dict:
-    """Serialize as one MDP JSON per time layer (initial state pinned to the path's)."""
-    initial = np.zeros(base.num_states)
-    initial[path.states[0]] = 1.0
-    layers = []
-    for t in range(cf.horizon):
-        layers.append({
-            "num_states": base.num_states,
-            "num_actions": base.num_actions,
-            "transition": cf.transition[t].tolist(),
-            "reward": base.reward.tolist(),
-            "initial_dist": initial.tolist(),
-        })
-    return {"horizon": cf.horizon, "seed": cf.seed, "layers": layers}
-
-
-def write_solution(sol: RobustSolution, file: str | Path) -> None:
-    Path(file).write_text(json.dumps(solution_to_json(sol), indent=2))

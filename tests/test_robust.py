@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from icfmdp import (Assumptions, GridSpec, InfeasibleRow, Mdp, Mode, ObservedPath,
                     PolicySchedule, build_gridworld, build_interval_cfmdp, exact_policy_value,
-                    gridworld_spec, optimal_policy,
-                    point_policy_eval, point_value_iteration, robust_expectation,
-                    robust_policy_eval, robust_value_iteration, rollout_rewards,
-                    sample_cfmdp, sample_row)
+                    gridworld_spec, optimal_policy, point_policy_eval,
+                    point_value_iteration, robust_policy_eval, robust_value_iteration,
+                    rollout_rewards, sample_cfmdp)
 from icfmdp.bounds import IntervalCfMdp
 from icfmdp.mdp import _greedy, rng_from
-from icfmdp.robust import FEAS_TOL, _order_fill
+from icfmdp.robust import FEAS_TOL, _order_fill, _sample_rows
 from helpers import (interval_simplex_vertices_2, make_random_mdp, mc_nonstationary_value,
                      random_interval_cfmdp, random_path, rejection_sample_feasible,
                      sequential_fill_expectation, sequential_robust_vi)
@@ -22,14 +21,14 @@ class TestRobustExpectation:
         p = rng.dirichlet(np.ones(4))
         v = rng.normal(size=4)
         for mode in Mode:
-            assert robust_expectation(v, p, p, mode) == pytest.approx(p @ v, abs=1e-12)
+            assert _order_fill(v, p, p, mode) == pytest.approx(p @ v, abs=1e-12)
 
     def test_fully_free_mass(self):
         v = np.array([0.0, 10.0])
         for dtype in (float, int):
             lb, ub = np.zeros(2, dtype=dtype), np.ones(2, dtype=dtype)
-            assert robust_expectation(v, lb, ub, Mode.PESSIMISTIC) == 0.0
-            assert robust_expectation(v, lb, ub, Mode.OPTIMISTIC) == 10.0
+            assert _order_fill(v, lb, ub, Mode.PESSIMISTIC) == 0.0
+            assert _order_fill(v, lb, ub, Mode.OPTIMISTIC) == 10.0
 
     def test_two_successor_reference_case(self):
         v = np.array([0.0, 10.0])
@@ -39,8 +38,8 @@ class TestRobustExpectation:
         vertex_values = [p @ v for p in interval_simplex_vertices_2(lb, ub)]
         assert min(vertex_values) == pytest.approx(4.0)
         assert max(vertex_values) == pytest.approx(7.0)
-        assert robust_expectation(v, lb, ub, Mode.PESSIMISTIC) == pytest.approx(4.0)
-        assert robust_expectation(v, lb, ub, Mode.OPTIMISTIC) == pytest.approx(7.0)
+        assert _order_fill(v, lb, ub, Mode.PESSIMISTIC) == pytest.approx(4.0)
+        assert _order_fill(v, lb, ub, Mode.OPTIMISTIC) == pytest.approx(7.0)
 
     def test_vertex_enumeration_on_random_two_successor_rows(self, rng):
         for _ in range(50):
@@ -50,15 +49,15 @@ class TestRobustExpectation:
                 continue
             v = rng.normal(size=2)
             values = [p @ v for p in interval_simplex_vertices_2(lb, ub)]
-            assert robust_expectation(v, lb, ub, Mode.PESSIMISTIC) == pytest.approx(min(values))
-            assert robust_expectation(v, lb, ub, Mode.OPTIMISTIC) == pytest.approx(max(values))
+            assert _order_fill(v, lb, ub, Mode.PESSIMISTIC) == pytest.approx(min(values))
+            assert _order_fill(v, lb, ub, Mode.OPTIMISTIC) == pytest.approx(max(values))
 
     def test_infeasible_rows_rejected(self):
         v = np.zeros(2)
         with pytest.raises(InfeasibleRow):
-            robust_expectation(v, np.array([0.6, 0.6]), np.array([0.7, 0.7]), Mode.PESSIMISTIC)
+            _order_fill(v, np.array([0.6, 0.6]), np.array([0.7, 0.7]), Mode.PESSIMISTIC)
         with pytest.raises(InfeasibleRow):
-            robust_expectation(v, np.array([0.0, 0.0]), np.array([0.3, 0.3]), Mode.PESSIMISTIC)
+            _order_fill(v, np.array([0.0, 0.0]), np.array([0.3, 0.3]), Mode.PESSIMISTIC)
 
     def test_bounds_any_feasible_distribution(self, rng):
         for _ in range(20):
@@ -67,8 +66,8 @@ class TestRobustExpectation:
             lb = nominal * rng.random(n)
             ub = nominal + (1.0 - nominal) * rng.random(n)
             v = rng.normal(size=n)
-            lo = robust_expectation(v, lb, ub, Mode.PESSIMISTIC)
-            hi = robust_expectation(v, lb, ub, Mode.OPTIMISTIC)
+            lo = _order_fill(v, lb, ub, Mode.PESSIMISTIC)
+            hi = _order_fill(v, lb, ub, Mode.OPTIMISTIC)
             for p in rejection_sample_feasible(lb, ub, rng, want=50):
                 assert lo - 1e-9 <= p @ v <= hi + 1e-9
 
@@ -88,8 +87,8 @@ def interval_rows(draw):
 @given(interval_rows())
 def test_property_nominal_between_extremes(case):
     v, lb, ub, nominal = case
-    lo = robust_expectation(v, lb, ub, Mode.PESSIMISTIC)
-    hi = robust_expectation(v, lb, ub, Mode.OPTIMISTIC)
+    lo = _order_fill(v, lb, ub, Mode.PESSIMISTIC)
+    hi = _order_fill(v, lb, ub, Mode.OPTIMISTIC)
     assert lo <= nominal @ v + 1e-9
     assert nominal @ v <= hi + 1e-9
 
@@ -329,7 +328,8 @@ class TestSampleCfMdp:
     def test_sampler_symmetric_on_free_row(self):
         lb = np.zeros(2)
         ub = np.ones(2)
-        values = [sample_row(lb, ub, rng_from(9, i))[0] for i in range(10_000)]
+        values = [_sample_rows(lb[None], ub[None], rng_from(9, i))[0, 0]
+                  for i in range(10_000)]
         assert np.mean(values) == pytest.approx(0.5, abs=0.02)
 
     def test_same_seed_same_sample(self, rng):
@@ -407,3 +407,38 @@ class TestPointBackups:
         totals = rewards.sum(axis=1)
         se = totals.std(ddof=1) / np.sqrt(len(totals))
         assert totals.mean() == pytest.approx(exact, abs=3 * se + 1e-9)
+
+
+class TestOneBackwardInduction:
+    SHORT_POLICY_CALLS = {
+        "robust_policy_eval": lambda icf, pi: robust_policy_eval(icf, pi, Mode.PESSIMISTIC),
+        "point_policy_eval": lambda icf, pi: point_policy_eval(
+            sample_cfmdp(icf, 0).transition, icf.base.reward, pi),
+        "exact_policy_value": lambda icf, pi: exact_policy_value(icf.base, pi, icf.horizon),
+        "rollout_rewards": lambda icf, pi: rollout_rewards(
+            sample_cfmdp(icf, 0).transition, icf.base.reward, pi, 0, 10, seed=0),
+    }
+
+    @pytest.mark.parametrize("call", SHORT_POLICY_CALLS)
+    def test_short_policy_rejected(self, rng, call):
+        icf = random_interval_cfmdp(rng, num_states=4, num_actions=2, horizon=5)
+        short = PolicySchedule(3, np.zeros((3, 4), dtype=np.int64))
+        with pytest.raises(ValueError, match="policy horizon 3 is shorter than the horizon 5"):
+            self.SHORT_POLICY_CALLS[call](icf, short)
+
+    @pytest.mark.parametrize("env", ["random", "gridworld"])
+    def test_stationary_and_time_indexed_dp_agree_bit_for_bit(self, rng, env):
+        grid = build_gridworld(gridworld_spec(0.4))
+        for _ in range(25):
+            m = (make_random_mdp(rng, int(rng.integers(2, 8)), int(rng.integers(1, 4)))
+                 if env == "random" else grid)
+            horizon = int(rng.integers(1, 12))
+            stacked = np.broadcast_to(m.transition, (horizon,) + m.transition.shape)
+            policy, values = point_value_iteration(stacked, m.reward)
+            policy_star, v_star = optimal_policy(m, horizon)
+            assert np.array_equal(policy.action_at, policy_star.action_at)
+            assert np.array_equal(values.values, v_star.values)
+            pi = PolicySchedule(horizon, rng.integers(0, m.num_actions,
+                                                      size=(horizon, m.num_states)))
+            assert np.array_equal(point_policy_eval(stacked, m.reward, pi).values,
+                                  exact_policy_value(m, pi, horizon).values)
