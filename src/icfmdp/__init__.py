@@ -3,8 +3,8 @@ robust counterfactual policies, and a Gumbel-max SCM baseline."""
 
 from .bounds import (Assumptions, IntervalCfMdp, ProbInterval, build_interval_cfmdp,
                      cs_condition, transition_row_bounds)
-from .coupling import (CanonicalTheta, Coupling, check_coupling_feasible,
-                       enumerate_theta_bounds, oracle_bounds, oracle_solution)
+from .coupling import (Coupling, check_coupling_feasible, enumerate_theta_bounds,
+                       oracle_bounds, oracle_solution)
 from .envs import (GridSpec, build_frozen_lake, build_gridworld, build_toy_mdp,
                    gridworld_spec, resolve_env)
 from .errors import (ConfigError, Infeasible, InfeasibleRow, InvariantViolation,

@@ -131,10 +131,12 @@ def _bound_block(obs_row: np.ndarray, s_next: int, query: np.ndarray, cols: np.n
                             np.minimum(1.0 - p_next_q, query / p_obs))
             ub_o[cs] = 0.0
             ub_o = np.where(at_next, np.minimum(p_obs, p_next_q) / p_obs, ub_o)
-        leftover = 1.0 - (ub_o.sum(axis=1, keepdims=True) - ub_o)  # mass the others cannot absorb
-        lb_o = np.maximum(0.0, leftover)
+        # Mass the other successors cannot absorb. A value within the rounding error of
+        # the K-term sum is 0: lowering a lower bound only widens the interval.
+        leftover = 1.0 - (ub_o.sum(axis=1, keepdims=True) - ub_o)
+        lb_o = np.where(leftover > query.shape[1] * np.finfo(float).eps, leftover, 0.0)
         if assumptions is Assumptions.CS_MON:
-            lb_o = np.where(at_next, np.maximum(p_next_q, leftover), lb_o)
+            lb_o = np.where(at_next, np.maximum(p_next_q, lb_o), lb_o)
         lb_o[cs | (query <= 0)] = 0.0  # off the support (padding too), before the row check
         lb = np.where(overlap, lb_o, lb)
         ub = np.where(overlap, ub_o, ub)

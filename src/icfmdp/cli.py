@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -166,6 +167,8 @@ def _cmd_verify(args) -> None:
     m, path = _load_inputs(args)
     assumptions = Assumptions(args.assumptions)
     icf = build_interval_cfmdp(m, path, assumptions)
+    # Bounds depend only on the observed triple: a repeated step reuses its LP answers.
+    lp_bounds = functools.cache(lambda obs, pair, s2: oracle_bounds(m, obs, pair, s2, assumptions))
     writer = csv.writer(sys.stdout)
     out_fh = None
     if args.out is not None:
@@ -182,7 +185,7 @@ def _cmd_verify(args) -> None:
                 for a in range(m.num_actions):
                     lb_row, ub_row = icf.lb[t, s, a], icf.ub[t, s, a]
                     for s2 in range(m.num_states):
-                        lp = oracle_bounds(m, obs, (s, a), s2, assumptions)
+                        lp = lp_bounds(obs, (s, a), s2)
                         delta = max(abs(lb_row[s2] - lp.lb), abs(ub_row[s2] - lp.ub))
                         worst = max(worst, delta)
                         writer.writerow([t, s, a, s2, f"{lb_row[s2]:.12g}", f"{lp.lb:.12g}",

@@ -1,15 +1,16 @@
 """Independent LP verification of the closed-form counterfactual bounds.
 
-Two formulations of the same optimization:
+Every assumption set is a box lo <= q[s_next, :] <= hi on the observed-outcome row of
+the coupling: the joint mass of the observed outcome s_next and each query outcome j
+(`_observed_outcome_box`). Two formulations of the same optimization consume it:
 
 * `oracle_bounds` works on the reduced *coupling* variable: the joint distribution
-  q[i, j] over (observed-pair outcome i, query-pair outcome j). Marginals are tied to
-  the two interventional rows, and the stability/monotonicity constraints are linear
-  in q. This is exact because constraints on other pairs never tighten the queried
-  bound.
-* `enumerate_theta_bounds` optimizes over the full canonical mechanism distribution
-  theta (one variable per deterministic map from every (s, a) to a next state) and is
-  used as a meta-check of the reduction at small scales.
+  q[i, j] over (observed-pair outcome i, query-pair outcome j), with marginals tied to
+  the two interventional rows. This is exact because constraints on other pairs never
+  tighten the queried bound. `check_coupling_feasible` replays the same constraints.
+* `enumerate_theta_bounds` optimizes over the canonical mechanism distribution theta
+  (Balke & Pearl, 1997): one variable per deterministic map from every (s, a) to a next
+  state in its support. It is used as a meta-check of the reduction at small scales.
 """
 
 from __future__ import annotations
@@ -34,78 +35,56 @@ class Coupling:
     q: np.ndarray  # (S, S)
 
 
-def _coupling_lp(m: Mdp, obs: ObsTriple, query_pair: Pair,
-                 assumptions: Assumptions) -> tuple[LpProblem, float]:
-    """Constraint system shared by all objectives for one (obs, query, assumptions)."""
-    s_t, a_t, s_next = obs
-    s, a = query_pair
-    n = m.num_states
-    obs_row = m.transition[s_t, a_t]
-    query_row = m.transition[s, a]
+def _observed_outcome_box(obs_row: np.ndarray, s_next: int, query_row: np.ndarray,
+                          assumptions: Assumptions) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi) on the joint mass of observed outcome s_next and query outcome j.
+
+    Stability zeroes hi wherever `_cs_mask` fires. Monotonicity keeps the observed
+    outcome at least as likely (lo[s_next] = P(s_next | s, a) * p_obs) and caps every
+    possible-but-unobserved outcome (hi[j] <= P(j | s, a) * p_obs). Unconstrained
+    entries are [0, inf].
+    """
     p_obs = obs_row[s_next]
-
-    nvar = n * n  # q[i, j] flattened row-major
-
-    a_eq_rows, b_eq = [], []
-    for i in range(n):  # sum_j q[i, j] = P(i | s_t, a_t)
-        row = np.zeros(nvar)
-        row[i * n:(i + 1) * n] = 1.0
-        a_eq_rows.append(row)
-        b_eq.append(obs_row[i])
-    for j in range(n):  # sum_i q[i, j] = P(j | s, a)
-        row = np.zeros(nvar)
-        row[j::n] = 1.0
-        a_eq_rows.append(row)
-        b_eq.append(query_row[j])
-
-    upper = np.ones(nvar)
-    if (s, a) == (s_t, a_t):
-        # Same mechanism input: outcome pairs must agree, so q is diagonal.
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    upper[i * n + j] = 0.0
-
-    a_ub_rows, b_ub = [], []
-    if assumptions in (Assumptions.CS, Assumptions.CS_MON):
-        cs = _cs_mask(obs_row, p_obs, query_row, query_row[s_next])
-        upper[s_next * n + np.flatnonzero(cs)] = 0.0
+    lo, hi = np.zeros(query_row.shape), np.full(query_row.shape, np.inf)
     if assumptions is Assumptions.CS_MON:
-        if query_row[s_next] > 0:
-            # observed outcome cannot become less likely: q[s_next, s_next] >= P * p_obs
-            row = np.zeros(nvar)
-            row[s_next * n + s_next] = -1.0
-            a_ub_rows.append(row)
-            b_ub.append(-query_row[s_next] * p_obs)
-        for j in range(n):
-            # possible-but-unobserved outcomes cannot become more likely
-            if j != s_next and query_row[j] > 0 and obs_row[j] > 0:
-                row = np.zeros(nvar)
-                row[s_next * n + j] = 1.0
-                a_ub_rows.append(row)
-                b_ub.append(query_row[j] * p_obs)
-
-    problem = LpProblem(
-        c=np.zeros(nvar),
-        a_eq=np.array(a_eq_rows), b_eq=np.array(b_eq),
-        a_ub=np.array(a_ub_rows) if a_ub_rows else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        lower=0.0, upper=upper,
-    )
-    return problem, p_obs
+        lo[s_next] = query_row[s_next] * p_obs
+        cap = obs_row > 0
+        cap[s_next] = False
+        hi[cap] = query_row[cap] * p_obs
+    if assumptions is not Assumptions.NONE:
+        hi[_cs_mask(obs_row, p_obs, query_row, query_row[s_next])] = 0.0
+    return lo, hi
 
 
 def oracle_solution(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int,
                     assumptions: Assumptions, sense: str) -> tuple[float, Coupling]:
-    """One directed bound plus the coupling that attains it."""
-    problem, p_obs = _coupling_lp(m, obs, query_pair, assumptions)
-    n = m.num_states
-    c = np.zeros(n * n)
-    c[obs[2] * n + s_cf] = 1.0
-    problem.c = c
-    problem.sense = sense
+    """One directed bound plus the coupling that attains it.
+
+    Variables live on the joint support of the two rows, only on its diagonal when the
+    query pair is the observed pair (same mechanism input, same outcome): the marginals
+    force every other q[i, j] to zero. The box bounds the variables of row s_next.
+    """
+    s_t, a_t, s_next = obs
+    s, a = query_pair
+    obs_row, query_row = m.transition[s_t, a_t], m.transition[s, a]
+    rows, cols = np.flatnonzero(obs_row), np.flatnonzero(query_row)
+    if (s, a) == (s_t, a_t):
+        i = j = rows
+    else:
+        i, j = np.repeat(rows, cols.size), np.tile(cols, rows.size)
+    lo, hi = _observed_outcome_box(obs_row, s_next, query_row, assumptions)
+    lower, upper = np.zeros(i.size), np.full(i.size, np.inf)
+    at = i == s_next
+    lower[at], upper[at] = lo[j[at]], hi[j[at]]
+    problem = LpProblem(
+        c=((i == s_next) & (j == s_cf)).astype(float),
+        a_eq=np.concatenate([i == rows[:, None], j == cols[:, None]]).astype(float),
+        b_eq=np.concatenate([obs_row[rows], query_row[cols]]),
+        lower=lower, upper=upper, sense=sense)
     value, x = lp_solve(problem)
-    return value / p_obs, Coupling(x.reshape(n, n))
+    q = np.zeros((m.num_states, m.num_states))
+    q[i, j] = x
+    return value / obs_row[s_next], Coupling(q)
 
 
 def oracle_bounds(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int,
@@ -128,65 +107,38 @@ def check_coupling_feasible(coupling: Coupling, m: Mdp, obs: ObsTriple, query_pa
     s_t, a_t, s_next = obs
     s, a = query_pair
     q = coupling.q
-    obs_row = m.transition[s_t, a_t]
-    query_row = m.transition[s, a]
-    p_obs = obs_row[s_next]
-
-    if np.any(q < -tol):
-        return False
-    if np.max(np.abs(q.sum(axis=1) - obs_row)) > tol:
-        return False
-    if np.max(np.abs(q.sum(axis=0) - query_row)) > tol:
-        return False
-    if (s, a) == (s_t, a_t) and np.max(np.abs(q - np.diag(np.diag(q)))) > tol:
-        return False
-    if assumptions in (Assumptions.CS, Assumptions.CS_MON):
-        if np.any(q[s_next, _cs_mask(obs_row, p_obs, query_row, query_row[s_next])] > tol):
-            return False
-    if assumptions is Assumptions.CS_MON:
-        if query_row[s_next] > 0 and q[s_next, s_next] < query_row[s_next] * p_obs - tol:
-            return False
-        for j in range(m.num_states):
-            if j != s_next and query_row[j] > 0 and obs_row[j] > 0 \
-                    and q[s_next, j] > query_row[j] * p_obs + tol:
-                return False
-    return True
+    obs_row, query_row = m.transition[s_t, a_t], m.transition[s, a]
+    lo, hi = _observed_outcome_box(obs_row, s_next, query_row, assumptions)
+    off_diagonal = q - np.diag(np.diag(q)) if (s, a) == (s_t, a_t) else 0.0
+    return bool(np.all(q >= -tol)
+                and np.max(np.abs(q.sum(axis=1) - obs_row)) <= tol
+                and np.max(np.abs(q.sum(axis=0) - query_row)) <= tol
+                and np.all(np.abs(off_diagonal) <= tol)
+                and np.all(q[s_next] >= lo - tol) and np.all(q[s_next] <= hi + tol))
 
 
 # ---------------------------------------------------------------------------
-# Full canonical-mechanism enumeration (meta-check)
+# Canonical-mechanism enumeration (meta-check)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CanonicalTheta:
-    """Distribution over all deterministic transition mechanisms.
-
-    Mechanism u is encoded in base num_states: digit (s * num_actions + a) is the next
-    state the mechanism assigns to pair (s, a).
-    """
-
-    theta: np.ndarray
-    num_states: int
-    num_actions: int
-
-    def next_states(self, s: int, a: int) -> np.ndarray:
-        """Vector over mechanisms: the successor each one maps (s, a) to."""
-        u = np.arange(self.theta.shape[0], dtype=np.int64)
-        return mechanism_next_state(u, s, a, self.num_states, self.num_actions)
-
-
-def mechanism_next_state(u, s: int, a: int, num_states: int, num_actions: int):
-    """Decode the successor mechanism(s) u assign to pair (s, a)."""
-    return (u // num_states ** (s * num_actions + a)) % num_states
+def _successor_table(m: Mdp) -> np.ndarray:
+    """(S * A, M) table: column u is mechanism u, the successor it assigns each pair
+    (row s * A + a). It holds every map of each pair into its support, so
+    M = the product of the support sizes."""
+    supports = [np.flatnonzero(row) for row in m.transition.reshape(-1, m.num_states)]
+    sizes = [len(x) for x in supports]
+    digits = np.unravel_index(np.arange(np.prod(sizes)), sizes)
+    return np.array([x[d] for x, d in zip(supports, digits)])
 
 
 def enumerate_theta_bounds(m: Mdp, obs: ObsTriple, query_triple: tuple[int, int, int],
                            assumptions: Assumptions) -> ProbInterval:
-    """Counterfactual bounds by LP over the full mechanism distribution.
+    """Counterfactual bounds by LP over the canonical mechanism distribution.
 
-    All interventional rows constrain theta; the stability/monotonicity constraints
-    are imposed for the query pair. Tractable only while num_states ** (S * A) stays
-    below ENUMERATION_LIMIT.
+    All interventional rows constrain theta, and the observed-outcome box is imposed for
+    the query pair. Mechanisms that map a pair outside its support are left out, since
+    the interventional rows force their mass to zero. Tractable only while
+    num_states ** (S * A) stays below ENUMERATION_LIMIT.
     """
     n, k = m.num_states, m.num_actions
     nmech = n ** (n * k)
@@ -195,45 +147,27 @@ def enumerate_theta_bounds(m: Mdp, obs: ObsTriple, query_triple: tuple[int, int,
 
     s_t, a_t, s_next = obs
     s, a, s_cf = query_triple
-    p_obs = m.transition[s_t, a_t, s_next]
-    query_row = m.transition[s, a]
-    obs_row = m.transition[s_t, a_t]
+    obs_row, query_row = m.transition[s_t, a_t], m.transition[s, a]
 
-    u = np.arange(nmech, dtype=np.int64)
-    digits = {(si, ai): mechanism_next_state(u, si, ai, n, k)
-              for si in range(n) for ai in range(k)}
-    sel_obs = digits[(s_t, a_t)] == s_next
+    # One equality row per positive (pair, successor) entry; mechanism u puts a one in
+    # the row of each pair's successor.
+    succ = _successor_table(m)
+    flat = m.transition.ravel()
+    entry_row = np.cumsum(flat > 0) - 1
+    pairs = succ.shape[0]
+    a_eq = sp.csc_matrix(
+        (np.ones(succ.size), entry_row[(np.arange(pairs)[:, None] * n + succ).T.ravel()],
+         np.arange(0, succ.size + 1, pairs)), shape=(entry_row[-1] + 1, succ.shape[1]))
 
-    a_eq_rows, b_eq = [], []
-    for si in range(n):
-        for ai in range(k):
-            d = digits[(si, ai)]
-            for s2 in range(n):
-                a_eq_rows.append(d == s2)
-                b_eq.append(m.transition[si, ai, s2])
-
-    a_ub_rows, b_ub = [], []
-    if assumptions in (Assumptions.CS, Assumptions.CS_MON):
-        for j in np.flatnonzero(_cs_mask(obs_row, p_obs, query_row, query_row[s_next])):
-            a_eq_rows.append(sel_obs & (digits[(s, a)] == j))
-            b_eq.append(0.0)
-    if assumptions is Assumptions.CS_MON:
-        if query_row[s_next] > 0:
-            a_ub_rows.append(-(sel_obs & (digits[(s, a)] == s_next)).astype(float))
-            b_ub.append(-query_row[s_next] * p_obs)
-        for j in range(n):
-            if j != s_next and query_row[j] > 0 and obs_row[j] > 0:
-                a_ub_rows.append(sel_obs & (digits[(s, a)] == j))
-                b_ub.append(query_row[j] * p_obs)
-
-    a_eq = sp.csc_matrix(np.array(a_eq_rows, dtype=float))
-    a_ub = sp.csc_matrix(np.array(a_ub_rows, dtype=float)) if a_ub_rows else None
-    c = (sel_obs & (digits[(s, a)] == s_cf)).astype(float)
-
-    problem = LpProblem(c=c, a_eq=a_eq, b_eq=np.array(b_eq),
-                        a_ub=a_ub, b_ub=np.array(b_ub) if b_ub else None)
-    problem.sense = "min"
-    lo, _ = lp_solve(problem)
+    lo, hi = _observed_outcome_box(obs_row, s_next, query_row, assumptions)
+    joint = ((succ[s_t * k + a_t] == s_next)
+             & (succ[s * k + a] == np.arange(n)[:, None])).astype(float)
+    capped, floored = np.isfinite(hi) & (query_row > 0), lo > 0
+    problem = LpProblem(c=joint[s_cf], a_eq=a_eq, b_eq=flat[flat > 0],
+                        a_ub=sp.csc_matrix(np.concatenate([joint[capped], -joint[floored]])),
+                        b_ub=np.concatenate([hi[capped], -lo[floored]]))
+    lo_value, _ = lp_solve(problem)
     problem.sense = "max"
-    hi, _ = lp_solve(problem)
-    return make_interval(lo / p_obs, hi / p_obs)
+    hi_value, _ = lp_solve(problem)
+    p_obs = obs_row[s_next]
+    return make_interval(lo_value / p_obs, hi_value / p_obs)

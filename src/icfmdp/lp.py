@@ -1,7 +1,9 @@
 """Thin linear-programming layer over scipy's HiGHS solver.
 
-The verification LPs here are small (a few hundred variables at most for couplings,
-up to ~1e5 sparse columns for full mechanism enumeration), so a mature simplex
+The verification LPs here are small: a coupling LP has at most S^2 variables on the
+joint support of two rows, with equality rows for its two marginals and the
+assumptions as a box on the observed-outcome row's variable bounds; a mechanism
+enumeration has up to ~1e5 sparse columns, with that box as <= rows. A mature simplex
 implementation is the right tool; this module just fixes the problem container and
 the error contract.
 """

@@ -198,6 +198,15 @@ class TestBuildIntervalCfMdp:
         assert np.allclose(icf.lb, np.broadcast_to(t, icf.lb.shape))
         assert np.allclose(icf.ub, np.broadcast_to(t, icf.ub.shape))
 
+    @pytest.mark.parametrize("assumptions", [Assumptions.CS, Assumptions.CS_MON])
+    def test_exact_zero_lower_bound_has_no_float_dust(self, assumptions):
+        # 1 - (sum(ub) - ub) is 0 in exact arithmetic here; the LP gives 0 too.
+        m = build_gridworld(gridworld_spec(0.4))
+        icf = build_interval_cfmdp(m, ObservedPath((0, 0, 1, 0), (2, 0, 1)), assumptions)
+        assert icf.lb[0, 4, 2, 4] == 0.0
+        assert oracle_bounds(m, (0, 2, 0), (4, 2), 4, assumptions).lb == 0.0
+        assert not np.any((icf.lb > 0) & (icf.lb < 1e-12))
+
     def test_invalid_path_rejected(self, toy):
         with pytest.raises(ValueError, match="step 0"):
             build_interval_cfmdp(toy, ObservedPath((1, 1), (0,)), Assumptions.NONE)

@@ -8,6 +8,7 @@ import pytest
 
 from icfmdp import cli
 from icfmdp.errors import InvariantViolation
+from icfmdp.lp import lp_solve
 
 
 def run_cli(*args):
@@ -81,6 +82,28 @@ def test_verify_toy(toy_files, tmp_path):
     assert len(rows) == 9
     for row in rows:
         assert float(row["delta"]) <= 1e-8
+
+
+def test_verify_solves_each_observed_triple_once(toy_files, tmp_path, monkeypatch):
+    mdp_file, path_file = toy_files
+    path_file.write_text(json.dumps({"states": [0, 1, 0, 1], "actions": [0, 0, 0]}))
+    solves = []
+
+    def counting_solve(problem):
+        solves.append(problem)
+        return lp_solve(problem)
+
+    monkeypatch.setattr("icfmdp.coupling.lp_solve", counting_solve)
+    code = cli.main(["verify", "--mdp", str(mdp_file), "--path", str(path_file),
+                     "--out", str(tmp_path / "v")])
+    assert code == 0
+    toy = cli.load_mdp(mdp_file)
+    # two unique triples (0, 0, 1) and (1, 0, 0); one min and one max per reachable entry
+    assert len(solves) == 2 * 2 * np.count_nonzero(toy.transition)
+    with open(tmp_path / "v" / "verify.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 3 * 9
+    assert [r[1:] for r in rows[18:]] == [r[1:] for r in rows[:9]]
 
 
 def test_solve_pessimistic(toy_files):

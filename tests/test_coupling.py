@@ -4,7 +4,7 @@ import pytest
 from icfmdp import (Assumptions, Coupling, Mdp, ScaleExceeded, check_coupling_feasible,
                     enumerate_theta_bounds, oracle_bounds, oracle_solution,
                     transition_row_bounds)
-from icfmdp.coupling import CanonicalTheta, mechanism_next_state
+from icfmdp.coupling import _successor_table
 from helpers import make_random_mdp, random_observed
 
 
@@ -72,6 +72,34 @@ class TestCouplingFeasibility:
         q[0, 0] += 0.1
         assert not check_coupling_feasible(Coupling(q), toy, toy_obs, (1, 0), Assumptions.NONE)
 
+    @pytest.mark.parametrize("query_row, pair, q, assumptions, looser", [
+        # stability: outcome 1 lost relative likelihood, so q[0, 1] must be 0
+        ([0.6, 0.2, 0.2], (1, 0), [[0.3, 0.1, 0.1], [0.3, 0.1, 0.1], [0, 0, 0]],
+         Assumptions.CS, Assumptions.NONE),
+        # monotonicity floor: q[0, 0] >= 0.4 * 0.5
+        ([0.4, 0.4, 0.2], (1, 0), [[0.15, 0.15, 0.2], [0.25, 0.25, 0], [0, 0, 0]],
+         Assumptions.CS_MON, Assumptions.CS),
+        # monotonicity cap: q[0, 1] <= 0.4 * 0.5
+        ([0.4, 0.4, 0.2], (1, 0), [[0.25, 0.25, 0], [0.15, 0.15, 0.2], [0, 0, 0]],
+         Assumptions.CS_MON, Assumptions.CS),
+        # the observed pair itself: outcomes agree, so q is diagonal
+        ([0.4, 0.4, 0.2], (0, 0), [[0.25, 0.25, 0], [0.25, 0.25, 0], [0, 0, 0]],
+         Assumptions.NONE, None),
+        # a negative mass outside the observed-outcome row
+        ([0.4, 0.4, 0.2], (1, 0), [[0.0, 0.5, 0.0], [0.4, -0.1, 0.2], [0, 0, 0]],
+         Assumptions.NONE, None),
+    ], ids=["cs-zero", "mon-floor", "mon-cap", "same-pair-off-diagonal", "negative"])
+    def test_each_constraint_kind_rejects(self, query_row, pair, q, assumptions, looser):
+        t = np.zeros((3, 1, 3))
+        t[0, 0] = [0.5, 0.5, 0.0]
+        t[1, 0] = query_row
+        t[2, 0, 2] = 1.0
+        m = Mdp(3, 1, t, np.zeros((3, 1)), np.array([1.0, 0.0, 0.0]))
+        coupling = Coupling(np.array(q, dtype=float))
+        assert not check_coupling_feasible(coupling, m, (0, 0, 0), pair, assumptions)
+        if looser is not None:  # the marginals and every looser constraint hold
+            assert check_coupling_feasible(coupling, m, (0, 0, 0), pair, looser)
+
     def test_lp_solutions_are_feasible_and_attained(self, rng):
         # Bounds are achieved by explicit couplings, not just approached.
         for _ in range(6):
@@ -134,16 +162,11 @@ class TestThetaEnumeration:
             enumerate_theta_bounds(m, (0, 0, 0), (1, 0, 1), Assumptions.NONE)
 
 
-def test_mechanism_encoding_round_trip():
-    ns, na = 3, 2
-    theta = CanonicalTheta(np.full(ns ** (ns * na), 1.0 / ns ** (ns * na)), ns, na)
-    # mechanism 0 maps everything to state 0; the last maps everything to ns - 1
-    assert mechanism_next_state(0, 2, 1, ns, na) == 0
-    last = ns ** (ns * na) - 1
-    assert mechanism_next_state(last, 0, 0, ns, na) == ns - 1
-    for s in range(ns):
-        for a in range(na):
-            digits = theta.next_states(s, a)
-            # every mechanism assigns exactly one successor, uniformly across the encoding
-            assert digits.shape == theta.theta.shape
-            assert set(np.unique(digits)) == set(range(ns))
+def test_successor_table_spans_the_supports(rng):
+    for sparse in (False, True):
+        m = make_random_mdp(rng, 3, 2, sparse=sparse)
+        succ = _successor_table(m)
+        rows = m.transition.reshape(6, 3)
+        assert succ.shape == (6, np.prod(np.count_nonzero(rows, axis=1)))
+        assert np.all(np.take_along_axis(rows, succ, axis=1) > 0)
+        assert len({tuple(col) for col in succ.T}) == succ.shape[1]
