@@ -9,7 +9,9 @@ Gumbel (the row's log-normalizer is 0), it is assigned to the observed state, an
 other in-support state gets a Gumbel truncated below the maximum. States outside the
 observed row's support are unconstrained by the observation, so their posterior equals
 the prior. One batched kernel draws the noise once per step and replays it through the
-rows of every query pair.
+distinct rows of the base MDP: query pairs with equal rows see the same noise, so they
+get equal probabilities, and each distinct row is scored once. The output stays a dense
+(T, S, A, S) point CFMDP.
 """
 
 from __future__ import annotations
@@ -86,17 +88,18 @@ def gumbel_cf_probs(m: Mdp, obs: tuple[int, int, int], query_pair: tuple[int, in
 
 def build_gumbel_cfmdp(m: Mdp, path: ObservedPath, num_samples: int, seed: int) -> GumbelCfMdp:
     """Point CFMDP: at step t every (s, a) row replays one posterior noise draw from
-    `rng_from(seed, t)`."""
+    `rng_from(seed, t)`, scored once per distinct transition row."""
     problems = validate_path(m, path)
     if problems:
         raise ValueError("path invalid for this MDP: " + "; ".join(problems))
     t_len, n, k = path.horizon, m.num_states, m.num_actions
     transition = np.empty((t_len, n, k, n))
-    query = m.transition.reshape(n * k, n)
+    query, pair_row = np.unique(m.transition.reshape(n * k, n), axis=0, return_inverse=True)
+    pair_row = pair_row.reshape(n, k)
     for t in range(t_len):
         s_t, a_t, s_next = path.step(t)
         transition[t] = _gumbel_rows(m.transition[s_t, a_t], s_next, query, num_samples,
-                                     rng_from(seed, t)).reshape(n, k, n)
+                                     rng_from(seed, t))[pair_row]
     return GumbelCfMdp(t_len, transition, num_samples, seed)
 
 

@@ -5,7 +5,8 @@ joint support of two rows, with equality rows for its two marginals and the
 assumptions as a box on the observed-outcome row's variable bounds; a mechanism
 enumeration has up to ~1e5 sparse columns, with that box as <= rows. A mature simplex
 implementation is the right tool; this module just fixes the problem container and
-the error contract.
+the error contract. It calls HiGHS through `scipy.optimize.milp` with no integrality
+constraints, whose input checks cost far less per tiny solve than `linprog`'s.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import Infeasible, InvariantViolation, Unbounded
 
@@ -42,12 +43,13 @@ def lp_solve(problem: LpProblem) -> tuple[float, np.ndarray]:
         raise ValueError(f"unknown sense {problem.sense!r}")
     c = np.asarray(problem.c, dtype=float)
     sign = 1.0 if problem.sense == "min" else -1.0
-    n = c.shape[0]
+    constraints = []
+    if problem.a_eq is not None:
+        constraints.append(LinearConstraint(problem.a_eq, problem.b_eq, problem.b_eq))
+    if problem.a_ub is not None:
+        constraints.append(LinearConstraint(problem.a_ub, -np.inf, problem.b_ub))
     upper = np.inf if problem.upper is None else problem.upper
-    bounds = np.empty((n, 2))
-    bounds[:, 0], bounds[:, 1] = problem.lower, upper
-    res = linprog(sign * c, A_ub=problem.a_ub, b_ub=problem.b_ub,
-                  A_eq=problem.a_eq, b_eq=problem.b_eq, bounds=bounds, method="highs")
+    res = milp(sign * c, bounds=Bounds(problem.lower, upper), constraints=constraints)
     if res.status == 2:
         raise Infeasible("linear program is infeasible")
     if res.status == 3:

@@ -14,9 +14,12 @@ Both, and the point versions on a concrete CFMDP (backup `transition[t][rows] @ 
 thin calls to `mdp._backward`, the one backward-induction routine of all six DP entry
 points.
 
-Concrete CFMDPs are sampled from the intervals by sequential conditional sampling, one
-batched kernel per time step: every row of the step draws its own random visiting
-order from the step's generator, and the ranks are filled in turn for all rows at once.
+Concrete CFMDPs are sampled from the intervals by sequential conditional sampling on
+the same compact layers, in one batched kernel over all T·S·A rows: every row visits its
+K support columns in its own random order, drawn from its step's generator, and the K
+ranks are filled in turn for all rows at once; the rows are then scattered into a dense
+(T, S, A, S) transition. Rollouts on a concrete CFMDP look up per-row CDFs summed once
+per call.
 """
 
 from __future__ import annotations
@@ -135,22 +138,22 @@ def point_policy_eval(transition: np.ndarray, reward: np.ndarray,
                      policy)[1]
 
 
-def _sample_rows(lb: np.ndarray, ub: np.ndarray, rng: np.random.Generator,
+def _sample_rows(lb: np.ndarray, ub: np.ndarray, keys: np.ndarray, u: np.ndarray,
                  row_name: Callable[[int], str] = lambda r: "") -> np.ndarray:
-    """One distribution inside [lb, ub] for every feasible row of (R, S) intervals, by
+    """One distribution inside [lb, ub] for every feasible row of (R, K) intervals, by
     sequential conditional sampling run over rank for all rows at once.
 
-    Each row visits its successors in its own random order (the argsort of one uniform
-    per entry). At each rank the mass drawn is uniform over the range that keeps the rest
-    of the row completable, given the mass left and the suffix sums of lb and ub; the
-    last successor takes the remainder, so rows sum to one up to rounding.
+    Each row visits its entries in its own random order, the argsort of its row of
+    `keys`. At each rank the mass drawn is uniform over the range that keeps the rest of
+    the row completable, given the mass left and the suffix sums of lb and ub, placed in
+    that range by the row's entry of `u` (R, K) at that rank; the last entry takes the
+    remainder, so rows sum to one up to rounding.
     """
     num_rows, n = lb.shape
-    order = np.argsort(rng.random((num_rows, n)), axis=1)
-    u = rng.random((num_rows, n))
+    order = np.argsort(keys, axis=1)
     lb_o = np.take_along_axis(lb, order, axis=1)
     ub_o = np.take_along_axis(ub, order, axis=1)
-    # mass bounds of the successors after each rank
+    # mass bounds of the entries after each rank
     lb_after = np.cumsum(lb_o[:, ::-1], axis=1)[:, ::-1] - lb_o
     ub_after = np.cumsum(ub_o[:, ::-1], axis=1)[:, ::-1] - ub_o
     drawn = np.empty((num_rows, n))
@@ -176,17 +179,27 @@ def _sample_rows(lb: np.ndarray, ub: np.ndarray, rng: np.random.Generator,
 def sample_cfmdp(icf: IntervalCfMdp, seed: int) -> SampledCfMdp:
     """Draw a concrete CFMDP from the intervals.
 
-    Rows are sampled independently; layer t uses its own generator `rng_from(seed, t)`,
-    so it depends only on the seed, t and that layer's bounds.
+    Rows are sampled independently on their support columns `icf.cols` (S, A, K); every
+    other successor gets probability 0. Step t draws the visiting-order keys and then the
+    uniforms of its rows, each (S·A, K), from its own generator `rng_from(seed, t)`, so it
+    depends only on the seed, t, that step's layer and `cols`: the same bounds laid out on
+    wider columns (say, a `from_dense` ICFMDP whose union support is wider) draw
+    differently.
     """
-    t_len, n, k, _ = icf.lb.shape
-    _check_feasible(icf.lb, icf.ub, lambda idx: "at (t={}, s={}, a={})".format(*idx))
-    transition = np.empty((t_len, n, k, n))
-    for t in range(t_len):
-        transition[t] = _sample_rows(
-            icf.lb[t].reshape(n * k, n), icf.ub[t].reshape(n * k, n), rng_from(seed, t),
-            lambda r: f"at (t={t}, s={r // k}, a={r % k})").reshape(n, k, n)
-    return SampledCfMdp(t_len, transition, seed)
+    shape = (icf.horizon,) + icf.cols.shape
+    lb, ub = icf.layer_lb[icf.layer], icf.layer_ub[icf.layer]
+    def row_name(idx):
+        return "at (t={}, s={}, a={})".format(*idx)
+
+    _check_feasible(lb, ub, row_name)
+    keys, u = np.stack([rng_from(seed, t).random((2,) + shape[1:])
+                        for t in range(icf.horizon)], axis=1)
+    rows = (-1, shape[-1])
+    p = _sample_rows(lb.reshape(rows), ub.reshape(rows), keys.reshape(rows), u.reshape(rows),
+                     lambda r: row_name(np.unravel_index(r, shape[:-1])))
+    transition = np.zeros(shape[:-1] + (icf.base.num_states,))
+    np.put_along_axis(transition, icf.cols[None], p.reshape(shape), axis=3)
+    return SampledCfMdp(icf.horizon, transition, seed)
 
 
 def rollout_rewards(transition: np.ndarray, reward: np.ndarray, policy: PolicySchedule,
@@ -195,14 +208,14 @@ def rollout_rewards(transition: np.ndarray, reward: np.ndarray, policy: PolicySc
     t_len, n, _, _ = transition.shape
     _check_policy_horizon(policy, t_len)
     rng = rng_from(seed)
+    cdf = np.cumsum(transition, axis=-1)
     states = np.full(num_paths, start_state, dtype=np.int64)
     out = np.empty((num_paths, t_len))
     for t in range(t_len):
         a = policy.action_at[t][states]
         out[:, t] = reward[states, a]
-        rows = transition[t, states, a]
         u = rng.random((num_paths, 1))
-        states = np.minimum((u > np.cumsum(rows, axis=1)).sum(axis=1), n - 1)
+        states = np.minimum((u > cdf[t, states, a]).sum(axis=1), n - 1)
     return out
 
 

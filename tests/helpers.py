@@ -8,6 +8,8 @@ import numpy as np
 
 from icfmdp import IntervalCfMdp, Mdp, Mode, ObservedPath
 from icfmdp.bounds import Assumptions
+from icfmdp.gumbel import _gumbel_rows
+from icfmdp.mdp import rng_from
 
 
 def make_random_mdp(rng, num_states, num_actions, sparse=False):
@@ -204,3 +206,84 @@ def gumbel_cf_oracle(obs_row, s_next, query_row, nodes=256):
             total += np.exp(log_f(lo)) * -np.expm1(-slope * (hi - lo)) / slope
         probs[j] = weight @ total
     return probs
+
+
+def dense_sample_rows(lb, ub, rng):
+    """Reference sequential conditional sampler for (R, S) dense interval rows: each row
+    visits all S columns in the argsort order of one uniform per entry, then draws its
+    rank masses from a second (R, S) block of uniforms."""
+    num_rows, n = lb.shape
+    order = np.argsort(rng.random((num_rows, n)), axis=1)
+    u = rng.random((num_rows, n))
+    lb_o = np.take_along_axis(lb, order, axis=1)
+    ub_o = np.take_along_axis(ub, order, axis=1)
+    lb_after = np.cumsum(lb_o[:, ::-1], axis=1)[:, ::-1] - lb_o
+    ub_after = np.cumsum(ub_o[:, ::-1], axis=1)[:, ::-1] - ub_o
+    p_o = np.empty((num_rows, n))
+    remaining = np.ones(num_rows)
+    for rank in range(n - 1):
+        lo = np.maximum(lb_o[:, rank], remaining - ub_after[:, rank])
+        hi = np.minimum(ub_o[:, rank], remaining - lb_after[:, rank])
+        drawn = np.where(hi > lo, lo + u[:, rank] * (hi - lo), lo)
+        p_o[:, rank] = np.clip(drawn, lb_o[:, rank], ub_o[:, rank])
+        remaining -= p_o[:, rank]
+    p_o[:, -1] = remaining
+    p = np.empty_like(p_o)
+    np.put_along_axis(p, order, p_o, axis=1)
+    return p
+
+
+def dense_sample_cfmdp(icf, seed):
+    """Reference CFMDP sampler on the dense (T, S, A, S) bounds, one step at a time with
+    generator `rng_from(seed, t)`."""
+    t_len, n, k, _ = icf.lb.shape
+    return np.stack([dense_sample_rows(icf.lb[t].reshape(n * k, n), icf.ub[t].reshape(n * k, n),
+                                       rng_from(seed, t)).reshape(n, k, n)
+                     for t in range(t_len)])
+
+
+def per_step_cumsum_rollout(transition, reward, policy, start_state, num_paths, seed):
+    """Reference rollouts: the CDF of each path's gathered row is summed at every step."""
+    t_len, n, _, _ = transition.shape
+    rng = rng_from(seed)
+    states = np.full(num_paths, start_state, dtype=np.int64)
+    out = np.empty((num_paths, t_len))
+    for t in range(t_len):
+        a = policy.action_at[t][states]
+        out[:, t] = reward[states, a]
+        rows = transition[t, states, a]
+        u = rng.random((num_paths, 1))
+        states = np.minimum((u > np.cumsum(rows, axis=1)).sum(axis=1), n - 1)
+    return out
+
+
+def per_row_gumbel_cfmdp(m, path, num_samples, seed):
+    """Reference Gumbel CFMDP: every (s, a) row of step t is scored against the noise of
+    `rng_from(seed, t)`, duplicates included."""
+    n, k = m.num_states, m.num_actions
+    query = m.transition.reshape(n * k, n)
+    out = np.empty((path.horizon, n, k, n))
+    for t in range(path.horizon):
+        s_t, a_t, s_next = path.step(t)
+        out[t] = _gumbel_rows(m.transition[s_t, a_t], s_next, query, num_samples,
+                              rng_from(seed, t)).reshape(n, k, n)
+    return out
+
+
+def entry_moments(draw, seeds):
+    """Per-entry mean, variance (ddof=1), min and max of the arrays draw(seed) over the
+    seeds, accumulated one draw at a time around the first draw."""
+    seeds = list(seeds)
+    first = draw(seeds[0])
+    total, total_sq = np.zeros_like(first), np.zeros_like(first)
+    lo, hi = first.copy(), first.copy()
+    for seed in seeds:
+        x = draw(seed)
+        d = x - first
+        total += d
+        total_sq += d * d
+        np.minimum(lo, x, out=lo)
+        np.maximum(hi, x, out=hi)
+    mean = total / len(seeds)
+    var = np.maximum(total_sq - len(seeds) * mean * mean, 0.0) / (len(seeds) - 1)
+    return first + mean, var, lo, hi

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from icfmdp import (Assumptions, Mdp, ObservedPath, build_gridworld, build_gumbel_cfmdp,
-                    build_interval_cfmdp, gumbel_cf_probs, gridworld_spec,
+                    build_interval_cfmdp, gumbel_cf_probs, gridworld_spec, resolve_env,
                     transition_row_bounds)
-from helpers import gumbel_cf_oracle, make_random_mdp, random_observed, random_path
+from helpers import (gumbel_cf_oracle, make_random_mdp, per_row_gumbel_cfmdp, random_observed,
+                     random_path)
 
 
 def one_pair_mdp(row, rng):
@@ -128,6 +129,17 @@ def test_build_gumbel_cfmdp_seeded_and_stochastic(toy, rng):
     assert np.array_equal(a.transition, b.transition)
     assert not np.array_equal(a.transition, c.transition)
     assert np.abs(a.transition.sum(axis=3) - 1.0).max() == 0.0
+
+
+@pytest.mark.parametrize("env", ["gridworld", "frozen-lake"])
+def test_distinct_row_replay_matches_per_row_loop_bit_for_bit(rng, env):
+    m = resolve_env(env, p=0.4)
+    rows = m.transition.reshape(-1, m.num_states)
+    assert len(np.unique(rows, axis=0)) < len(rows)  # some pairs share their row
+    for seed in range(3):
+        path = random_path(m, rng, 10)
+        assert np.array_equal(build_gumbel_cfmdp(m, path, 1000, seed).transition,
+                              per_row_gumbel_cfmdp(m, path, 1000, seed))
 
 
 def test_sample_count_validated(toy, toy_obs, toy_path):

@@ -1,17 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icfmdp import (Assumptions, GridSpec, InfeasibleRow, Mdp, Mode, ObservedPath,
-                    PolicySchedule, build_gridworld, build_interval_cfmdp, exact_policy_value,
-                    gridworld_spec, optimal_policy, point_policy_eval,
-                    point_value_iteration, robust_policy_eval, robust_value_iteration,
-                    rollout_rewards, sample_cfmdp)
+                    PolicySchedule, build_frozen_lake, build_gridworld, build_interval_cfmdp,
+                    exact_policy_value, gridworld_spec, optimal_policy, point_policy_eval,
+                    point_value_iteration, resolve_env, robust_policy_eval,
+                    robust_value_iteration, rollout_rewards, sample_cfmdp)
 from icfmdp.bounds import IntervalCfMdp
 from icfmdp.mdp import _greedy, rng_from
 from icfmdp.robust import FEAS_TOL, _order_fill, _sample_rows
-from helpers import (interval_simplex_vertices_2, make_random_mdp, mc_nonstationary_value,
+from helpers import (dense_sample_cfmdp, entry_moments, interval_simplex_vertices_2,
+                     make_random_mdp, mc_nonstationary_value, per_step_cumsum_rollout,
                      random_interval_cfmdp, random_path, rejection_sample_feasible,
                      sequential_fill_expectation, sequential_robust_vi)
 
@@ -326,10 +329,8 @@ class TestSampleCfMdp:
             assert np.abs(cf.transition.sum(axis=3) - 1.0).max() < 1e-9
 
     def test_sampler_symmetric_on_free_row(self):
-        lb = np.zeros(2)
-        ub = np.ones(2)
-        values = [_sample_rows(lb[None], ub[None], rng_from(9, i))[0, 0]
-                  for i in range(10_000)]
+        keys, u = rng_from(9).random((2, 10_000, 2))
+        values = _sample_rows(np.zeros((10_000, 2)), np.ones((10_000, 2)), keys, u)[:, 0]
         assert np.mean(values) == pytest.approx(0.5, abs=0.02)
 
     def test_same_seed_same_sample(self, rng):
@@ -339,14 +340,50 @@ class TestSampleCfMdp:
     def test_layer_depends_only_on_seed_t_and_its_bounds(self, rng):
         a = random_interval_cfmdp(rng, num_states=4, num_actions=2, horizon=3)
         b = random_interval_cfmdp(rng, num_states=4, num_actions=2, horizon=3)
-        mixed = IntervalCfMdp.from_dense(np.stack([b.lb[0], a.lb[1], b.lb[2]]),
-                                         np.stack([b.ub[0], a.ub[1], b.ub[2]]), a.assumptions,
-                                         a.base, a.path)
-        short = IntervalCfMdp.from_dense(a.lb[:2], a.ub[:2], a.assumptions, a.base, a.path)
+        assert np.array_equal(a.cols, b.cols)  # a step's draws also depend on cols
+        mixed = replace(a, layer_lb=np.stack([b.layer_lb[0], a.layer_lb[1], b.layer_lb[2]]),
+                        layer_ub=np.stack([b.layer_ub[0], a.layer_ub[1], b.layer_ub[2]]))
+        short = replace(a, horizon=2, layer=a.layer[:2])
         want = sample_cfmdp(a, 7).transition
         assert np.array_equal(sample_cfmdp(mixed, 7).transition[1], want[1])
         assert np.array_equal(sample_cfmdp(short, 7).transition, want[:2])
         assert not np.array_equal(sample_cfmdp(a, 8).transition[1], want[1])
+
+    def test_matches_dense_sampler_bit_for_bit_on_full_rows(self, rng):
+        for seed in range(30):
+            icf = random_interval_cfmdp(rng, num_states=int(rng.integers(2, 6)),
+                                        num_actions=int(rng.integers(1, 4)),
+                                        horizon=int(rng.integers(1, 5)))
+            assert icf.cols.shape[-1] == icf.base.num_states
+            assert np.array_equal(sample_cfmdp(icf, seed).transition,
+                                  dense_sample_cfmdp(icf, seed))
+
+    def test_same_law_as_dense_sampler_on_padded_rows(self, rng):
+        m = build_frozen_lake()
+        icf = build_interval_cfmdp(m, random_path(m, rng, 10), Assumptions.CS_MON)
+        assert icf.cols.shape[-1] < m.num_states
+        seeds = range(3000)
+        mean, var, lo, hi = zip(entry_moments(lambda seed: sample_cfmdp(icf, seed).transition,
+                                              seeds),
+                                entry_moments(lambda seed: dense_sample_cfmdp(icf, seed), seeds))
+        varying = np.sqrt(np.maximum(*var)) > 1e-6
+        assert varying.sum() > 100
+        z = (mean[0] - mean[1])[varying] / np.sqrt((var[0] + var[1])[varying] / len(seeds))
+        assert np.abs(z).max() <= 4.0
+        # rows pinned to one distribution differ only by float dust in either sampler
+        spread = np.maximum(*hi) - np.minimum(*lo)
+        assert spread[~varying].max() <= 1e-12
+
+    def test_sampling_never_builds_the_dense_view(self, rng):
+        m = large_grid(8)
+        icf = build_interval_cfmdp(m, random_path(m, rng, 10), Assumptions.CS_MON)
+        p = sample_cfmdp(icf, seed=3).transition
+        assert "lb" not in vars(icf) and "ub" not in vars(icf)
+        on_cols = np.take_along_axis(p, icf.cols[None], axis=3)
+        assert np.all(on_cols >= icf.layer_lb[icf.layer] - 1e-12)
+        assert np.all(on_cols <= icf.layer_ub[icf.layer] + 1e-12)
+        assert np.abs(on_cols.sum(axis=-1) - 1.0).max() <= 1e-12
+        assert p.sum() == pytest.approx(on_cols.sum(), abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 257), st.integers(0, 2**32 - 1))
@@ -407,6 +444,16 @@ class TestPointBackups:
         totals = rewards.sum(axis=1)
         se = totals.std(ddof=1) / np.sqrt(len(totals))
         assert totals.mean() == pytest.approx(exact, abs=3 * se + 1e-9)
+
+    @pytest.mark.parametrize("env", ["gridworld", "frozen-lake"])
+    def test_rollouts_match_per_step_cumsum_bit_for_bit(self, rng, env):
+        m = resolve_env(env, p=0.4)
+        for seed in range(3):
+            path = random_path(m, rng, 10)
+            cf = sample_cfmdp(build_interval_cfmdp(m, path, Assumptions.CS_MON), seed)
+            policy = PolicySchedule(10, rng.integers(0, 4, size=(10, m.num_states)))
+            args = (cf.transition, m.reward, policy, path.states[0], 1000, seed)
+            assert np.array_equal(rollout_rewards(*args), per_step_cumsum_rollout(*args))
 
 
 class TestOneBackwardInduction:
