@@ -32,12 +32,13 @@ import enum
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .mdp import Mdp, ObservedPath, support_columns, validate_path
+from .mdp import Mdp, ObservedPath, check_query, support_columns, validate_path
 
 # Slack for clamping float dust in computed bounds; anything larger is a real bug.
 CLAMP_TOL = 1e-9
@@ -64,9 +65,6 @@ class ProbInterval:
     @property
     def width(self) -> float:
         return self.ub - self.lb
-
-    def contains(self, p: float, tol: float = 0.0) -> bool:
-        return self.lb - tol <= p <= self.ub + tol
 
 
 def make_interval(lb: float, ub: float) -> ProbInterval:
@@ -95,6 +93,7 @@ def _cs_mask(obs: np.ndarray, p_obs: float, query: np.ndarray,
 
 def cs_condition(m: Mdp, obs: ObsTriple, query: tuple[int, int, int]) -> bool:
     """True iff counterfactual stability forces the probability of `query` to zero."""
+    check_query(m, obs, query)
     s_t, a_t, s_next = obs
     s, a, s_cf = query
     obs_row, query_row = m.transition[s_t, a_t], m.transition[s, a]
@@ -161,6 +160,7 @@ def _bound_block(obs_row: np.ndarray, s_next: int, query: np.ndarray, cols: np.n
 def transition_row_bounds(m: Mdp, obs: ObsTriple, query_pair: Pair,
                           assumptions: Assumptions) -> tuple[np.ndarray, np.ndarray]:
     """Per-successor (lb, ub) arrays for one query pair and one observed transition."""
+    check_query(m, obs, query_pair)
     s, a = query_pair
     cols = m.support_cols[s, a]
     lb, ub = _bound_block(m.transition[obs[0], obs[1]], obs[2], m.transition[s, a, cols][None],
@@ -267,21 +267,16 @@ def build_interval_cfmdp(m: Mdp, path: ObservedPath, assumptions: Assumptions) -
 # ---------------------------------------------------------------------------
 
 def icfmdp_to_json(icf: IntervalCfMdp) -> dict:
-    t_len, n, k, _ = icf.lb.shape
-    intervals = [[[[{"lb": float(icf.lb[t, s, a, s2]), "ub": float(icf.ub[t, s, a, s2])}
-                    for s2 in range(n)] for a in range(k)] for s in range(n)]
-                 for t in range(t_len)]
-    return {"horizon": icf.horizon, "assumptions": icf.assumptions.value, "intervals": intervals}
+    cell = np.frompyfunc(lambda lo, hi: {"lb": lo, "ub": hi}, 2, 1)  # gets Python floats
+    return {"horizon": icf.horizon, "assumptions": icf.assumptions.value,
+            "intervals": cell(icf.lb, icf.ub).tolist()}
 
 
 def icfmdp_csv_rows(icf: IntervalCfMdp):
-    """Flat (t, s, a, s_next, lb, ub) rows."""
-    t_len, n, k, _ = icf.lb.shape
-    for t in range(t_len):
-        for s in range(n):
-            for a in range(k):
-                for s2 in range(n):
-                    yield t, s, a, s2, float(icf.lb[t, s, a, s2]), float(icf.ub[t, s, a, s2])
+    """Flat (t, s, a, s_next, lb, ub) rows, listed one step at a time."""
+    s_a_s2 = np.indices(icf.lb.shape[1:]).reshape(3, -1).tolist()
+    for t in range(icf.horizon):
+        yield from zip(repeat(t), *s_a_s2, icf.lb[t].ravel().tolist(), icf.ub[t].ravel().tolist())
 
 
 def write_icfmdp_csv(icf: IntervalCfMdp, file: str | Path) -> None:

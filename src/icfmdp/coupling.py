@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from .bounds import Assumptions, ObsTriple, Pair, ProbInterval, _cs_mask, make_interval
 from .errors import ScaleExceeded
 from .lp import LpProblem, lp_solve
-from .mdp import Mdp
+from .mdp import Mdp, check_query
 
 ENUMERATION_LIMIT = 100_000
 
@@ -94,6 +94,7 @@ def oracle_bounds(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int,
     A query outcome the query pair cannot reach has the interval [0, 0] without a solve:
     the column-marginal constraint forces q[:, s_cf] = 0.
     """
+    check_query(m, obs, (*query_pair, s_cf))
     if m.transition[query_pair][s_cf] == 0.0:
         return make_interval(0.0, 0.0)
     lo, _ = oracle_solution(m, obs, query_pair, s_cf, assumptions, "min")
@@ -140,6 +141,7 @@ def enumerate_theta_bounds(m: Mdp, obs: ObsTriple, query_triple: tuple[int, int,
     the interventional rows force their mass to zero. Tractable only while
     num_states ** (S * A) stays below ENUMERATION_LIMIT.
     """
+    check_query(m, obs, query_triple)
     n, k = m.num_states, m.num_actions
     nmech = n ** (n * k)
     if nmech > ENUMERATION_LIMIT:

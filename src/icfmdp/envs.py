@@ -8,9 +8,7 @@ nears the goal (max Manhattan distance minus the cell's distance).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -66,10 +64,6 @@ def grid_spec_from_json(d: dict) -> GridSpec:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed grid spec: {exc}") from exc
-
-
-def load_grid_spec(file: str | Path) -> GridSpec:
-    return grid_spec_from_json(json.loads(Path(file).read_text()))
 
 
 def build_toy_mdp() -> Mdp:

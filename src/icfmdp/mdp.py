@@ -171,9 +171,18 @@ def validate_path(m: Mdp, path: ObservedPath) -> list[str]:
         s, a, s2 = path.step(t)
         if not (0 <= s < m.num_states and 0 <= a < m.num_actions and 0 <= s2 < m.num_states):
             problems.append(f"step {t}: indices ({s}, {a}, {s2}) out of range")
-        elif m.transition[s, a, s2] <= 0:
+        elif not m.transition[s, a, s2] > 0:
             problems.append(f"step {t}: observed transition ({s}, {a} -> {s2}) has probability 0")
     return problems
+
+
+def check_query(m: Mdp, obs: tuple[int, int, int], query: tuple[int, ...]) -> None:
+    """Raise ValueError unless step `obs` passes `validate_path` and `query` is in range."""
+    problems = validate_path(m, ObservedPath(obs[::2], obs[1:2]))
+    if not all(0 <= i < n for i, n in zip(query, (m.num_states, m.num_actions, m.num_states))):
+        problems.append(f"query {tuple(query)} out of range")
+    if problems:
+        raise ValueError("path invalid for this MDP: " + "; ".join(problems))
 
 
 def sample_path(m: Mdp, policy: PolicySchedule, horizon: int, seed: int) -> ObservedPath:

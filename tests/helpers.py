@@ -8,7 +8,7 @@ import numpy as np
 
 from icfmdp import IntervalCfMdp, Mdp, Mode, ObservedPath
 from icfmdp.bounds import Assumptions
-from icfmdp.gumbel import _gumbel_rows
+from icfmdp.gumbel import _gumbel_rows, _score_table
 from icfmdp.mdp import rng_from
 
 
@@ -257,17 +257,60 @@ def per_step_cumsum_rollout(transition, reward, policy, start_state, num_paths, 
     return out
 
 
-def per_row_gumbel_cfmdp(m, path, num_samples, seed):
-    """Reference Gumbel CFMDP: every (s, a) row of step t is scored against the noise of
-    `rng_from(seed, t)`, duplicates included."""
+def column_loop_gumbel_rows(obs_row, s_next, query, num_samples, rng):
+    """Reference Gumbel kernel for (R, S) query rows: the same posterior noise draw as the
+    library's, then a scan over each row's support columns (padded to the widest) that
+    keeps one (N, R) running maximum and winner and moves on a strict `>`, so ties go to
+    the lower state index."""
+    num_rows, n = query.shape
+    top = rng.gumbel(size=num_samples)
+    noise = rng.gumbel(size=(num_samples, n))
+    in_support = obs_row > 0
+    logit = np.log(obs_row[in_support])
+    noise[:, in_support] = -np.logaddexp(-top[:, None], -(logit + noise[:, in_support])) - logit
+    noise[:, s_next] = top - np.log(obs_row[s_next])
+
+    width = int((query > 0).sum(axis=1).max())
+    cand = np.argsort(query <= 0, axis=1, kind="stable")[:, :width]
+    q_cand = np.take_along_axis(query, cand, axis=1)
+    log_q = np.full(q_cand.shape, -np.inf)
+    np.log(q_cand, out=log_q, where=q_cand > 0)
+    best = log_q[:, 0] + noise[:, cand[:, 0]]
+    winner = np.broadcast_to(cand[:, 0], best.shape).copy()
+    for col in range(1, width):
+        score = log_q[:, col] + noise[:, cand[:, col]]
+        better = score > best
+        best = np.where(better, score, best)
+        winner = np.where(better, cand[:, col], winner)
+    winner += n * np.arange(num_rows)
+    return np.bincount(winner.ravel(), minlength=num_rows * n).reshape(num_rows, n) / num_samples
+
+
+def _per_row_cfmdp(m, path, seed, rows):
+    """(T, S, A, S) CFMDP whose step t is `rows(obs_row, s_next, rng_from(seed, t))` over
+    all S * A rows of m, duplicates included."""
     n, k = m.num_states, m.num_actions
-    query = m.transition.reshape(n * k, n)
     out = np.empty((path.horizon, n, k, n))
     for t in range(path.horizon):
         s_t, a_t, s_next = path.step(t)
-        out[t] = _gumbel_rows(m.transition[s_t, a_t], s_next, query, num_samples,
-                              rng_from(seed, t)).reshape(n, k, n)
+        out[t] = rows(m.transition[s_t, a_t], s_next, rng_from(seed, t)).reshape(n, k, n)
     return out
+
+
+def per_row_gumbel_cfmdp(m, path, num_samples, seed):
+    """Gumbel CFMDP of the library kernel with every (s, a) row of step t scored against
+    the noise of `rng_from(seed, t)`, duplicates included."""
+    table = _score_table(m.transition.reshape(-1, m.num_states))
+    return _per_row_cfmdp(m, path, seed, lambda obs_row, s_next, rng: _gumbel_rows(
+        obs_row, s_next, table, num_samples, rng))
+
+
+def column_loop_gumbel_cfmdp(m, path, num_samples, seed):
+    """Reference Gumbel CFMDP: `column_loop_gumbel_rows` on every (s, a) row of step t
+    with generator `rng_from(seed, t)`."""
+    query = m.transition.reshape(-1, m.num_states)
+    return _per_row_cfmdp(m, path, seed, lambda obs_row, s_next, rng: column_loop_gumbel_rows(
+        obs_row, s_next, query, num_samples, rng))
 
 
 def entry_moments(draw, seeds):
@@ -287,3 +330,22 @@ def entry_moments(draw, seeds):
     mean = total / len(seeds)
     var = np.maximum(total_sq - len(seeds) * mean * mean, 0.0) / (len(seeds) - 1)
     return first + mean, var, lo, hi
+
+
+def loop_icfmdp_json(icf):
+    """Reference ICFMDP JSON payload, one interval dict per (t, s, a, s') in nested loops."""
+    t_len, n, k, _ = icf.lb.shape
+    intervals = [[[[{"lb": float(icf.lb[t, s, a, s2]), "ub": float(icf.ub[t, s, a, s2])}
+                    for s2 in range(n)] for a in range(k)] for s in range(n)]
+                 for t in range(t_len)]
+    return {"horizon": icf.horizon, "assumptions": icf.assumptions.value, "intervals": intervals}
+
+
+def loop_icfmdp_csv_rows(icf):
+    """Reference flat (t, s, a, s_next, lb, ub) rows in nested loops."""
+    t_len, n, k, _ = icf.lb.shape
+    for t in range(t_len):
+        for s in range(n):
+            for a in range(k):
+                for s2 in range(n):
+                    yield t, s, a, s2, float(icf.lb[t, s, a, s2]), float(icf.ub[t, s, a, s2])

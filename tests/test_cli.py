@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -6,9 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from icfmdp import cli
+from icfmdp import (Assumptions, build_gridworld, build_interval_cfmdp, build_toy_mdp, cli,
+                    gridworld_spec, load_mdp, mdp_to_json, path_to_json)
 from icfmdp.errors import InvariantViolation
 from icfmdp.lp import lp_solve
+from helpers import loop_icfmdp_csv_rows, loop_icfmdp_json, random_path
 
 
 def run_cli(*args):
@@ -70,6 +73,27 @@ def test_bounds_csv(toy_files, tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 9
     assert set(rows[0]) == {"t", "s", "a", "s_next", "lb", "ub"}
+
+
+@pytest.mark.parametrize("assumptions", list(Assumptions))
+@pytest.mark.parametrize("env", ["toy", "gridworld"])
+def test_bounds_output_bytes_match_nested_loops(tmp_path, rng, env, assumptions):
+    m = build_toy_mdp() if env == "toy" else build_gridworld(gridworld_spec(0.4))
+    path = random_path(m, rng, 10)
+    mdp_file, path_file = tmp_path / "mdp.json", tmp_path / "path.json"
+    mdp_file.write_text(json.dumps(mdp_to_json(m)))
+    path_file.write_text(json.dumps(path_to_json(path)))
+    flags = ["bounds", "--mdp", str(mdp_file), "--path", str(path_file),
+             "--assumptions", assumptions.value, "--out", str(tmp_path)]
+    assert cli.main(flags) == 0 and cli.main(flags + ["--csv"]) == 0
+    icf = build_interval_cfmdp(load_mdp(mdp_file), path, assumptions)  # rows re-normalized
+    want_csv = io.StringIO(newline="")
+    writer = csv.writer(want_csv)
+    writer.writerow(["t", "s", "a", "s_next", "lb", "ub"])
+    writer.writerows(loop_icfmdp_csv_rows(icf))
+    assert (tmp_path / "icfmdp.csv").read_bytes() == want_csv.getvalue().encode()
+    assert ((tmp_path / "icfmdp.json").read_bytes()
+            == (json.dumps(loop_icfmdp_json(icf), indent=2) + "\n").encode())
 
 
 def test_verify_toy(toy_files, tmp_path):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from icfmdp import (Assumptions, Mdp, ObservedPath, build_gridworld, build_gumbel_cfmdp,
-                    build_interval_cfmdp, gumbel_cf_probs, gridworld_spec, resolve_env,
+                    build_interval_cfmdp, gumbel_cf_probs, gridworld_spec, resolve_env, rng_from,
                     transition_row_bounds)
-from helpers import (gumbel_cf_oracle, make_random_mdp, per_row_gumbel_cfmdp, random_observed,
-                     random_path)
+from icfmdp.gumbel import _gumbel_rows, _score_table
+from helpers import (column_loop_gumbel_cfmdp, column_loop_gumbel_rows, gumbel_cf_oracle,
+                     make_random_mdp, per_row_gumbel_cfmdp, random_observed, random_path)
 
 
 def one_pair_mdp(row, rng):
@@ -140,6 +141,75 @@ def test_distinct_row_replay_matches_per_row_loop_bit_for_bit(rng, env):
         path = random_path(m, rng, 10)
         assert np.array_equal(build_gumbel_cfmdp(m, path, 1000, seed).transition,
                               per_row_gumbel_cfmdp(m, path, 1000, seed))
+
+
+def kernel_test_mdp(rng, kind):
+    """Random MDP of one kind: dense rows, sparse rows, every row deterministic (W = 1),
+    or dense rows with some made deterministic, so that most rows are padded."""
+    n, k = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+    if kind == "deterministic":
+        return Mdp(n, k, np.eye(n)[rng.integers(n, size=(n, k))], np.zeros((n, k)), np.eye(n)[0])
+    m = make_random_mdp(rng, n, k, sparse=kind == "sparse")
+    if kind == "mixed":  # row (0, 0) deterministic, row (1, 0) dense, the rest either
+        t = m.transition.copy()
+        made = rng.random((n, k)) < 0.5
+        made[0, 0], made[1, 0] = True, False
+        t[made] = np.eye(n)[rng.integers(n, size=made.sum())]
+        m = Mdp(n, k, t, m.reward, m.initial_dist)
+    return m
+
+
+@pytest.mark.parametrize("num_samples", [1, 37, 1000])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "deterministic", "mixed"])
+def test_kernel_matches_column_loop_reference_bit_for_bit(rng, kind, num_samples):
+    for trial in range(8):
+        m = kernel_test_mdp(rng, kind)
+        width = (m.transition > 0).sum(axis=2)
+        assert kind != "deterministic" or width.max() == 1
+        assert kind != "mixed" or width.min() < width.max()
+        path = random_path(m, rng, 3)
+        assert np.array_equal(build_gumbel_cfmdp(m, path, num_samples, trial).transition,
+                              column_loop_gumbel_cfmdp(m, path, num_samples, trial))
+        s_t, a_t, s_next = obs = path.step(0)
+        for pair in np.ndindex(m.num_states, m.num_actions):
+            want = column_loop_gumbel_rows(m.transition[s_t, a_t], s_next,
+                                           m.transition[pair][None], num_samples,
+                                           rng_from(trial))[0]
+            assert np.array_equal(gumbel_cf_probs(m, obs, pair, num_samples, trial), want)
+
+
+@pytest.mark.parametrize("env", ["toy", "gridworld", "frozen-lake"])
+def test_benchmark_envs_match_column_loop_reference_bit_for_bit(rng, env):
+    m = resolve_env(env, p=0.4)
+    for seed in range(2):
+        path = random_path(m, rng, 10)
+        assert np.array_equal(build_gumbel_cfmdp(m, path, 1000, seed).transition,
+                              column_loop_gumbel_cfmdp(m, path, 1000, seed))
+
+
+class FixedDraws:
+    """Stands in for a generator: successive `gumbel` calls return the given arrays."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def gumbel(self, size):
+        draw = self.draws.pop(0)
+        assert draw.shape == np.shape(np.empty(size))
+        return draw.astype(float)
+
+
+def test_ties_go_to_the_lower_state_as_in_the_column_loop():
+    # A point-mass observed row leaves the prior draw as the posterior noise, except the
+    # observed state's entry, which becomes `top`: integer draws then tie exactly.
+    obs_row = np.array([0.0, 1.0, 0.0, 0.0])
+    query = np.array([[0.25] * 4, [0.5, 0, 0.5, 0], [0, 0.5, 0, 0.5], [0, 0, 0, 1.0]])
+    top = np.array([0, 1, 1, 2])
+    noise = np.array([[0, 9, 0, 0], [1, 9, 1, 0], [0, 9, 1, 1], [2, 9, 2, 2]])
+    got = _gumbel_rows(obs_row, 1, _score_table(query), 4, FixedDraws(top, noise))
+    want = column_loop_gumbel_rows(obs_row, 1, query, 4, FixedDraws(top, noise))
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, [[0.75, 0.25, 0, 0], [0.75, 0, 0.25, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 
 
 def test_sample_count_validated(toy, toy_obs, toy_path):

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from icfmdp import (ConfigError, Mdp, ObservedPath, PolicySchedule, exact_policy_value,
-                    mdp_from_json, mdp_to_json, optimal_policy, path_from_json,
-                    path_return, path_to_json, sample_path, validate_mdp, validate_path)
+from icfmdp import (Assumptions, ConfigError, Mdp, ObservedPath, PolicySchedule, cs_condition,
+                    enumerate_theta_bounds, exact_policy_value, gumbel_cf_probs, mdp_from_json,
+                    mdp_to_json, optimal_policy, oracle_bounds, path_from_json, path_return,
+                    path_to_json, sample_path, transition_row_bounds, validate_mdp,
+                    validate_path)
 from helpers import make_random_mdp, mc_policy_value
 
 
@@ -45,6 +47,34 @@ def test_validate_path_zero_probability_transition(toy):
     bad = ObservedPath((1, 1), (0,))  # P(1 | 1, 0) == 0
     assert validate_path(toy, bad)
     assert validate_path(toy, ObservedPath((0, 2), (0,))) == []
+
+
+NONE = Assumptions.NONE
+MALFORMED_QUERIES = {  # on the toy MDP, where (1, 0 -> 1) has probability 0
+    "gumbel_cf_probs, query state -1": lambda m: gumbel_cf_probs(m, (0, 0, 1), (-1, 0), 100, 0),
+    "gumbel_cf_probs, query action -1": lambda m: gumbel_cf_probs(m, (0, 0, 1), (0, -1), 100, 0),
+    "gumbel_cf_probs, observed probability 0": lambda m: gumbel_cf_probs(m, (1, 0, 1), (0, 0),
+                                                                         100, 0),
+    "transition_row_bounds, observed state -1": lambda m: transition_row_bounds(
+        m, (-1, 0, 1), (0, 0), NONE),
+    "transition_row_bounds, query action 1": lambda m: transition_row_bounds(
+        m, (0, 0, 1), (0, 1), NONE),
+    "cs_condition, query outcome 3": lambda m: cs_condition(m, (0, 0, 1), (0, 0, 3)),
+    "cs_condition, observed probability 0": lambda m: cs_condition(m, (1, 0, 1), (0, 0, 0)),
+    "oracle_bounds, query outcome -1": lambda m: oracle_bounds(m, (0, 0, 1), (0, 0), -1, NONE),
+    "oracle_bounds, observed probability 0": lambda m: oracle_bounds(m, (1, 0, 1), (0, 0), 0,
+                                                                     NONE),
+    "enumerate_theta_bounds, observed outcome 3": lambda m: enumerate_theta_bounds(
+        m, (0, 0, 3), (0, 0, 0), NONE),
+    "enumerate_theta_bounds, observed probability 0": lambda m: enumerate_theta_bounds(
+        m, (1, 0, 1), (0, 0, 0), NONE),
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED_QUERIES.values(), ids=MALFORMED_QUERIES.keys())
+def test_malformed_query_rejected(toy, call):
+    with pytest.raises(ValueError, match="path invalid for this MDP: .*(out of range|probability 0)"):
+        call(toy)
 
 
 def test_sample_path_deterministic_mdp_unique():
