@@ -8,10 +8,10 @@ Lake. Pass --quick for a fast smoke-scale run.
 
 import argparse
 import time
+from dataclasses import replace
 from pathlib import Path
 
-from icfmdp.experiments import (RunConfig, run_bound_stats, run_cf_traces, run_ope,
-                                run_robustness, run_timing)
+from icfmdp.experiments import RUNNERS, RunConfig
 
 ENVS = [("gridworld", 0.9), ("gridworld", 0.4), ("frozen_lake", None)]
 
@@ -31,16 +31,13 @@ def main() -> None:
         tag = env if p is None else f"{env}-p{p}"
         out = args.out / tag
         base = RunConfig(env=env, p=p, horizon=10, seed=args.seed, output_dir=out, **scale)
-        for name, runner, overrides in [
-            ("ope", run_ope, {}),
-            ("robustness", run_robustness, {}),
-            ("boundstats", run_bound_stats,
-             dict(num_paths=min(base.num_paths, 20), horizon=6)),
-            ("timing", run_timing,
-             dict(num_paths=min(base.num_paths, 5), gumbel_samples=10_000)),
-            ("traces", run_cf_traces, dict(num_paths=min(base.num_paths, 3))),
-        ]:
-            cfg = RunConfig(**{**base.__dict__, **overrides})
+        overrides = {
+            "boundstats": dict(num_paths=min(base.num_paths, 20), horizon=6),
+            "timing": dict(num_paths=min(base.num_paths, 5), gumbel_samples=10_000),
+            "traces": dict(num_paths=min(base.num_paths, 3)),
+        }
+        for name, runner in RUNNERS.items():
+            cfg = replace(base, **overrides.get(name, {}))
             t0 = time.perf_counter()
             records = runner(cfg)
             print(f"{tag:16s} {name:11s} {len(records):4d} records "

@@ -11,7 +11,7 @@ import csv
 import functools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import experiments
@@ -19,7 +19,7 @@ from .bounds import Assumptions, build_interval_cfmdp, icfmdp_to_json, write_icf
 from .coupling import oracle_bounds
 from .envs import grid_spec_from_json, gridworld_spec, resolve_env
 from .errors import ConfigError, InvariantViolation
-from .experiments import RunConfig, run_config_from_json
+from .experiments import COUNT_FIELDS, RunConfig, run_config_from_json
 from .gumbel import build_gumbel_cfmdp, gumbel_cfmdp_to_json
 from .mdp import load_mdp, load_path, mdp_to_json, validate_mdp, validate_path
 from .robust import Mode, point_value_iteration, robust_value_iteration, solution_to_json
@@ -33,12 +33,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
+def _common_flags(parser: argparse.ArgumentParser, seed=0,
+                  assumptions=Assumptions.CS_MON.value) -> None:
+    parser.add_argument("--seed", type=int, default=seed)
     parser.add_argument("--config", type=Path, help="JSON run configuration")
-    parser.add_argument("--out", type=Path, help="output directory (CSV/JSON emission)")
+    parser.add_argument("--out", dest="output_dir", type=Path, help="CSV/JSON output directory")
     parser.add_argument("--assumptions", choices=[a.value for a in Assumptions],
-                        default=Assumptions.CS_MON.value)
+                        default=assumptions)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,40 +77,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-policy", action="store_true")
     _common_flags(p)
 
-    for name, help_text in [
-        ("ope", "off-policy evaluation bounds vs the true target return"),
-        ("robustness", "worst-case value: robust policy vs Gumbel-max policy"),
-        ("boundstats", "mean interval widths per assumption set"),
-        ("timing", "CFMDP generation wall-clock comparison"),
-        ("traces", "reward traces over sampled CFMDPs"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--env", default="gridworld")
+    # No run flag has a default, so an unset one leaves the --config or RunConfig value.
+    for name, runner in experiments.RUNNERS.items():
+        p = sub.add_parser(name, help=runner.__doc__.splitlines()[0])
+        p.add_argument("--env")
         p.add_argument("--p", type=float, help="GridWorld intended-move probability")
-        p.add_argument("--num-paths", type=int)
-        p.add_argument("--horizon", type=int)
-        p.add_argument("--num-cf-samples", type=int)
-        p.add_argument("--gumbel-samples", type=int)
-        p.add_argument("--num-rollouts", type=int)
-        _common_flags(p)
+        for field in COUNT_FIELDS:
+            p.add_argument("--" + field.replace("_", "-"), type=int)
+        _common_flags(p, seed=None, assumptions=None)
 
     return parser
 
 
 def _emit(payload: dict, args, default_name: str) -> None:
     text = json.dumps(payload, indent=2)
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / default_name).write_text(text + "\n")
+    if args.output_dir is not None:
+        args.output_dir.mkdir(parents=True, exist_ok=True)
+        (args.output_dir / default_name).write_text(text + "\n")
     else:
         print(text)
 
 
 def _load_inputs(args):
     m = load_mdp(args.mdp)
-    problems = validate_mdp(m)
-    if problems:
-        raise InvariantViolation("MDP invalid: " + "; ".join(problems))
     path = load_path(args.path)
     problems = validate_path(m, path)
     if problems:
@@ -118,24 +108,13 @@ def _load_inputs(args):
 
 
 def _run_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None) is not None:
-        cfg = run_config_from_json(json.loads(args.config.read_text()))
-    overrides = {}
-    for cli_name, field_name in [("env", "env"), ("p", "p"), ("num_paths", "num_paths"),
-                                 ("horizon", "horizon"), ("num_cf_samples", "num_cf_samples"),
-                                 ("gumbel_samples", "gumbel_samples"),
-                                 ("num_rollouts", "num_rollouts")]:
-        value = getattr(args, cli_name, None)
-        if value is not None:
-            overrides[field_name] = value
-    overrides["seed"] = args.seed
-    overrides["assumptions"] = Assumptions(args.assumptions)
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+    """Each RunConfig field from its flag if set, else from --config, else its default."""
+    cfg = run_config_from_json(json.loads(args.config.read_text()) if args.config else {})
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                 if getattr(args, f.name) is not None}
+    if "assumptions" in overrides:
+        overrides["assumptions"] = Assumptions(overrides["assumptions"])
+    return replace(cfg, **overrides)  # validated by the runner
 
 
 def _cmd_env(args) -> None:
@@ -155,10 +134,10 @@ def _cmd_bounds(args) -> None:
     m, path = _load_inputs(args)
     icf = build_interval_cfmdp(m, path, Assumptions(args.assumptions))
     if args.csv:
-        if args.out is None:
+        if args.output_dir is None:
             raise ConfigError("--csv requires --out")
-        args.out.mkdir(parents=True, exist_ok=True)
-        write_icfmdp_csv(icf, args.out / "icfmdp.csv")
+        args.output_dir.mkdir(parents=True, exist_ok=True)
+        write_icfmdp_csv(icf, args.output_dir / "icfmdp.csv")
     else:
         _emit(icfmdp_to_json(icf), args, "icfmdp.json")
 
@@ -171,9 +150,9 @@ def _cmd_verify(args) -> None:
     lp_bounds = functools.cache(lambda obs, pair, s2: oracle_bounds(m, obs, pair, s2, assumptions))
     writer = csv.writer(sys.stdout)
     out_fh = None
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        out_fh = open(args.out / "verify.csv", "w", newline="")
+    if args.output_dir is not None:
+        args.output_dir.mkdir(parents=True, exist_ok=True)
+        out_fh = open(args.output_dir / "verify.csv", "w", newline="")
         writer = csv.writer(out_fh)
     try:
         writer.writerow(["t", "s", "a", "s_next", "closed_lb", "lp_lb",
@@ -218,18 +197,9 @@ def _cmd_gumbel(args) -> None:
     _emit(payload, args, "gumbel_cfmdp.json")
 
 
-_EXPERIMENTS = {
-    "ope": experiments.run_ope,
-    "robustness": experiments.run_robustness,
-    "boundstats": experiments.run_bound_stats,
-    "timing": experiments.run_timing,
-    "traces": experiments.run_cf_traces,
-}
-
-
 def _cmd_experiment(args) -> None:
     cfg = _run_config(args)
-    records = _EXPERIMENTS[args.command](cfg)
+    records = experiments.RUNNERS[args.command](cfg)
     if cfg.output_dir is None:
         for record in records:
             print(json.dumps({"experiment": record.experiment, "run_id": record.run_id,
@@ -242,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"env": _cmd_env, "bounds": _cmd_bounds, "verify": _cmd_verify,
                 "solve": _cmd_solve, "gumbel": _cmd_gumbel,
-                **{name: _cmd_experiment for name in _EXPERIMENTS}}
+                **dict.fromkeys(experiments.RUNNERS, _cmd_experiment)}
     try:
         handlers[args.command](args)
     except ConfigError as exc:

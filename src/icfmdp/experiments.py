@@ -1,9 +1,13 @@
 """Desk-scale experiment runners: off-policy evaluation bounds, worst-case robustness,
 bound-width statistics, counterfactual reward traces, and CFMDP-generation timing.
 
-Every runner is deterministic given (config, seed), wall-clock fields aside. Results
-stream out as ExperimentRecords and, when an output directory is configured, land in
-per-experiment CSV files (appended across runs, keyed by a fresh run id).
+All five share one trial loop, `_run`: it validates the config, builds the environment,
+draws each trial's behaviour path from the seed, and hands it to the runner's per-trial
+body, which returns rows per output table. Rows of the runner's own table come back as
+ExperimentRecords; when an output directory is configured, every table's rows are
+appended to its CSV (across runs, keyed by a fresh run id). Every random stream is
+`_seed(cfg, tag, *indices)`, so every runner is deterministic given (config, seed),
+wall-clock fields aside. `RUNNERS` maps each study's name to its runner.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+import typing
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +35,10 @@ from .robust import (Mode, point_policy_eval, point_value_iteration, robust_poli
 _TAG_POLICY, _TAG_PATH, _TAG_GUMBEL, _TAG_CF_SAMPLE, _TAG_ROLLOUT = 1, 2, 3, 4, 5
 
 
+# The run's positive counts, one CLI flag each.
+COUNT_FIELDS = ("num_paths", "horizon", "num_cf_samples", "gumbel_samples", "num_rollouts")
+
+
 @dataclass
 class RunConfig:
     env: str = "gridworld"
@@ -43,29 +52,40 @@ class RunConfig:
     seed: int = 0
     output_dir: Path | None = None
 
-    def validate(self) -> None:
-        for name in ("num_paths", "horizon", "num_cf_samples", "gumbel_samples", "num_rollouts"):
+    def validate(self) -> Mdp:
+        """The run's environment; raises ConfigError on a count below 1 or an unknown env."""
+        for name in COUNT_FIELDS:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        resolve_env(self.env, self.p)  # raises ConfigError if unknown
-
-    def mdp(self) -> Mdp:
         return resolve_env(self.env, self.p)
 
 
+# JSON values accepted for each RunConfig field type (bools never count as numbers).
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string"), Assumptions: ((str,), "a string"),
+               Path: ((str,), "a string")}
+
+
 def run_config_from_json(d: dict) -> RunConfig:
-    known = {f for f in RunConfig.__dataclass_fields__}
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(d)
-    if "assumptions" in kwargs:
+    """RunConfig from its JSON dict; every key must name a field and hold a value of its type."""
+    hints = typing.get_type_hints(RunConfig)
+    if not isinstance(d, dict):
+        raise ConfigError("run config must be a JSON object")
+    if set(d) - set(hints):
+        raise ConfigError(f"unknown config keys: {sorted(set(d) - set(hints))}")
+    kwargs = {}
+    for name, value in d.items():
+        # A `T | None` field splits into kind T and optional [NoneType].
+        kind, *optional = typing.get_args(hints[name]) or (hints[name],)
+        json_types, label = _JSON_TYPES[kind]
+        if isinstance(value, bool) or not isinstance(value, (*json_types, *optional)):
+            raise ConfigError(f"{name} must be {label}{' or null' * bool(optional)}, "
+                              f"got {value!r}")
         try:
-            kwargs["assumptions"] = Assumptions(kwargs["assumptions"])
+            convert = value is not None and kind in (Assumptions, Path)
+            kwargs[name] = kind(value) if convert else value
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    if "output_dir" in kwargs and kwargs["output_dir"] is not None:
-        kwargs["output_dir"] = Path(kwargs["output_dir"])
     cfg = RunConfig(**kwargs)
     cfg.validate()
     return cfg
@@ -118,20 +138,42 @@ def append_csv(directory: Path, experiment: str, rows: list[dict]) -> Path:
     return out
 
 
-def _records_to_rows(records: list[ExperimentRecord]) -> list[dict]:
-    return [{"run_id": r.run_id, "trial": r.trial, **r.metrics} for r in records]
+def _seed(cfg: RunConfig, tag: int, *indices: int) -> int:
+    """Seed of one purpose-tagged stream of a run, e.g. (trial) or (trial, sample, policy)."""
+    return int(np.random.SeedSequence([cfg.seed, tag, *indices]).generate_state(1)[0])
 
 
-def _trial_path(m: Mdp, cfg: RunConfig, trial: int):
-    """Behavioural path for one trial: a fresh random deterministic policy, then one path."""
-    rng = rng_from(cfg.seed, _TAG_POLICY, trial)
-    policy = random_policy_schedule(m.num_states, m.num_actions, cfg.horizon, rng)
-    path_seed = int(np.random.SeedSequence([cfg.seed, _TAG_PATH, trial]).generate_state(1)[0])
-    return policy, sample_path(m, policy, cfg.horizon, path_seed), path_seed
+def _run(cfg: RunConfig, experiment: str, body) -> list[ExperimentRecord]:
+    """The trial loop every runner shares.
+
+    Each trial draws a fresh random deterministic behaviour policy and one path under it,
+    then calls body(m, trial, path, path_seed), which returns {table: [row, ...]}. Rows of
+    the experiment's own table become ExperimentRecords; with an output directory, every
+    table's rows are appended to its CSV, prefixed with the run id and trial.
+    """
+    m = cfg.validate()
+    run_id = new_run_id(experiment, cfg.seed)
+    records, tables = [], {}
+    for trial in range(cfg.num_paths):
+        policy = random_policy_schedule(m.num_states, m.num_actions, cfg.horizon,
+                                        rng_from(cfg.seed, _TAG_POLICY, trial))
+        path_seed = _seed(cfg, _TAG_PATH, trial)
+        path = sample_path(m, policy, cfg.horizon, path_seed)
+        for table, rows in body(m, trial, path, path_seed).items():
+            if table == experiment:
+                records += [ExperimentRecord(experiment, run_id, trial, row) for row in rows]
+            tables.setdefault(table, []).extend(
+                {"run_id": run_id, "trial": trial, **row} for row in rows)
+    if cfg.output_dir is not None:
+        for table, rows in tables.items():
+            append_csv(cfg.output_dir, table, rows)
+    return records
 
 
-def _gumbel_seed(cfg: RunConfig, trial: int) -> int:
-    return int(np.random.SeedSequence([cfg.seed, _TAG_GUMBEL, trial]).generate_state(1)[0])
+def _icfmdp_and_gumbel(cfg: RunConfig, m: Mdp, trial: int, path):
+    """The trial's interval CFMDP and its Gumbel-max CFMDP baseline."""
+    return (build_interval_cfmdp(m, path, cfg.assumptions),
+            build_gumbel_cfmdp(m, path, cfg.gumbel_samples, _seed(cfg, _TAG_GUMBEL, trial)))
 
 
 def run_ope(cfg: RunConfig) -> list[ExperimentRecord]:
@@ -141,130 +183,83 @@ def run_ope(cfg: RunConfig) -> list[ExperimentRecord]:
     finite-horizon optimal policy of the nominal MDP. The running averages should
     bracket the true target return, with the Gumbel point estimate in between.
     """
-    cfg.validate()
-    m = cfg.mdp()
-    run_id = new_run_id("ope", cfg.seed)
-    target, _ = optimal_policy(m, cfg.horizon)
-    true_value = exact_policy_value(m, target, cfg.horizon).initial_value(m)
+    target = true_value = None
+    sums = np.zeros(3)
 
-    records = []
-    pess_sum = opt_sum = gum_sum = 0.0
-    for trial in range(cfg.num_paths):
-        _, path, path_seed = _trial_path(m, cfg, trial)
+    def body(m, trial, path, path_seed):
+        nonlocal target, true_value, sums
+        if target is None:
+            target, _ = optimal_policy(m, cfg.horizon)
+            true_value = float(exact_policy_value(m, target, cfg.horizon).initial_value(m))
         s0 = path.states[0]
-        icf = build_interval_cfmdp(m, path, cfg.assumptions)
-        pess = robust_policy_eval(icf, target, Mode.PESSIMISTIC).values[0, s0]
-        opt = robust_policy_eval(icf, target, Mode.OPTIMISTIC).values[0, s0]
-        gum_cf = build_gumbel_cfmdp(m, path, cfg.gumbel_samples, _gumbel_seed(cfg, trial))
-        gum = point_policy_eval(gum_cf.transition, m.reward, target).values[0, s0]
-        pess_sum += pess
-        opt_sum += opt
-        gum_sum += gum
-        done = trial + 1
-        records.append(ExperimentRecord("ope", run_id, trial, {
-            "path_seed": path_seed,
-            "pessimistic": float(pess), "optimistic": float(opt), "gumbel": float(gum),
-            "true_value": float(true_value),
-            "running_pessimistic": pess_sum / done,
-            "running_optimistic": opt_sum / done,
-            "running_gumbel": gum_sum / done,
-        }))
-    if cfg.output_dir is not None:
-        append_csv(cfg.output_dir, "ope", _records_to_rows(records))
-    return records
+        icf, gum_cf = _icfmdp_and_gumbel(cfg, m, trial, path)
+        values = np.array([robust_policy_eval(icf, target, Mode.PESSIMISTIC).values[0, s0],
+                           robust_policy_eval(icf, target, Mode.OPTIMISTIC).values[0, s0],
+                           point_policy_eval(gum_cf.transition, m.reward, target).values[0, s0]])
+        sums += values
+        pess, opt, gum = values.tolist()
+        running = sums / (trial + 1)
+        return {"ope": [{
+            "path_seed": path_seed, "pessimistic": pess, "optimistic": opt, "gumbel": gum,
+            "true_value": true_value, "running_pessimistic": running[0],
+            "running_optimistic": running[1], "running_gumbel": running[2],
+        }]}
+    return _run(cfg, "ope", body)
 
 
 def run_robustness(cfg: RunConfig) -> list[ExperimentRecord]:
     """Worst-case value of the robust policy vs the Gumbel-max policy on the same ICFMDP."""
-    cfg.validate()
-    m = cfg.mdp()
-    run_id = new_run_id("robustness", cfg.seed)
-    records = []
-    for trial in range(cfg.num_paths):
-        _, path, path_seed = _trial_path(m, cfg, trial)
+    def body(m, trial, path, path_seed):
         s0 = path.states[0]
-        icf = build_interval_cfmdp(m, path, cfg.assumptions)
+        icf, gum_cf = _icfmdp_and_gumbel(cfg, m, trial, path)
         robust_sol = robust_value_iteration(icf, m.reward, Mode.PESSIMISTIC)
-        gum_cf = build_gumbel_cfmdp(m, path, cfg.gumbel_samples, _gumbel_seed(cfg, trial))
         gum_policy, _ = point_value_iteration(gum_cf.transition, m.reward)
         v_robust = robust_sol.values.values[0, s0]
         v_gumbel = robust_policy_eval(icf, gum_policy, Mode.PESSIMISTIC).values[0, s0]
-        records.append(ExperimentRecord("robustness", run_id, trial, {
-            "path_seed": path_seed,
-            "icfmdp_policy_value": float(v_robust),
-            "gumbel_policy_value": float(v_gumbel),
-            "gap": float(v_robust - v_gumbel),
-        }))
-    if cfg.output_dir is not None:
-        append_csv(cfg.output_dir, "robustness", _records_to_rows(records))
-    return records
+        return {"robustness": [{"path_seed": path_seed, "icfmdp_policy_value": float(v_robust),
+                                "gumbel_policy_value": float(v_gumbel),
+                                "gap": float(v_robust - v_gumbel)}]}
+    return _run(cfg, "robustness", body)
 
 
-_ASSUMPTION_ORDER = (Assumptions.CS_MON, Assumptions.CS, Assumptions.NONE)
 _ASSUMPTION_KEY = {Assumptions.CS_MON: "cs_mon", Assumptions.CS: "cs", Assumptions.NONE: "none"}
 
 
 def run_bound_stats(cfg: RunConfig) -> list[ExperimentRecord]:
     """Mean interval width per assumption set, excluding transitions with upper bound 0."""
-    cfg.validate()
-    m = cfg.mdp()
-    run_id = new_run_id("boundstats", cfg.seed)
-    records = []
-    detail_rows = []
-    for trial in range(cfg.num_paths):
-        _, path, path_seed = _trial_path(m, cfg, trial)
-        metrics = {"path_seed": path_seed}
-        widths = {}
-        for assumption in _ASSUMPTION_ORDER:
+    def body(m, trial, path, path_seed):
+        metrics, widths = {"path_seed": path_seed}, {}
+        for assumption, key in _ASSUMPTION_KEY.items():
             icf = build_interval_cfmdp(m, path, assumption)
             mask = icf.ub > 0
-            key = _ASSUMPTION_KEY[assumption]
             widths[key] = icf.widths()
             metrics[f"mean_width_{key}"] = float(widths[key][mask].mean())
             metrics[f"num_intervals_{key}"] = int(mask.sum())
-        records.append(ExperimentRecord("boundstats", run_id, trial, metrics))
+        tables = {"boundstats": [metrics]}
         if cfg.output_dir is not None:
-            t_len, n, k, _ = widths["none"].shape
-            for t in range(t_len):
-                for s in range(n):
-                    for a in range(k):
-                        for s2 in range(n):
-                            detail_rows.append({
-                                "run_id": run_id, "trial": trial, "t": t, "s": s, "a": a,
-                                "s_next": s2,
-                                "width_cs_mon": widths["cs_mon"][t, s, a, s2],
-                                "width_cs": widths["cs"][t, s, a, s2],
-                                "width_none": widths["none"][t, s, a, s2],
-                            })
-    if cfg.output_dir is not None:
-        append_csv(cfg.output_dir, "boundstats", _records_to_rows(records))
-        append_csv(cfg.output_dir, "boundstats_detail", detail_rows)
-    return records
+            cells = np.indices(widths["none"].shape).reshape(4, -1).tolist()
+            cells += [widths[key].ravel().tolist() for key in _ASSUMPTION_KEY.values()]
+            names = ("t", "s", "a", "s_next", "width_cs_mon", "width_cs", "width_none")
+            tables["boundstats_detail"] = [dict(zip(names, row)) for row in zip(*cells)]
+        return tables
+    return _run(cfg, "boundstats", body)
 
 
 def run_timing(cfg: RunConfig) -> list[ExperimentRecord]:
     """Wall-clock comparison: analytical ICFMDP vs Monte-Carlo Gumbel CFMDP construction."""
-    cfg.validate()
-    m = cfg.mdp()
-    run_id = new_run_id("timing", cfg.seed)
-    records = []
-    for trial in range(cfg.num_paths):
-        _, path, path_seed = _trial_path(m, cfg, trial)
+    def body(m, trial, path, path_seed):
         t0 = time.perf_counter()
         build_interval_cfmdp(m, path, cfg.assumptions)
         t1 = time.perf_counter()
-        build_gumbel_cfmdp(m, path, cfg.gumbel_samples, _gumbel_seed(cfg, trial))
-        t2 = time.perf_counter()
-        icf_s, gum_s = t1 - t0, t2 - t1
-        records.append(ExperimentRecord("timing", run_id, trial, {
+        build_gumbel_cfmdp(m, path, cfg.gumbel_samples, _seed(cfg, _TAG_GUMBEL, trial))
+        icf_s, gum_s = t1 - t0, time.perf_counter() - t1
+        return {"timing": [{
             "path_seed": path_seed,
             "icfmdp_seconds": icf_s, "gumbel_seconds": gum_s,
             "speedup": gum_s / icf_s if icf_s > 0 else float(10 ** 9),
             "gumbel_samples": cfg.gumbel_samples,
-        }))
-    if cfg.output_dir is not None:
-        append_csv(cfg.output_dir, "timing", _records_to_rows(records))
-    return records
+        }]}
+    return _run(cfg, "timing", body)
 
 
 def run_cf_traces(cfg: RunConfig) -> list[ExperimentRecord]:
@@ -275,45 +270,34 @@ def run_cf_traces(cfg: RunConfig) -> list[ExperimentRecord]:
     CFMDP, and report per-timestep reward statistics plus the worst cumulative
     reward seen (a sample minimum, distinct from the pessimistic value).
     """
-    cfg.validate()
-    m = cfg.mdp()
-    run_id = new_run_id("traces", cfg.seed)
-    records = []
-    timestep_rows = []
-    for trial in range(cfg.num_paths):
-        _, path, _ = _trial_path(m, cfg, trial)
+    def body(m, trial, path, path_seed):
         s0 = path.states[0]
-        icf = build_interval_cfmdp(m, path, cfg.assumptions)
+        icf, gum_cf = _icfmdp_and_gumbel(cfg, m, trial, path)
         robust_sol = robust_value_iteration(icf, m.reward, Mode.PESSIMISTIC)
-        gum_cf = build_gumbel_cfmdp(m, path, cfg.gumbel_samples, _gumbel_seed(cfg, trial))
         gum_policy, _ = point_value_iteration(gum_cf.transition, m.reward)
         policies = {"icfmdp": robust_sol.policy, "gumbel": gum_policy}
 
         rewards = {name: [] for name in policies}
         for j in range(cfg.num_cf_samples):
-            cf_seed = int(np.random.SeedSequence(
-                [cfg.seed, _TAG_CF_SAMPLE, trial, j]).generate_state(1)[0])
-            sampled = sample_cfmdp(icf, cf_seed)
+            sampled = sample_cfmdp(icf, _seed(cfg, _TAG_CF_SAMPLE, trial, j))
             for idx, (name, policy) in enumerate(policies.items()):
-                roll_seed = int(np.random.SeedSequence(
-                    [cfg.seed, _TAG_ROLLOUT, trial, j, idx]).generate_state(1)[0])
                 rewards[name].append(rollout_rewards(
-                    sampled.transition, m.reward, policy, s0, cfg.num_rollouts, roll_seed))
+                    sampled.transition, m.reward, policy, s0, cfg.num_rollouts,
+                    _seed(cfg, _TAG_ROLLOUT, trial, j, idx)))
+        tables = {"traces": [], "traces_timesteps": []}
         for name in policies:
             all_rewards = np.concatenate(rewards[name], axis=0)  # (paths, T)
             cumulative = all_rewards.sum(axis=1)
-            records.append(ExperimentRecord("traces", run_id, trial, {
-                "method": name,
-                "min_cumulative": float(cumulative.min()),
-                "mean_cumulative": float(cumulative.mean()),
-            }))
-            for t in range(all_rewards.shape[1]):
-                timestep_rows.append({
-                    "run_id": run_id, "trial": trial, "method": name, "t": t,
-                    "mean_reward": float(all_rewards[:, t].mean()),
-                    "std_reward": float(all_rewards[:, t].std()),
-                })
-    if cfg.output_dir is not None:
-        append_csv(cfg.output_dir, "traces", _records_to_rows(records))
-        append_csv(cfg.output_dir, "traces_timesteps", timestep_rows)
-    return records
+            tables["traces"].append({"method": name,
+                                     "min_cumulative": float(cumulative.min()),
+                                     "mean_cumulative": float(cumulative.mean())})
+            tables["traces_timesteps"] += [
+                {"method": name, "t": t, "mean_reward": float(all_rewards[:, t].mean()),
+                 "std_reward": float(all_rewards[:, t].std())}
+                for t in range(all_rewards.shape[1])]
+        return tables
+    return _run(cfg, "traces", body)
+
+
+RUNNERS = {"ope": run_ope, "robustness": run_robustness, "boundstats": run_bound_stats,
+           "timing": run_timing, "traces": run_cf_traces}

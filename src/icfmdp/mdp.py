@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -150,7 +150,9 @@ def validate_mdp(m: Mdp) -> list[str]:
     for name in ("transition", "reward", "initial_dist"):
         bad = np.argwhere(~np.isfinite(getattr(m, name)))
         if bad.size:
-            problems.append(f"{name}{bad[0].tolist()} is not finite")
+            problems.append(f"{name}{bad[0].tolist()} is non-finite")
+    if problems:
+        return problems  # ranges and sums of non-finite entries tell nothing more
     if np.any(m.transition < 0) or np.any(m.transition > 1):
         bad = np.argwhere((m.transition < 0) | (m.transition > 1))[0]
         problems.append(f"transition{bad.tolist()} outside [0, 1]")
@@ -285,38 +287,25 @@ def mdp_to_json(m: Mdp) -> dict:
 
 
 def mdp_from_json(d: dict) -> Mdp:
-    """Build an Mdp from its JSON dict; rows are re-normalized only within 1e-9 slack."""
+    """Build an Mdp from its JSON dict; it must pass `validate_mdp`. Rows (and the initial
+    distribution) whose sum is off 1 by more than its rounding error, S·eps, but within
+    ROW_SUM_TOL are re-normalized; all others are kept bit for bit."""
     try:
-        transition = np.asarray(d["transition"], dtype=float)
-        reward = np.asarray(d["reward"], dtype=float)
-        initial = np.asarray(d["initial_dist"], dtype=float)
-        num_states = int(d["num_states"])
-        num_actions = int(d["num_actions"])
+        labels = tuple(d["state_labels"]) if "state_labels" in d else None
+        m = Mdp(int(d["num_states"]), int(d["num_actions"]), d["transition"], d["reward"],
+                d["initial_dist"], labels)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed MDP JSON: {exc}") from exc
-    labels = tuple(d["state_labels"]) if "state_labels" in d else None
-    if labels is not None and len(labels) != num_states:
-        raise ConfigError(f"MDP JSON: {len(labels)} state_labels for {num_states} states")
+    problems = validate_mdp(m)
+    if problems:
+        raise ConfigError("MDP JSON: " + "; ".join(problems))
+    rounding = m.num_states * np.finfo(float).eps
 
-    for name, arr, shape in [("transition", transition, (num_states, num_actions, num_states)),
-                             ("reward", reward, (num_states, num_actions)),
-                             ("initial_dist", initial, (num_states,))]:
-        if arr.shape != shape:
-            raise ConfigError(f"MDP JSON: {name} shape {arr.shape} != {shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError(f"MDP JSON: {name} has a non-finite entry")
-    if np.any(transition < 0) or np.any(transition > 1):
-        raise ConfigError("MDP JSON: transition probabilities outside [0, 1]")
-    row_sums = transition.sum(axis=2)
-    if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
-        raise ConfigError("MDP JSON: a transition row deviates from sum 1 by more than 1e-9")
-    transition = transition / row_sums[:, :, None]
-    if np.any(initial < 0) or np.any(initial > 1):
-        raise ConfigError("MDP JSON: initial_dist entries outside [0, 1]")
-    if abs(initial.sum() - 1.0) > ROW_SUM_TOL:
-        raise ConfigError("MDP JSON: initial_dist deviates from sum 1 by more than 1e-9")
-    initial = initial / initial.sum()
-    return Mdp(num_states, num_actions, transition, reward, initial, labels)
+    def normalized(p):
+        total = p.sum(axis=-1, keepdims=True)
+        return np.where(np.abs(total - 1.0) > rounding, p / total, p)
+    return replace(m, transition=normalized(m.transition),
+                   initial_dist=normalized(m.initial_dist))
 
 
 def path_to_json(path: ObservedPath) -> dict:

@@ -6,10 +6,10 @@ deliberately avoid the library code paths they are used to check.
 
 import numpy as np
 
-from icfmdp import IntervalCfMdp, Mdp, Mode, ObservedPath
+from icfmdp import IntervalCfMdp, Mdp, Mode, ObservedPath, build_interval_cfmdp
 from icfmdp.bounds import Assumptions
 from icfmdp.gumbel import _gumbel_rows, _score_table
-from icfmdp.mdp import rng_from
+from icfmdp.mdp import random_policy_schedule, rng_from, sample_path
 
 
 def make_random_mdp(rng, num_states, num_actions, sparse=False):
@@ -349,3 +349,31 @@ def loop_icfmdp_csv_rows(icf):
             for a in range(k):
                 for s2 in range(n):
                     yield t, s, a, s2, float(icf.lb[t, s, a, s2]), float(icf.ub[t, s, a, s2])
+
+
+def loop_boundstats_detail_rows(cfg, run_id):
+    """Reference boundstats_detail rows: each trial's path drawn as run_bound_stats draws
+    it, then one width row per (t, s, a, s') in nested loops."""
+    m = cfg.validate()
+    rows = []
+    for trial in range(cfg.num_paths):
+        policy = random_policy_schedule(m.num_states, m.num_actions, cfg.horizon,
+                                        rng_from(cfg.seed, 1, trial))
+        path_seed = int(np.random.SeedSequence([cfg.seed, 2, trial]).generate_state(1)[0])
+        path = sample_path(m, policy, cfg.horizon, path_seed)
+        widths = {key: build_interval_cfmdp(m, path, assumption).widths()
+                  for key, assumption in [("cs_mon", Assumptions.CS_MON),
+                                          ("cs", Assumptions.CS), ("none", Assumptions.NONE)]}
+        t_len, n, k, _ = widths["none"].shape
+        for t in range(t_len):
+            for s in range(n):
+                for a in range(k):
+                    for s2 in range(n):
+                        rows.append({
+                            "run_id": run_id, "trial": trial, "t": t, "s": s, "a": a,
+                            "s_next": s2,
+                            "width_cs_mon": widths["cs_mon"][t, s, a, s2],
+                            "width_cs": widths["cs"][t, s, a, s2],
+                            "width_none": widths["none"][t, s, a, s2],
+                        })
+    return rows

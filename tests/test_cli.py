@@ -10,6 +10,7 @@ import pytest
 from icfmdp import (Assumptions, build_gridworld, build_interval_cfmdp, build_toy_mdp, cli,
                     gridworld_spec, load_mdp, mdp_to_json, path_to_json)
 from icfmdp.errors import InvariantViolation
+from icfmdp.experiments import RunConfig, run_ope
 from icfmdp.lp import lp_solve
 from helpers import loop_icfmdp_csv_rows, loop_icfmdp_json, random_path
 
@@ -86,7 +87,7 @@ def test_bounds_output_bytes_match_nested_loops(tmp_path, rng, env, assumptions)
     flags = ["bounds", "--mdp", str(mdp_file), "--path", str(path_file),
              "--assumptions", assumptions.value, "--out", str(tmp_path)]
     assert cli.main(flags) == 0 and cli.main(flags + ["--csv"]) == 0
-    icf = build_interval_cfmdp(load_mdp(mdp_file), path, assumptions)  # rows re-normalized
+    icf = build_interval_cfmdp(load_mdp(mdp_file), path, assumptions)
     want_csv = io.StringIO(newline="")
     writer = csv.writer(want_csv)
     writer.writerow(["t", "s", "a", "s_next", "lb", "ub"])
@@ -227,6 +228,31 @@ def test_experiment_bad_config_is_config_error(tmp_path):
     cfg.write_text(json.dumps({"num_paths": 0}))
     res = run_cli("ope", "--config", str(cfg))
     assert res.returncode == 1
+
+
+def test_experiment_flags_override_config_which_overrides_defaults(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"env": "toy", "seed": 7, "assumptions": "none",
+                                    "num_paths": 2, "horizon": 3}))
+    for flags, env, seed in [([], "toy", 7), (["--seed", "3", "--env", "gridworld"],
+                                              "gridworld", 3)]:
+        assert cli.main(["ope", "--config", str(cfg_file), *flags]) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        want = run_ope(RunConfig(env=env, seed=seed, assumptions=Assumptions.NONE,
+                                 num_paths=2, horizon=3))
+        assert all(line.pop("run_id").startswith(f"ope-{seed}-") for line in lines)
+        assert lines == [{"experiment": "ope", "trial": r.trial, **r.metrics} for r in want]
+
+
+@pytest.mark.parametrize("config", [{"num_paths": "3"}, {"num_paths": 2.5}, {"p": "x"},
+                                    {"horizon": True}, {"seed": "a"}, {"p": True},
+                                    {"env": 3}, {"output_dir": 1}, []])
+def test_wrongly_typed_run_config_is_config_error(tmp_path, config):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    res = run_cli("boundstats", "--config", str(cfg_file), "--env", "toy", "--num-paths", "1")
+    assert_config_error(res)
+    assert res.stderr.startswith("config error: ")
 
 
 def test_invariant_violation_maps_to_exit_2(monkeypatch, toy_files, capsys):

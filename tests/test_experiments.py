@@ -1,4 +1,5 @@
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from icfmdp import Assumptions, ConfigError
 from icfmdp.experiments import (CSV_COLUMNS, RunConfig, run_bound_stats, run_cf_traces,
                                 run_config_from_json, run_ope, run_robustness, run_timing)
+from helpers import loop_boundstats_detail_rows
 
 
 def small_cfg(**overrides):
@@ -160,6 +162,16 @@ class TestCsvEmission:
         for row in rows:
             assert float(row["width_cs_mon"]) <= float(row["width_cs"]) + 1e-9
             assert float(row["width_cs"]) <= float(row["width_none"]) + 1e-9
+
+    @pytest.mark.parametrize("env, p", [("toy", None), ("gridworld", 0.4)])
+    def test_boundstats_detail_bytes_match_nested_loops(self, tmp_path, env, p):
+        cfg = small_cfg(env=env, p=p, num_paths=2, horizon=4, output_dir=tmp_path)
+        run_id = run_bound_stats(cfg)[0].run_id
+        want = io.StringIO(newline="")
+        writer = csv.DictWriter(want, fieldnames=CSV_COLUMNS["boundstats_detail"])
+        writer.writeheader()
+        writer.writerows(loop_boundstats_detail_rows(cfg, run_id))
+        assert (tmp_path / "boundstats_detail.csv").read_bytes() == want.getvalue().encode()
 
     def test_traces_timestep_file(self, tmp_path):
         run_cf_traces(small_cfg(num_paths=1, output_dir=tmp_path))

@@ -6,8 +6,8 @@ import pytest
 from icfmdp import (Assumptions, ConfigError, Mdp, ObservedPath, PolicySchedule, cs_condition,
                     enumerate_theta_bounds, exact_policy_value, gumbel_cf_probs, mdp_from_json,
                     mdp_to_json, optimal_policy, oracle_bounds, path_from_json, path_return,
-                    path_to_json, sample_path, transition_row_bounds, validate_mdp,
-                    validate_path)
+                    path_to_json, resolve_env, sample_path, transition_row_bounds,
+                    validate_mdp, validate_path)
 from helpers import make_random_mdp, mc_policy_value
 
 
@@ -154,6 +154,15 @@ def test_mdp_json_round_trip(toy):
     assert again.state_labels == toy.state_labels
 
 
+@pytest.mark.parametrize("env, p", [("toy", None), ("gridworld", 0.4), ("gridworld", 0.9),
+                                    ("frozen_lake", None)])
+def test_mdp_json_round_trip_is_bit_for_bit(env, p):
+    m = resolve_env(env, p)
+    again = mdp_from_json(json.loads(json.dumps(mdp_to_json(m))))
+    for name in ("transition", "reward", "initial_dist"):
+        assert getattr(again, name).tobytes() == getattr(m, name).tobytes(), name
+
+
 def test_loader_rejects_bad_row_sums(toy):
     d = mdp_to_json(toy)
     d["transition"][0][0] = [0.3, 0.3, 0.3]
@@ -203,8 +212,8 @@ def test_validate_flags_non_finite_entries(toy):
     reward = np.array(toy.reward)
     reward[1, 0] = np.inf
     problems = validate_mdp(Mdp(3, 1, t, reward, toy.initial_dist))
-    assert "transition[1, 0, 1] is not finite" in problems
-    assert "reward[1, 0] is not finite" in problems
+    assert "transition[1, 0, 1] is non-finite" in problems
+    assert "reward[1, 0] is non-finite" in problems
 
 
 def test_path_json_round_trip():
