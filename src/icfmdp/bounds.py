@@ -37,10 +37,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvariantViolation
-from .mdp import Mdp, ObservedPath, check_query, support_columns, validate_path
+from .errors import InfeasibleRow, InvariantViolation
+from .mdp import Mdp, ObservedPath, check_path, check_query, support_columns
 
-# Slack for clamping float dust in computed bounds; anything larger is a real bug.
+# Slack for float dust in interval rows: clamped out of computed bounds, allowed in the
+# row check. Anything larger is a real bug.
 CLAMP_TOL = 1e-9
 
 ObsTriple = tuple[int, int, int]  # (s_t, a_t, s_{t+1})
@@ -61,10 +62,6 @@ class ProbInterval:
     def __post_init__(self):
         if not (0.0 <= self.lb <= self.ub <= 1.0):
             raise InvariantViolation(f"invalid probability interval [{self.lb}, {self.ub}]")
-
-    @property
-    def width(self) -> float:
-        return self.ub - self.lb
 
 
 def make_interval(lb: float, ub: float) -> ProbInterval:
@@ -91,18 +88,30 @@ def _cs_mask(obs: np.ndarray, p_obs: float, query: np.ndarray,
     return (obs > 0) & (p_next_q * obs > query * p_obs)
 
 
-def cs_condition(m: Mdp, obs: ObsTriple, query: tuple[int, int, int]) -> bool:
-    """True iff counterfactual stability forces the probability of `query` to zero."""
-    check_query(m, obs, query)
-    s_t, a_t, s_next = obs
-    s, a, s_cf = query
-    obs_row, query_row = m.transition[s_t, a_t], m.transition[s, a]
-    return bool(_cs_mask(obs_row, obs_row[s_next], query_row, query_row[s_next])[s_cf])
+def check_interval_rows(lb: np.ndarray, ub: np.ndarray,
+                        row_name: Callable[[tuple], str]) -> None:
+    """Raise InfeasibleRow unless every row of (..., K) intervals is a set of distributions:
+    -tol <= lb <= ub + tol and ub <= 1 + tol entrywise, sum(lb) <= 1 + tol and
+    sum(ub) >= 1 - tol, with tol = CLAMP_TOL (Givan, Leach & Dean, 2000). A NaN entry
+    fails every comparison, and the chain bounds both ends, so non-finite entries fail
+    too. The error names the first bad row by `row_name` of its index.
+    """
+    entry_ok = (lb >= -CLAMP_TOL) & (lb <= ub + CLAMP_TOL) & (ub <= 1.0 + CLAMP_TOL)
+    lb_sum, ub_sum = lb.sum(axis=-1), ub.sum(axis=-1)
+    bad = ~entry_ok.all(axis=-1) | (lb_sum > 1.0 + CLAMP_TOL) | (ub_sum < 1.0 - CLAMP_TOL)
+    if bad.any():
+        idx = np.unravel_index(np.argmax(bad), bad.shape)
+        row_lb, row_ub, row_ok = lb[idx], ub[idx], entry_ok[idx]
+        j = int(np.argmin(row_ok))  # the first bad entry, if any
+        entry = "" if row_ok[j] else f"; entry {j} is [{row_lb[j]:.12g}, {row_ub[j]:.12g}]"
+        raise InfeasibleRow(
+            f"interval row {row_name(tuple(int(i) for i in idx))} is not a set of "
+            f"distributions: sum(lb)={lb_sum[idx]:.12g}, sum(ub)={ub_sum[idx]:.12g}{entry}")
 
 
 def _bound_block(obs_row: np.ndarray, s_next: int, query: np.ndarray, cols: np.ndarray,
                  is_observed: np.ndarray, assumptions: Assumptions,
-                 row_name: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
+                 row_name: Callable[[tuple], str]) -> tuple[np.ndarray, np.ndarray]:
     """Per-successor (lb, ub) for a block of query rows given one observed transition.
 
     `query` (R, K) holds each query row's probabilities on its columns `cols` (R, K):
@@ -110,8 +119,8 @@ def _bound_block(obs_row: np.ndarray, s_next: int, query: np.ndarray, cols: np.n
     Every bound is zero off the query row's support, so no other successor is needed.
     `is_observed` (R,) marks the row of the observed pair itself. Rows whose support is
     disjoint from the observed pair's take the assumption-free formulas, since stability
-    and monotonicity are vacuous there. `row_name(r)` names row r in the error raised
-    when a row leaves no valid distribution.
+    and monotonicity are vacuous there. The raw rows pass `check_interval_rows`, which
+    names row r by `row_name((r,))`, before float dust is clamped out.
     """
     p_obs = obs_row[s_next]
     obs = obs_row[cols]
@@ -144,13 +153,7 @@ def _bound_block(obs_row: np.ndarray, s_next: int, query: np.ndarray, cols: np.n
     hit = is_observed[:, None] & at_next
     lb[hit] = ub[hit] = 1.0
 
-    lb_sum, ub_sum = lb.sum(axis=1), ub.sum(axis=1)
-    bad = np.flatnonzero((lb_sum > 1.0 + CLAMP_TOL) | (ub_sum < 1.0 - CLAMP_TOL))
-    if bad.size:
-        r = bad[0]
-        raise InvariantViolation(
-            f"row bounds for {row_name(r)} leave no valid distribution: "
-            f"sum(lb)={lb_sum[r]:.12g}, sum(ub)={ub_sum[r]:.12g}")
+    check_interval_rows(lb, ub, row_name)
     np.clip(ub, 0.0, 1.0, out=ub)
     np.minimum(lb, ub, out=lb)
     np.clip(lb, 0.0, 1.0, out=lb)
@@ -165,7 +168,7 @@ def transition_row_bounds(m: Mdp, obs: ObsTriple, query_pair: Pair,
     cols = m.support_cols[s, a]
     lb, ub = _bound_block(m.transition[obs[0], obs[1]], obs[2], m.transition[s, a, cols][None],
                           cols[None], np.array([(s, a) == tuple(obs[:2])]), assumptions,
-                          lambda r: f"pair {query_pair} given {obs}")
+                          lambda idx: f"pair {query_pair} given {obs}")
     dense = np.zeros((2, m.num_states))
     dense[:, cols] = lb[0], ub[0]
     return dense[0], dense[1]
@@ -178,7 +181,8 @@ class IntervalCfMdp:
     Step t uses layer `layer[t]`: `layer_lb[layer[t], s, a, j]` and `layer_ub[...]` bound
     the counterfactual probability of successor `cols[s, a, j]`, and every successor not
     in `cols[s, a]` has the interval [0, 0]. The dense (T, S, A, S) `lb` and `ub` are
-    built on first access and cached.
+    built on first access and cached. Every layer row must be a set of distributions
+    (`check_interval_rows`); a bad row is named by the first step that uses its layer.
     """
 
     horizon: int
@@ -193,6 +197,8 @@ class IntervalCfMdp:
     def __post_init__(self):
         for name in ("cols", "layer", "layer_lb", "layer_ub"):
             getattr(self, name).setflags(write=False)
+        check_interval_rows(self.layer_lb, self.layer_ub, lambda idx: "(t={}, s={}, a={})".format(
+            int(np.argmax(self.layer == idx[0])), *idx[1:]))
 
     @classmethod
     def from_dense(cls, lb: np.ndarray, ub: np.ndarray, assumptions: Assumptions, base: Mdp,
@@ -220,13 +226,6 @@ class IntervalCfMdp:
         """Dense (T, S, A, S) upper bounds (read-only)."""
         return self._dense(self.layer_ub)
 
-    def interval(self, t: int, s: int, a: int, s_cf: int) -> ProbInterval:
-        u, hit = self.layer[t], np.flatnonzero(self.cols[s, a] == s_cf)
-        if not hit.size:
-            return ProbInterval(0.0, 0.0)
-        return ProbInterval(float(self.layer_lb[u, s, a, hit[0]]),
-                            float(self.layer_ub[u, s, a, hit[0]]))
-
     def widths(self) -> np.ndarray:
         return self.ub - self.lb
 
@@ -236,9 +235,7 @@ def build_interval_cfmdp(m: Mdp, path: ObservedPath, assumptions: Assumptions) -
 
     Each unique observed triple is bounded once, over all (s, a) rows in one block.
     """
-    problems = validate_path(m, path)
-    if problems:
-        raise ValueError("path invalid for this MDP: " + "; ".join(problems))
+    check_path(m, path)
     n, k = m.num_states, m.num_actions
     cols = m.support_cols
     rows = cols.reshape(n * k, -1)
@@ -253,7 +250,8 @@ def build_interval_cfmdp(m: Mdp, path: ObservedPath, assumptions: Assumptions) -
         layers[obs] = len(layers)
         lo, hi = _bound_block(m.transition[obs[0], obs[1]], obs[2], query, rows,
                               pairs == obs[0] * k + obs[1], assumptions,
-                              lambda r: f"(t={t}, s={r // k}, a={r % k}) given {obs}")
+                              lambda idx: "(t={}, s={}, a={}) given {}".format(
+                                  t, *divmod(idx[0], k), obs))
         lb.append(lo)
         ub.append(hi)
     layer = np.array([layers[path.step(t)] for t in range(path.horizon)], dtype=np.int64)

@@ -21,7 +21,7 @@ from .envs import grid_spec_from_json, gridworld_spec, resolve_env
 from .errors import ConfigError, InvariantViolation
 from .experiments import COUNT_FIELDS, RunConfig, run_config_from_json
 from .gumbel import build_gumbel_cfmdp, gumbel_cfmdp_to_json
-from .mdp import load_mdp, load_path, mdp_to_json, validate_mdp, validate_path
+from .mdp import load_mdp, load_path, mdp_to_json, read_json, validate_mdp
 from .robust import Mode, point_value_iteration, robust_value_iteration, solution_to_json
 
 
@@ -33,49 +33,50 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _common_flags(parser: argparse.ArgumentParser, seed=0,
-                  assumptions=Assumptions.CS_MON.value) -> None:
-    parser.add_argument("--seed", type=int, default=seed)
-    parser.add_argument("--config", type=Path, help="JSON run configuration")
-    parser.add_argument("--out", dest="output_dir", type=Path, help="CSV/JSON output directory")
-    parser.add_argument("--assumptions", choices=[a.value for a in Assumptions],
-                        default=assumptions)
+_SHARED_FLAGS = {
+    "--mdp": dict(type=Path, required=True),
+    "--path": dict(type=Path, required=True),
+    "--seed": dict(type=int),
+    "--config": dict(type=Path, help="JSON run configuration"),
+    "--assumptions": dict(choices=[a.value for a in Assumptions]),
+    "--out": dict(dest="output_dir", type=Path, help="CSV/JSON output directory"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str, **defaults) -> None:
+    """Give a subcommand the shared flags `names`; `defaults` are set by destination."""
+    for name in names:
+        parser.add_argument(name, **_SHARED_FLAGS[name])
+    parser.set_defaults(**defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="icfmdp",
                      description="Interval counterfactual MDPs and robust counterfactual policies")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    cs_mon = Assumptions.CS_MON.value
 
     p = sub.add_parser("env", help="emit an environment MDP as JSON")
     p.add_argument("name", help="toy | gridworld | frozen_lake")
     p.add_argument("--p", type=float, help="GridWorld intended-move probability")
     p.add_argument("--grid-spec", type=Path, help="JSON GridSpec for a custom grid")
-    _common_flags(p)
+    _add_flags(p, "--out")
 
     p = sub.add_parser("bounds", help="interval CFMDP for an observed path")
-    p.add_argument("--mdp", type=Path, required=True)
-    p.add_argument("--path", type=Path, required=True)
     p.add_argument("--csv", action="store_true", help="emit flat CSV instead of JSON")
-    _common_flags(p)
+    _add_flags(p, "--mdp", "--path", "--assumptions", "--out", assumptions=cs_mon)
 
     p = sub.add_parser("verify", help="closed-form bounds vs the coupling-LP oracle")
-    p.add_argument("--mdp", type=Path, required=True)
-    p.add_argument("--path", type=Path, required=True)
-    _common_flags(p)
+    _add_flags(p, "--mdp", "--path", "--assumptions", "--out", assumptions=cs_mon)
 
     p = sub.add_parser("solve", help="robust value iteration over the interval CFMDP")
-    p.add_argument("--mdp", type=Path, required=True)
-    p.add_argument("--path", type=Path, required=True)
     p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.PESSIMISTIC.value)
-    _common_flags(p)
+    _add_flags(p, "--mdp", "--path", "--assumptions", "--out", assumptions=cs_mon)
 
     p = sub.add_parser("gumbel", help="Gumbel-max SCM baseline CFMDP (and its policy)")
-    p.add_argument("--mdp", type=Path, required=True)
-    p.add_argument("--path", type=Path, required=True)
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--with-policy", action="store_true")
-    _common_flags(p)
+    _add_flags(p, "--mdp", "--path", "--seed", "--out", seed=0)
 
     # No run flag has a default, so an unset one leaves the --config or RunConfig value.
     for name, runner in experiments.RUNNERS.items():
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=float, help="GridWorld intended-move probability")
         for field in COUNT_FIELDS:
             p.add_argument("--" + field.replace("_", "-"), type=int)
-        _common_flags(p, seed=None, assumptions=None)
+        _add_flags(p, "--seed", "--config", "--out", "--assumptions")
 
     return parser
 
@@ -99,17 +100,13 @@ def _emit(payload: dict, args, default_name: str) -> None:
 
 
 def _load_inputs(args):
-    m = load_mdp(args.mdp)
-    path = load_path(args.path)
-    problems = validate_path(m, path)
-    if problems:
-        raise ConfigError("path invalid for MDP: " + "; ".join(problems))
-    return m, path
+    """The --mdp and --path files; the builders check the path against the MDP."""
+    return load_mdp(args.mdp), load_path(args.path)
 
 
 def _run_config(args) -> RunConfig:
     """Each RunConfig field from its flag if set, else from --config, else its default."""
-    cfg = run_config_from_json(json.loads(args.config.read_text()) if args.config else {})
+    cfg = run_config_from_json(read_json(args.config) if args.config else {})
     overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
                  if getattr(args, f.name) is not None}
     if "assumptions" in overrides:
@@ -120,7 +117,7 @@ def _run_config(args) -> RunConfig:
 def _cmd_env(args) -> None:
     spec = None
     if args.grid_spec is not None:
-        spec = grid_spec_from_json(json.loads(args.grid_spec.read_text()))
+        spec = grid_spec_from_json(read_json(args.grid_spec))
     elif args.name.lower() == "gridworld":
         spec = gridworld_spec(0.9 if args.p is None else args.p)
     m = resolve_env(args.name, args.p, spec)
@@ -189,7 +186,7 @@ def _cmd_gumbel(args) -> None:
         raise ConfigError("samples must be >= 1")
     m, path = _load_inputs(args)
     cf = build_gumbel_cfmdp(m, path, args.samples, args.seed)
-    payload = gumbel_cfmdp_to_json(cf, m, path)
+    payload = gumbel_cfmdp_to_json(cf, m, path, args.samples)
     if args.with_policy:
         policy, values = point_value_iteration(cf.transition, m.reward)
         payload["policy"] = policy.action_at.tolist()

@@ -15,8 +15,6 @@ the coupling: the joint mass of the observed outcome s_next and each query outco
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -26,13 +24,6 @@ from .lp import LpProblem, lp_solve
 from .mdp import Mdp, check_query
 
 ENUMERATION_LIMIT = 100_000
-
-
-@dataclass(frozen=True)
-class Coupling:
-    """Joint distribution over (observed-pair outcome, query-pair outcome)."""
-
-    q: np.ndarray  # (S, S)
 
 
 def _observed_outcome_box(obs_row: np.ndarray, s_next: int, query_row: np.ndarray,
@@ -57,8 +48,9 @@ def _observed_outcome_box(obs_row: np.ndarray, s_next: int, query_row: np.ndarra
 
 
 def oracle_solution(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int,
-                    assumptions: Assumptions, sense: str) -> tuple[float, Coupling]:
-    """One directed bound plus the coupling that attains it.
+                    assumptions: Assumptions, sense: str) -> tuple[float, np.ndarray]:
+    """One directed bound plus the coupling that attains it: the (S, S) joint distribution
+    q[i, j] over (observed-pair outcome i, query-pair outcome j).
 
     Variables live on the joint support of the two rows, only on its diagonal when the
     query pair is the observed pair (same mechanism input, same outcome): the marginals
@@ -84,7 +76,7 @@ def oracle_solution(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int,
     value, x = lp_solve(problem)
     q = np.zeros((m.num_states, m.num_states))
     q[i, j] = x
-    return value / obs_row[s_next], Coupling(q)
+    return value / obs_row[s_next], q
 
 
 def oracle_bounds(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int,
@@ -102,12 +94,11 @@ def oracle_bounds(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int,
     return make_interval(lo, hi)
 
 
-def check_coupling_feasible(coupling: Coupling, m: Mdp, obs: ObsTriple, query_pair: Pair,
+def check_coupling_feasible(q: np.ndarray, m: Mdp, obs: ObsTriple, query_pair: Pair,
                             assumptions: Assumptions, tol: float = 1e-9) -> bool:
-    """Replay every constraint of the coupling LP against a candidate solution."""
+    """Replay every constraint of the coupling LP against a candidate (S, S) coupling q."""
     s_t, a_t, s_next = obs
     s, a = query_pair
-    q = coupling.q
     obs_row, query_row = m.transition[s_t, a_t], m.transition[s, a]
     lo, hi = _observed_outcome_box(obs_row, s_next, query_row, assumptions)
     off_diagonal = q - np.diag(np.diag(q)) if (s, a) == (s_t, a_t) else 0.0

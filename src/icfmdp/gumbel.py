@@ -18,31 +18,16 @@ noise, so they get equal probabilities. The output is a dense (T, S, A, S) point
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .mdp import Mdp, ObservedPath, check_query, rng_from, validate_path
-
-
-@dataclass(frozen=True)
-class GumbelCfMdp:
-    """Point (non-interval) counterfactual MDP estimated from posterior Gumbel samples."""
-
-    horizon: int
-    transition: np.ndarray  # (T, S, A, S)
-    num_samples: int
-    seed: int
-
-    def __post_init__(self):
-        self.transition.setflags(write=False)
+from .mdp import Mdp, ObservedPath, PointCfMdp, check_path, check_query, rng_from, support_columns
 
 
 def _score_table(query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Score table of (R, S) query rows: `cand` (R, W), each row's support columns padded
-    to the widest support W, and their log-probabilities `log_q` (W, R, 1), -inf on padding."""
-    width = int((query > 0).sum(axis=1).max())
-    cand = np.argsort(query <= 0, axis=1, kind="stable")[:, :width]
+    to the widest support W (`support_columns`, ascending), and their log-probabilities
+    `log_q` (W, R, 1), -inf on padding."""
+    cand = support_columns(query > 0)
     q_cand = np.take_along_axis(query, cand, axis=1).T[:, :, None]
     log_q = np.full(q_cand.shape, -np.inf)
     np.log(q_cand, out=log_q, where=q_cand > 0)
@@ -95,12 +80,10 @@ def gumbel_cf_probs(m: Mdp, obs: tuple[int, int, int], query_pair: tuple[int, in
     return _gumbel_rows(m.transition[obs[0], obs[1]], obs[2], table, num_samples, rng_from(seed))[0]
 
 
-def build_gumbel_cfmdp(m: Mdp, path: ObservedPath, num_samples: int, seed: int) -> GumbelCfMdp:
+def build_gumbel_cfmdp(m: Mdp, path: ObservedPath, num_samples: int, seed: int) -> PointCfMdp:
     """Point CFMDP: at step t every (s, a) row replays one posterior noise draw from
     `rng_from(seed, t)`, scored once per distinct transition row."""
-    problems = validate_path(m, path)
-    if problems:
-        raise ValueError("path invalid for this MDP: " + "; ".join(problems))
+    check_path(m, path)
     t_len, n, k = path.horizon, m.num_states, m.num_actions
     transition = np.empty((t_len, n, k, n))
     query, pair_row = np.unique(m.transition.reshape(n * k, n), axis=0, return_inverse=True)
@@ -110,10 +93,11 @@ def build_gumbel_cfmdp(m: Mdp, path: ObservedPath, num_samples: int, seed: int) 
         s_t, a_t, s_next = path.step(t)
         transition[t] = _gumbel_rows(m.transition[s_t, a_t], s_next, table, num_samples,
                                      rng_from(seed, t))[pair_row]
-    return GumbelCfMdp(t_len, transition, num_samples, seed)
+    return PointCfMdp(t_len, transition, seed)
 
 
-def gumbel_cfmdp_to_json(cf: GumbelCfMdp, base: Mdp, path: ObservedPath) -> dict:
+def gumbel_cfmdp_to_json(cf: PointCfMdp, base: Mdp, path: ObservedPath,
+                         num_samples: int) -> dict:
     """Serialize as one MDP JSON per time layer (initial state pinned to the path's)."""
     initial = np.zeros(base.num_states)
     initial[path.states[0]] = 1.0
@@ -121,4 +105,4 @@ def gumbel_cfmdp_to_json(cf: GumbelCfMdp, base: Mdp, path: ObservedPath) -> dict
                "transition": layer.tolist(), "reward": base.reward.tolist(),
                "initial_dist": initial.tolist()} for layer in cf.transition]
     return {"horizon": cf.horizon, "seed": cf.seed, "layers": layers,
-            "num_samples": cf.num_samples}
+            "num_samples": num_samples}

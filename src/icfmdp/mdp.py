@@ -107,6 +107,19 @@ class ObservedPath:
 
 
 @dataclass(frozen=True)
+class PointCfMdp:
+    """Concrete time-indexed counterfactual MDP: one drawn from an ICFMDP's intervals, or
+    the Gumbel-max baseline's estimate."""
+
+    horizon: int
+    transition: np.ndarray  # (T, S, A, S)
+    seed: int
+
+    def __post_init__(self):
+        self.transition.setflags(write=False)
+
+
+@dataclass(frozen=True)
 class PolicySchedule:
     """Deterministic time-indexed policy: action_at[t, s] is the action at time t in state s."""
 
@@ -178,13 +191,18 @@ def validate_path(m: Mdp, path: ObservedPath) -> list[str]:
     return problems
 
 
-def check_query(m: Mdp, obs: tuple[int, int, int], query: tuple[int, ...]) -> None:
-    """Raise ValueError unless step `obs` passes `validate_path` and `query` is in range."""
-    problems = validate_path(m, ObservedPath(obs[::2], obs[1:2]))
-    if not all(0 <= i < n for i, n in zip(query, (m.num_states, m.num_actions, m.num_states))):
-        problems.append(f"query {tuple(query)} out of range")
+def check_path(m: Mdp, path: ObservedPath) -> None:
+    """Raise ConfigError unless `path` passes `validate_path`."""
+    problems = validate_path(m, path)
     if problems:
-        raise ValueError("path invalid for this MDP: " + "; ".join(problems))
+        raise ConfigError("path invalid for this MDP: " + "; ".join(problems))
+
+
+def check_query(m: Mdp, obs: tuple[int, int, int], query: tuple[int, ...]) -> None:
+    """Raise ConfigError unless step `obs` passes `check_path` and `query` is in range."""
+    check_path(m, ObservedPath(obs[::2], obs[1:2]))
+    if not all(0 <= i < n for i, n in zip(query, (m.num_states, m.num_actions, m.num_states))):
+        raise ConfigError(f"path invalid for this MDP: query {tuple(query)} out of range")
 
 
 def sample_path(m: Mdp, policy: PolicySchedule, horizon: int, seed: int) -> ObservedPath:
@@ -202,11 +220,6 @@ def sample_path(m: Mdp, policy: PolicySchedule, horizon: int, seed: int) -> Obse
         actions.append(a)
         states.append(s)
     return ObservedPath(tuple(states), tuple(actions))
-
-
-def path_return(m: Mdp, path: ObservedPath) -> float:
-    """Undiscounted sum of rewards along the path."""
-    return float(sum(m.reward[s, a] for s, a in zip(path.states, path.actions)))
 
 
 def _greedy(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,9 +332,17 @@ def path_from_json(d: dict) -> ObservedPath:
         raise ConfigError(f"malformed path JSON: {exc}") from exc
 
 
+def read_json(file: str | Path):
+    """The parsed JSON of a file; an unreadable file or malformed JSON is a ConfigError."""
+    try:
+        return json.loads(Path(file).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise ConfigError(f"cannot read JSON from {file}: {exc}") from exc
+
+
 def load_mdp(file: str | Path) -> Mdp:
-    return mdp_from_json(json.loads(Path(file).read_text()))
+    return mdp_from_json(read_json(file))
 
 
 def load_path(file: str | Path) -> ObservedPath:
-    return path_from_json(json.loads(Path(file).read_text()))
+    return path_from_json(read_json(file))

@@ -10,6 +10,8 @@ sorted, and its fill is a cumulative sum of the room ub - lb clipped to the mass
 over. Robust value iteration and policy evaluation run it on the ICFMDP's compact
 layers, gathering the next-step values on each row's support columns, so a backup
 touches S·A·K entries rather than S·A·S; they never build the dense (T, S, A, S) view.
+Nothing here re-checks the intervals: every `IntervalCfMdp` row is checked once, when
+the ICFMDP is made.
 Both, and the point versions on a concrete CFMDP (backup `transition[t][rows] @ v`), are
 thin calls to `mdp._backward`, the one backward-induction routine of all six DP entry
 points.
@@ -30,11 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import IntervalCfMdp
+from .bounds import CLAMP_TOL, IntervalCfMdp
 from .errors import InfeasibleRow
-from .mdp import PolicySchedule, ValueTable, _backward, _check_policy_horizon, rng_from
-
-FEAS_TOL = 1e-9
+from .mdp import (PointCfMdp, PolicySchedule, ValueTable, _backward, _check_policy_horizon,
+                  rng_from)
 
 
 class Mode(enum.Enum):
@@ -49,43 +50,17 @@ class RobustSolution:
     mode: Mode
 
 
-@dataclass(frozen=True)
-class SampledCfMdp:
-    """One concrete CFMDP drawn from an ICFMDP's intervals."""
-
-    horizon: int
-    transition: np.ndarray  # (T, S, A, S)
-    seed: int
-
-    def __post_init__(self):
-        self.transition.setflags(write=False)
-
-
-def _check_feasible(lb: np.ndarray, ub: np.ndarray,
-                    row_name: Callable[[tuple], str] = lambda idx: "") -> np.ndarray:
-    """sum(lb) of every row of (..., S) intervals; raises InfeasibleRow naming the first
-    row (by `row_name` of its index) that admits no distribution."""
-    lb_sum, ub_sum = lb.sum(axis=-1), ub.sum(axis=-1)
-    bad = (lb_sum > 1.0 + FEAS_TOL) | (ub_sum < 1.0 - FEAS_TOL)
-    if bad.any():
-        idx = np.unravel_index(np.argmax(bad), bad.shape)
-        raise InfeasibleRow(
-            f"interval row {row_name(tuple(int(i) for i in idx))} admits no distribution: "
-            f"sum(lb)={lb_sum[idx]:.12g}, sum(ub)={ub_sum[idx]:.12g}")
-    return lb_sum
-
-
-def _order_fill(v: np.ndarray, lb: np.ndarray, ub: np.ndarray, mode: Mode,
-                row_name: Callable[[tuple], str] = lambda idx: "") -> np.ndarray:
+def _order_fill(v: np.ndarray, lb: np.ndarray, ub: np.ndarray, mode: Mode) -> np.ndarray:
     """Extreme of p @ v over {lb <= p <= ub, sum(p) = 1} for every row of (..., K)
-    intervals, where v (..., K) holds the values of each row's successors.
+    intervals, where v (..., K) holds the values of each row's successors. The rows must
+    pass `bounds.check_interval_rows`; they are not checked again here.
 
     Each row's successors are sorted by value (stable, so value ties go to the earlier
     column; columns ascend by state index). Each row starts at lb and hands 1 - sum(lb)
     out in that order, so the mass a successor receives is its room ub - lb clipped to
     what the successors before it left over.
     """
-    lb_sum = _check_feasible(lb, ub, row_name)
+    lb_sum = lb.sum(axis=-1)
     keys = v if mode is Mode.PESSIMISTIC else -v  # ascending keys: fill order
     room = np.take_along_axis(ub - lb, np.argsort(keys, axis=-1, kind="stable"),
                               axis=-1).astype(float, copy=False)
@@ -102,13 +77,9 @@ def _robust_backup(icf: IntervalCfMdp, mode: Mode) -> Callable:
     """`mdp._backward` backup of an ICFMDP: order-and-fill on the compact layer of step t,
     with the next-step values gathered on each row's support columns."""
     def expect(t, v_next, rows):
-        def row_name(idx):
-            s, a = idx if len(idx) == 2 else (idx[0], rows[1][idx[0]])
-            return f"at (t={t}, s={s}, a={a})"
-
         u = icf.layer[t]
         return _order_fill(v_next[icf.cols[rows]], icf.layer_lb[u][rows], icf.layer_ub[u][rows],
-                           mode, row_name)
+                           mode)
     return expect
 
 
@@ -166,7 +137,7 @@ def _sample_rows(lb: np.ndarray, ub: np.ndarray, keys: np.ndarray, u: np.ndarray
         p_o[:, rank] = np.clip(drawn[:, rank], lb_o[:, rank], ub_o[:, rank])
         remaining -= p_o[:, rank]
     drawn[:, -1] = p_o[:, -1] = remaining
-    escaped = (drawn < lb_o - FEAS_TOL) | (drawn > ub_o + FEAS_TOL)
+    escaped = (drawn < lb_o - CLAMP_TOL) | (drawn > ub_o + CLAMP_TOL)
     if escaped.any():
         r, rank = np.unravel_index(np.argmax(escaped), escaped.shape)
         raise InfeasibleRow(f"sampled mass {drawn[r, rank]} escapes [{lb_o[r, rank]}, "
@@ -176,7 +147,7 @@ def _sample_rows(lb: np.ndarray, ub: np.ndarray, keys: np.ndarray, u: np.ndarray
     return p
 
 
-def sample_cfmdp(icf: IntervalCfMdp, seed: int) -> SampledCfMdp:
+def sample_cfmdp(icf: IntervalCfMdp, seed: int) -> PointCfMdp:
     """Draw a concrete CFMDP from the intervals.
 
     Rows are sampled independently on their support columns `icf.cols` (S, A, K); every
@@ -188,18 +159,14 @@ def sample_cfmdp(icf: IntervalCfMdp, seed: int) -> SampledCfMdp:
     """
     shape = (icf.horizon,) + icf.cols.shape
     lb, ub = icf.layer_lb[icf.layer], icf.layer_ub[icf.layer]
-    def row_name(idx):
-        return "at (t={}, s={}, a={})".format(*idx)
-
-    _check_feasible(lb, ub, row_name)
     keys, u = np.stack([rng_from(seed, t).random((2,) + shape[1:])
                         for t in range(icf.horizon)], axis=1)
     rows = (-1, shape[-1])
     p = _sample_rows(lb.reshape(rows), ub.reshape(rows), keys.reshape(rows), u.reshape(rows),
-                     lambda r: row_name(np.unravel_index(r, shape[:-1])))
+                     lambda r: "at (t={}, s={}, a={})".format(*np.unravel_index(r, shape[:-1])))
     transition = np.zeros(shape[:-1] + (icf.base.num_states,))
     np.put_along_axis(transition, icf.cols[None], p.reshape(shape), axis=3)
-    return SampledCfMdp(icf.horizon, transition, seed)
+    return PointCfMdp(icf.horizon, transition, seed)
 
 
 def rollout_rewards(transition: np.ndarray, reward: np.ndarray, policy: PolicySchedule,

@@ -1,13 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icfmdp import (Assumptions, Mdp, ObservedPath, ProbInterval, build_gridworld,
-                    build_interval_cfmdp, cs_condition, gridworld_spec, oracle_bounds,
-                    transition_row_bounds)
-from icfmdp.bounds import IntervalCfMdp, make_interval
-from icfmdp.errors import InvariantViolation
+                    build_interval_cfmdp, gridworld_spec, oracle_bounds, transition_row_bounds)
+from icfmdp.bounds import IntervalCfMdp, _cs_mask, make_interval
+from icfmdp.errors import InfeasibleRow, InvariantViolation
 from helpers import (make_random_mdp, random_interval_bounds, random_observed, random_path,
                      supports_overlap)
 
@@ -81,20 +82,24 @@ class TestClassifySupport:
 
 
 class TestCsCondition:
-    def test_toy_does_not_fire(self, toy, toy_obs):
-        # ratio 0 / 0.4 = 0 is not > 0.4 / 0.3
-        assert not cs_condition(toy, toy_obs, (1, 0, 0))
+    """`_cs_mask` of the observed row (s_t, a_t) and query row (s, a): does stability force
+    the probability of each successor to zero?"""
+
+    def test_toy_does_not_fire(self, toy):
+        # observed 0 -> 1, query (1, 0) -> 0: ratio 0 / 0.4 = 0 is not > 0.4 / 0.3
+        obs_row, query_row = toy.transition[0, 0], toy.transition[1, 0]
+        assert not _cs_mask(obs_row, obs_row[1], query_row, query_row[1])[0]
 
     def test_zero_probability_under_observed_pair_guards(self, toy):
-        t = np.array(toy.transition)
-        t[0, 0] = [0.0, 0.4, 0.6]
-        m = Mdp(3, 1, t, toy.reward, toy.initial_dist)
+        obs_row, query_row = np.array([0.0, 0.4, 0.6]), toy.transition[1, 0]
         # P(0 | 0, 0) == 0, so the condition cannot fire regardless of the ratios
-        assert not cs_condition(m, (0, 0, 1), (1, 0, 0))
+        assert not _cs_mask(obs_row, obs_row[1], query_row, query_row[1])[0]
 
     def test_ratio_arithmetic_fires(self):
         m = cs_firing_mdp()
-        assert cs_condition(m, (0, 0, 0), (1, 0, 1))
+        # observed 0 -> 0, query (1, 0) -> 1
+        obs_row, query_row = m.transition[0, 0], m.transition[1, 0]
+        assert _cs_mask(obs_row, obs_row[0], query_row, query_row[0])[1]
         # Cross-check: the LP oracle must force this probability to zero under CS.
         iv = oracle_bounds(m, (0, 0, 0), (1, 0), 1, Assumptions.CS)
         assert iv.ub == pytest.approx(0.0, abs=1e-9)
@@ -269,11 +274,23 @@ class TestCompactLayout:
             assert np.array_equal(again.lb, built.lb) and np.array_equal(again.ub, built.ub)
 
     def test_interval_reads_the_compact_layers(self, rng):
+        """The dense views hold each step's layer on its row's columns, zero elsewhere."""
         m = make_random_mdp(rng, 5, 2, sparse=True)
         icf = build_interval_cfmdp(m, random_path(m, rng, 3), Assumptions.CS_MON)
-        for t, s, a, s_cf in np.ndindex(3, 5, 2, 5):
-            iv = icf.interval(t, s, a, s_cf)
-            assert (iv.lb, iv.ub) == (icf.lb[t, s, a, s_cf], icf.ub[t, s, a, s_cf])
+        off_cols = np.ones(icf.lb.shape, dtype=bool)
+        np.put_along_axis(off_cols, icf.cols[None], False, axis=3)
+        for dense, layers in [(icf.lb, icf.layer_lb), (icf.ub, icf.layer_ub)]:
+            on_cols = np.take_along_axis(dense, icf.cols[None], axis=3)
+            assert np.array_equal(on_cols, layers[icf.layer]) and not dense[off_cols].any()
+
+    def test_direct_construction_names_the_first_step_of_a_bad_layer(self):
+        m = build_gridworld(gridworld_spec(0.4))
+        icf = build_interval_cfmdp(m, ObservedPath((0, 1, 0, 1, 1, 0), (3, 2, 3, 0, 2)),
+                                   Assumptions.CS_MON)
+        lb = icf.layer_lb.copy()
+        lb[1, 4, 2] = 1.0  # layer 1 serves steps 1 and 4
+        with pytest.raises(InfeasibleRow, match=r"\(t=1, s=4, a=2\).*sum\(lb\)="):
+            replace(icf, layer_lb=lb)
 
 
 def _assumption_rows(m, obs, pair):

@@ -22,8 +22,7 @@ def run_cli(*args):
 
 @pytest.fixture
 def toy_files(tmp_path):
-    res = run_cli("env", "toy", "--out", str(tmp_path))
-    assert res.returncode == 0
+    assert cli.main(["env", "toy", "--out", str(tmp_path)]) == 0
     path_file = tmp_path / "path.json"
     path_file.write_text(json.dumps({"states": [0, 1], "actions": [0]}))
     return tmp_path / "toy.json", path_file
@@ -214,6 +213,37 @@ def test_invalid_path_is_config_error(toy_files, tmp_path):
     path_file.write_text(json.dumps({"states": [1, 1], "actions": [0]}))
     res = run_cli("bounds", "--mdp", str(mdp_file), "--path", str(path_file))
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize("problem", ["missing", "truncated"])
+@pytest.mark.parametrize("command, flag", [("bounds", "--mdp"), ("bounds", "--path"),
+                                           ("ope", "--config"), ("env", "--grid-spec")])
+def test_unreadable_input_file_is_config_error(toy_files, tmp_path, capsys, command, flag,
+                                               problem):
+    mdp_file, path_file = toy_files
+    args = {"bounds": ["bounds", "--mdp", str(mdp_file), "--path", str(path_file)],
+            "ope": ["ope"], "env": ["env", "gridworld"]}[command]
+    bad = tmp_path / "bad.json"
+    if problem == "truncated":
+        bad.write_text(mdp_file.read_text()[:50])
+    assert cli.main(args + [flag, str(bad)]) == 1  # the later flag wins
+    assert capsys.readouterr().err.startswith(f"config error: cannot read JSON from {bad}: ")
+
+
+UNREAD_FLAGS = [(cmd, flag) for cmd in ("env", "bounds", "verify", "solve")
+                for flag in ("--seed", "--config")]
+UNREAD_FLAGS += [("env", "--assumptions"), ("gumbel", "--assumptions"), ("gumbel", "--config")]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_flag_the_subcommand_does_not_read_is_usage_error(toy_files, capsys, command, flag):
+    mdp_file, path_file = toy_files
+    args = ["toy"] if command == "env" else ["--mdp", str(mdp_file), "--path", str(path_file)]
+    value = {"--seed": "3", "--config": str(mdp_file), "--assumptions": "cs"}[flag]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *args, flag, value])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_experiment_subcommand_writes_csv(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from icfmdp import (Assumptions, Coupling, Mdp, ScaleExceeded, check_coupling_feasible,
+from icfmdp import (Assumptions, Mdp, ScaleExceeded, check_coupling_feasible,
                     enumerate_theta_bounds, oracle_bounds, oracle_solution,
                     transition_row_bounds)
 from icfmdp.coupling import _successor_table
@@ -65,12 +65,12 @@ class TestOracleBounds:
 class TestCouplingFeasibility:
     def test_independent_coupling_feasible_without_assumptions(self, toy, toy_obs):
         q = np.outer(toy.transition[0, 0], toy.transition[1, 0])
-        assert check_coupling_feasible(Coupling(q), toy, toy_obs, (1, 0), Assumptions.NONE)
+        assert check_coupling_feasible(q, toy, toy_obs, (1, 0), Assumptions.NONE)
 
     def test_marginal_violation_detected(self, toy, toy_obs):
         q = np.outer(toy.transition[0, 0], toy.transition[1, 0])
         q[0, 0] += 0.1
-        assert not check_coupling_feasible(Coupling(q), toy, toy_obs, (1, 0), Assumptions.NONE)
+        assert not check_coupling_feasible(q, toy, toy_obs, (1, 0), Assumptions.NONE)
 
     @pytest.mark.parametrize("query_row, pair, q, assumptions, looser", [
         # stability: outcome 1 lost relative likelihood, so q[0, 1] must be 0
@@ -95,7 +95,7 @@ class TestCouplingFeasibility:
         t[1, 0] = query_row
         t[2, 0, 2] = 1.0
         m = Mdp(3, 1, t, np.zeros((3, 1)), np.array([1.0, 0.0, 0.0]))
-        coupling = Coupling(np.array(q, dtype=float))
+        coupling = np.array(q, dtype=float)
         assert not check_coupling_feasible(coupling, m, (0, 0, 0), pair, assumptions)
         if looser is not None:  # the marginals and every looser constraint hold
             assert check_coupling_feasible(coupling, m, (0, 0, 0), pair, looser)
@@ -114,7 +114,7 @@ class TestCouplingFeasibility:
                                     m, obs, (s, a), s2, assumptions, sense)
                                 assert check_coupling_feasible(
                                     coupling, m, obs, (s, a), assumptions, tol=1e-8)
-                                replay = coupling.q[obs[2], s2] / m.transition[obs[0], obs[1], obs[2]]
+                                replay = coupling[obs[2], s2] / m.transition[obs[0], obs[1], obs[2]]
                                 assert replay == pytest.approx(value, abs=1e-9)
 
 

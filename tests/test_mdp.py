@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from icfmdp import (Assumptions, ConfigError, Mdp, ObservedPath, PolicySchedule, cs_condition,
+from icfmdp import (Assumptions, ConfigError, Mdp, ObservedPath, PolicySchedule,
                     enumerate_theta_bounds, exact_policy_value, gumbel_cf_probs, mdp_from_json,
-                    mdp_to_json, optimal_policy, oracle_bounds, path_from_json, path_return,
-                    path_to_json, resolve_env, sample_path, transition_row_bounds,
-                    validate_mdp, validate_path)
+                    mdp_to_json, optimal_policy, oracle_bounds, path_from_json, path_to_json,
+                    resolve_env, sample_path, transition_row_bounds, validate_mdp,
+                    validate_path)
 from helpers import make_random_mdp, mc_policy_value
 
 
@@ -59,8 +59,9 @@ MALFORMED_QUERIES = {  # on the toy MDP, where (1, 0 -> 1) has probability 0
         m, (-1, 0, 1), (0, 0), NONE),
     "transition_row_bounds, query action 1": lambda m: transition_row_bounds(
         m, (0, 0, 1), (0, 1), NONE),
-    "cs_condition, query outcome 3": lambda m: cs_condition(m, (0, 0, 1), (0, 0, 3)),
-    "cs_condition, observed probability 0": lambda m: cs_condition(m, (1, 0, 1), (0, 0, 0)),
+    "transition_row_bounds, observed probability 0": lambda m: transition_row_bounds(
+        m, (1, 0, 1), (0, 0), NONE),
+    "oracle_bounds, query outcome 3": lambda m: oracle_bounds(m, (0, 0, 1), (0, 0), 3, NONE),
     "oracle_bounds, query outcome -1": lambda m: oracle_bounds(m, (0, 0, 1), (0, 0), -1, NONE),
     "oracle_bounds, observed probability 0": lambda m: oracle_bounds(m, (1, 0, 1), (0, 0), 0,
                                                                      NONE),
@@ -101,16 +102,6 @@ def test_sample_path_frequencies_match_row(toy):
     for seed in range(n):
         counts[sample_path(toy, policy, 1, seed).states[1]] += 1
     assert np.abs(counts / n - toy.transition[0, 0]).max() < 0.01
-
-
-def test_path_return_zero_rewards(toy):
-    path = ObservedPath((0, 1, 2, 2), (0, 0, 0))
-    assert path_return(toy, path) == 0.0
-
-
-def test_path_return_constant_reward(toy):
-    m = Mdp(3, 1, toy.transition, np.ones((3, 1)), toy.initial_dist)
-    assert path_return(m, ObservedPath((0, 1, 2, 2), (0, 0, 0))) == 3.0
 
 
 def test_exact_policy_value_zero_rewards(toy):

@@ -10,9 +10,9 @@ from icfmdp import (Assumptions, GridSpec, InfeasibleRow, Mdp, Mode, ObservedPat
                     exact_policy_value, gridworld_spec, optimal_policy, point_policy_eval,
                     point_value_iteration, resolve_env, robust_policy_eval,
                     robust_value_iteration, rollout_rewards, sample_cfmdp)
-from icfmdp.bounds import IntervalCfMdp
+from icfmdp.bounds import CLAMP_TOL, IntervalCfMdp, check_interval_rows
 from icfmdp.mdp import _greedy, rng_from
-from icfmdp.robust import FEAS_TOL, _order_fill, _sample_rows
+from icfmdp.robust import _order_fill, _sample_rows
 from helpers import (dense_sample_cfmdp, entry_moments, interval_simplex_vertices_2,
                      make_random_mdp, mc_nonstationary_value, per_step_cumsum_rollout,
                      random_interval_cfmdp, random_path, rejection_sample_feasible,
@@ -56,11 +56,11 @@ class TestRobustExpectation:
             assert _order_fill(v, lb, ub, Mode.OPTIMISTIC) == pytest.approx(max(values))
 
     def test_infeasible_rows_rejected(self):
-        v = np.zeros(2)
-        with pytest.raises(InfeasibleRow):
-            _order_fill(v, np.array([0.6, 0.6]), np.array([0.7, 0.7]), Mode.PESSIMISTIC)
-        with pytest.raises(InfeasibleRow):
-            _order_fill(v, np.array([0.0, 0.0]), np.array([0.3, 0.3]), Mode.PESSIMISTIC)
+        # _order_fill takes checked rows; the one row check rejects these
+        with pytest.raises(InfeasibleRow, match=r"row \(\).*sum\(lb\)=1\.2,"):
+            check_interval_rows(np.array([0.6, 0.6]), np.array([0.7, 0.7]), str)
+        with pytest.raises(InfeasibleRow, match=r"row \(\).*sum\(ub\)=0\.6$"):
+            check_interval_rows(np.array([0.0, 0.0]), np.array([0.3, 0.3]), str)
 
     def test_bounds_any_feasible_distribution(self, rng):
         for _ in range(20):
@@ -98,9 +98,9 @@ def test_property_nominal_between_extremes(case):
 
 def interval_row_batch(rng, n):
     """Feasible (lb, ub) rows of width n, stacked: random, degenerate (lb == ub),
-    sum(lb) just above 1 within FEAS_TOL, 1 - sum(lb) exactly 0, and fully free."""
+    sum(lb) just above 1 within CLAMP_TOL, 1 - sum(lb) exactly 0, and fully free."""
     nominal = rng.dirichlet(np.ones(n), size=4)
-    tight = nominal * (1.0 + FEAS_TOL / 2)
+    tight = nominal * (1.0 + CLAMP_TOL / 2)
     dyadic = rng.multinomial(64, np.full(n, 1.0 / n), size=4) / 64.0
     lb = np.concatenate([nominal * rng.random(nominal.shape), nominal, tight, dyadic,
                          np.zeros((1, n))])
@@ -108,7 +108,7 @@ def interval_row_batch(rng, n):
                          tight + (1.0 - nominal) * rng.random(nominal.shape),
                          dyadic + (1.0 - dyadic) * rng.random(dyadic.shape), np.ones((1, n))])
     lb_sum = lb.sum(axis=1)
-    assert np.all((lb_sum[8:12] > 1.0) & (lb_sum[8:12] <= 1.0 + FEAS_TOL))
+    assert np.all((lb_sum[8:12] > 1.0) & (lb_sum[8:12] <= 1.0 + CLAMP_TOL))
     assert np.all(1.0 - lb_sum[12:16] == 0.0)
     return lb, ub
 
@@ -202,39 +202,27 @@ class TestCompactRobustDp:
 
 
 class TestInfeasibleRows:
-    @staticmethod
-    def icf_with_bad_row(rng, lb_row, ub_row):
-        """An ICFMDP whose row (t=1, s=2, a=1) admits no distribution."""
+    """A row that is not a set of distributions fails when the ICFMDP is made, so robust
+    DP and sampling never see it."""
+
+    TOL = 2 * CLAMP_TOL
+    CASES = {  # row (t=1, s=2, a=1) of 4 entries: lb, ub, and what the error says
+        "sum-lb-2": (0.5, 0.6, r"sum\(lb\)=2, sum\(ub\)=2\.4"),
+        "sum-ub-0.4": (0.0, 0.1, r"sum\(lb\)=0, sum\(ub\)=0\.4"),
+        "nan-lb": ([np.nan, 0, 0, 0], 1.0, r"sum\(lb\)=nan, sum\(ub\)=4; entry 0 is \[nan, 1\]"),
+        "inf-ub": (0.0, [1, np.inf, 1, 1], r"sum\(lb\)=0, sum\(ub\)=inf; entry 1 is \[0, inf\]"),
+        "lb-above-ub": ([0.5, 0, 0, 0], [0.5 - TOL, 1, 1, 1], r"entry 0 is \[0\.5, 0\.499999998\]"),
+        "lb-below-0": ([-TOL, 0, 0, 0], 1.0, r"entry 0 is \[-2e-09, 1\]"),
+        "ub-above-1": (0.0, [1 + TOL, 0, 0, 0], r"entry 0 is \[0, 1\.000000002\]"),
+    }
+
+    @pytest.mark.parametrize("lb_row, ub_row, detail", CASES.values(), ids=CASES.keys())
+    def test_from_dense_names_the_row(self, rng, lb_row, ub_row, detail):
         icf = random_interval_cfmdp(rng, num_states=4, num_actions=2, horizon=3)
         lb, ub = icf.lb.copy(), icf.ub.copy()
         lb[1, 2, 1], ub[1, 2, 1] = lb_row, ub_row
-        return IntervalCfMdp.from_dense(lb, ub, icf.assumptions, icf.base, icf.path)
-
-    CASES = [(0.5, 0.6, r"sum\(lb\)=2, sum\(ub\)=2\.4"),
-             (0.0, 0.1, r"sum\(lb\)=0, sum\(ub\)=0\.4")]
-
-    @pytest.mark.parametrize("lb_row, ub_row, sums", CASES)
-    def test_value_iteration_names_the_row(self, rng, lb_row, ub_row, sums):
-        icf = self.icf_with_bad_row(rng, lb_row, ub_row)
-        for mode in Mode:
-            with pytest.raises(InfeasibleRow, match=r"\(t=1, s=2, a=1\).*" + sums):
-                robust_value_iteration(icf, icf.base.reward, mode)
-
-    @pytest.mark.parametrize("lb_row, ub_row, sums", CASES)
-    def test_policy_eval_names_the_row(self, rng, lb_row, ub_row, sums):
-        icf = self.icf_with_bad_row(rng, lb_row, ub_row)
-        takes_row = PolicySchedule(3, np.ones((3, 4), dtype=np.int64))
-        avoids_row = PolicySchedule(3, np.zeros((3, 4), dtype=np.int64))
-        for mode in Mode:
-            with pytest.raises(InfeasibleRow, match=r"\(t=1, s=2, a=1\).*" + sums):
-                robust_policy_eval(icf, takes_row, mode)
-            robust_policy_eval(icf, avoids_row, mode)
-
-    @pytest.mark.parametrize("lb_row, ub_row, sums", CASES)
-    def test_sample_cfmdp_names_the_row(self, rng, lb_row, ub_row, sums):
-        icf = self.icf_with_bad_row(rng, lb_row, ub_row)
-        with pytest.raises(InfeasibleRow, match=r"\(t=1, s=2, a=1\).*" + sums):
-            sample_cfmdp(icf, seed=0)
+        with pytest.raises(InfeasibleRow, match=r"\(t=1, s=2, a=1\).*" + detail):
+            IntervalCfMdp.from_dense(lb, ub, icf.assumptions, icf.base, icf.path)
 
 
 class TestRobustValueIteration:
@@ -399,8 +387,8 @@ class TestSampleCfMdp:
                                        ObservedPath((0, 0, 0), (0, 0)))
         p = sample_cfmdp(icf, seed).transition
         assert np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-12
-        # rows with sum(lb) in (1, 1 + FEAS_TOL] hold no distribution inside [lb, ub]
-        tol = np.where(lb.sum(axis=-1) > 1.0, FEAS_TOL, 1e-12)[..., None]
+        # rows with sum(lb) in (1, 1 + CLAMP_TOL] hold no distribution inside [lb, ub]
+        tol = np.where(lb.sum(axis=-1) > 1.0, CLAMP_TOL, 1e-12)[..., None]
         assert np.all(p >= lb - tol) and np.all(p <= ub + tol)
 
 
