@@ -224,6 +224,40 @@ class TestInfeasibleRows:
         with pytest.raises(InfeasibleRow, match=r"\(t=1, s=2, a=1\).*" + detail):
             IntervalCfMdp.from_dense(lb, ub, icf.assumptions, icf.base, icf.path)
 
+    @staticmethod
+    def icf_with_bad_row(rng, lb_row, ub_row):
+        """An ICFMDP whose row (t=1, s=2, a=1) admits no distribution; making it raises."""
+        icf = random_interval_cfmdp(rng, num_states=4, num_actions=2, horizon=3)
+        lb, ub = icf.lb.copy(), icf.ub.copy()
+        lb[1, 2, 1], ub[1, 2, 1] = lb_row, ub_row
+        return IntervalCfMdp.from_dense(lb, ub, icf.assumptions, icf.base, icf.path)
+
+    CASES = [(0.5, 0.6, r"sum\(lb\)=2, sum\(ub\)=2\.4"),
+             (0.0, 0.1, r"sum\(lb\)=0, sum\(ub\)=0\.4")]
+
+    @pytest.mark.parametrize("lb_row, ub_row, sums", CASES)
+    def test_value_iteration_names_the_row(self, rng, lb_row, ub_row, sums):
+        for mode in Mode:
+            with pytest.raises(InfeasibleRow, match=r"\(t=1, s=2, a=1\).*" + sums):
+                icf = self.icf_with_bad_row(rng, lb_row, ub_row)
+                robust_value_iteration(icf, icf.base.reward, mode)
+
+    @pytest.mark.parametrize("lb_row, ub_row, sums", CASES)
+    def test_policy_eval_names_the_row(self, rng, lb_row, ub_row, sums):
+        # the row is refused when the ICFMDP is made, so a policy that never takes it
+        # is refused too
+        takes_row = PolicySchedule(3, np.ones((3, 4), dtype=np.int64))
+        avoids_row = PolicySchedule(3, np.zeros((3, 4), dtype=np.int64))
+        for mode in Mode:
+            for policy in (takes_row, avoids_row):
+                with pytest.raises(InfeasibleRow, match=r"\(t=1, s=2, a=1\).*" + sums):
+                    robust_policy_eval(self.icf_with_bad_row(rng, lb_row, ub_row), policy, mode)
+
+    @pytest.mark.parametrize("lb_row, ub_row, sums", CASES)
+    def test_sample_cfmdp_names_the_row(self, rng, lb_row, ub_row, sums):
+        with pytest.raises(InfeasibleRow, match=r"\(t=1, s=2, a=1\).*" + sums):
+            sample_cfmdp(self.icf_with_bad_row(rng, lb_row, ub_row), seed=0)
+
 
 class TestRobustValueIteration:
     def test_zero_rewards_zero_values(self, rng):
