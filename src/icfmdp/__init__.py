@@ -4,13 +4,13 @@ robust counterfactual policies, and a Gumbel-max SCM baseline."""
 from .bounds import (Assumptions, IntervalCfMdp, ProbInterval, build_interval_cfmdp,
                      transition_row_bounds)
 from .coupling import (check_coupling_feasible, enumerate_theta_bounds, oracle_bounds,
-                       oracle_solution)
+                       oracle_layer, oracle_solution)
 from .envs import (GridSpec, build_frozen_lake, build_gridworld, build_toy_mdp,
                    gridworld_spec, resolve_env)
 from .errors import (ConfigError, Infeasible, InfeasibleRow, InvariantViolation,
                      ScaleExceeded, Unbounded)
 from .gumbel import build_gumbel_cfmdp, gumbel_cf_probs
-from .lp import LpProblem, lp_solve
+from .lp import LpProblem, block_values, lp_solve, stack
 from .mdp import (Mdp, ObservedPath, PointCfMdp, PolicySchedule, ValueTable,
                   exact_policy_value, load_mdp, load_path, mdp_from_json, mdp_to_json,
                   optimal_policy, path_from_json, path_to_json, random_policy_schedule,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import experiments
 from .bounds import Assumptions, build_interval_cfmdp, icfmdp_to_json, write_icfmdp_csv
-from .coupling import oracle_bounds
+from .coupling import oracle_layer
 from .envs import grid_spec_from_json, gridworld_spec, resolve_env
 from .errors import ConfigError, InvariantViolation
 from .experiments import COUNT_FIELDS, RunConfig, run_config_from_json
@@ -143,8 +143,8 @@ def _cmd_verify(args) -> None:
     m, path = _load_inputs(args)
     assumptions = Assumptions(args.assumptions)
     icf = build_interval_cfmdp(m, path, assumptions)
-    # Bounds depend only on the observed triple: a repeated step reuses its LP answers.
-    lp_bounds = functools.cache(lambda obs, pair, s2: oracle_bounds(m, obs, pair, s2, assumptions))
+    # Bounds depend only on the observed triple: one stacked LP per unique triple.
+    lp_layer = functools.cache(lambda obs: oracle_layer(m, obs, assumptions))
     writer = csv.writer(sys.stdout)
     out_fh = None
     if args.output_dir is not None:
@@ -156,16 +156,16 @@ def _cmd_verify(args) -> None:
                          "closed_ub", "lp_ub", "delta"])
         worst = 0.0
         for t in range(path.horizon):
-            obs = path.step(t)
+            lp_lb, lp_ub = lp_layer(path.step(t))
             for s in range(m.num_states):
                 for a in range(m.num_actions):
                     lb_row, ub_row = icf.lb[t, s, a], icf.ub[t, s, a]
                     for s2 in range(m.num_states):
-                        lp = lp_bounds(obs, (s, a), s2)
-                        delta = max(abs(lb_row[s2] - lp.lb), abs(ub_row[s2] - lp.ub))
+                        lo, hi = lp_lb[s, a, s2], lp_ub[s, a, s2]
+                        delta = max(abs(lb_row[s2] - lo), abs(ub_row[s2] - hi))
                         worst = max(worst, delta)
-                        writer.writerow([t, s, a, s2, f"{lb_row[s2]:.12g}", f"{lp.lb:.12g}",
-                                         f"{ub_row[s2]:.12g}", f"{lp.ub:.12g}", f"{delta:.3g}"])
+                        writer.writerow([t, s, a, s2, f"{lb_row[s2]:.12g}", f"{lo:.12g}",
+                                         f"{ub_row[s2]:.12g}", f"{hi:.12g}", f"{delta:.3g}"])
         if worst > 1e-8:
             raise InvariantViolation(
                 f"closed-form bounds disagree with the LP oracle (max delta {worst:.3g})")

@@ -7,20 +7,29 @@ the coupling: the joint mass of the observed outcome s_next and each query outco
 * `oracle_bounds` works on the reduced *coupling* variable: the joint distribution
   q[i, j] over (observed-pair outcome i, query-pair outcome j), with marginals tied to
   the two interventional rows. This is exact because constraints on other pairs never
-  tighten the queried bound. `check_coupling_feasible` replays the same constraints.
+  tighten the queried bound. `oracle_layer` answers every query of one observed
+  triple at once. `oracle_solution` re-solves one directed bound on its own and returns
+  its coupling, which `check_coupling_feasible` replays against the same constraints.
 * `enumerate_theta_bounds` optimizes over the canonical mechanism distribution theta
   (Balke & Pearl, 1997): one variable per deterministic map from every (s, a) to a next
   state in its support. It is used as a meta-check of the reduction at small scales.
+
+Each directed bound (query, sense) is its own LP, and LPs for different bounds share no
+variables, so they are solved as independent blocks of one stacked LP (`lp.stack`): the
+min and the max of a query together, and every reachable query of an observed triple
+together in `oracle_layer`. Every solve goes through this module's `lp_solve`.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .bounds import Assumptions, ObsTriple, Pair, ProbInterval, _cs_mask, make_interval
 from .errors import ScaleExceeded
-from .lp import LpProblem, lp_solve
+from .lp import LpProblem, block_values, lp_solve, stack
 from .mdp import Mdp, check_query
 
 ENUMERATION_LIMIT = 100_000
@@ -47,10 +56,11 @@ def _observed_outcome_box(obs_row: np.ndarray, s_next: int, query_row: np.ndarra
     return lo, hi
 
 
-def oracle_solution(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int,
-                    assumptions: Assumptions, sense: str) -> tuple[float, np.ndarray]:
-    """One directed bound plus the coupling that attains it: the (S, S) joint distribution
-    q[i, j] over (observed-pair outcome i, query-pair outcome j).
+def _coupling_lp(m: Mdp, obs: ObsTriple, query_pair: Pair,
+                 assumptions: Assumptions) -> tuple[LpProblem, np.ndarray, np.ndarray]:
+    """The coupling LP of one query pair with no cost yet: (problem, i, j), where
+    variable k is q[i[k], j[k]], the joint mass of (observed-pair outcome i, query-pair
+    outcome j).
 
     Variables live on the joint support of the two rows, only on its diagonal when the
     query pair is the observed pair (same mechanism input, same outcome): the marginals
@@ -61,27 +71,52 @@ def oracle_solution(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int,
     obs_row, query_row = m.transition[s_t, a_t], m.transition[s, a]
     rows, cols = np.flatnonzero(obs_row), np.flatnonzero(query_row)
     if (s, a) == (s_t, a_t):
-        i = j = rows
+        ri = rj = np.arange(rows.size)
     else:
-        i, j = np.repeat(rows, cols.size), np.tile(cols, rows.size)
+        ri, rj = np.divmod(np.arange(rows.size * cols.size), cols.size)
+    i, j = rows[ri], cols[rj]
     lo, hi = _observed_outcome_box(obs_row, s_next, query_row, assumptions)
     lower, upper = np.zeros(i.size), np.full(i.size, np.inf)
     at = i == s_next
     lower[at], upper[at] = lo[j[at]], hi[j[at]]
-    problem = LpProblem(
-        c=((i == s_next) & (j == s_cf)).astype(float),
-        a_eq=np.concatenate([i == rows[:, None], j == cols[:, None]]).astype(float),
-        b_eq=np.concatenate([obs_row[rows], query_row[cols]]),
-        lower=lower, upper=upper, sense=sense)
-    value, x = lp_solve(problem)
+    # Each variable sits in one row-marginal and one column-marginal equality.
+    a_eq = sp.csc_array((np.ones(2 * i.size), np.column_stack([ri, rows.size + rj]).ravel(),
+                         np.arange(0, 2 * i.size + 1, 2)), shape=(rows.size + cols.size, i.size))
+    problem = LpProblem(c=np.zeros(i.size), a_eq=a_eq,
+                        b_eq=np.concatenate([obs_row[rows], query_row[cols]]),
+                        lower=lower, upper=upper)
+    return problem, i, j
+
+
+def _solve_blocks(blocks: list[LpProblem]) -> np.ndarray:
+    """Each independent block's optimum, from one HiGHS call on their stack."""
+    _, x = lp_solve(stack(blocks))
+    return block_values(blocks, x)
+
+
+def _bound_blocks(problem: LpProblem, i: np.ndarray, j: np.ndarray, s_next: int,
+                  s_cf: int) -> list[LpProblem]:
+    """The min and the max of q[s_next, s_cf] over a `_coupling_lp`, as two blocks."""
+    c = ((i == s_next) & (j == s_cf)).astype(float)
+    return [replace(problem, c=c, sense="min"), replace(problem, c=c, sense="max")]
+
+
+def oracle_solution(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int,
+                    assumptions: Assumptions, sense: str) -> tuple[float, np.ndarray]:
+    """One directed bound plus the coupling that attains it: the (S, S) joint distribution
+    q[i, j] over (observed-pair outcome i, query-pair outcome j), from a solve of its own."""
+    problem, i, j = _coupling_lp(m, obs, query_pair, assumptions)
+    value, x = lp_solve(replace(problem, c=((i == obs[2]) & (j == s_cf)).astype(float),
+                                sense=sense))
     q = np.zeros((m.num_states, m.num_states))
     q[i, j] = x
-    return value / obs_row[s_next], q
+    return value / m.transition[obs], q
 
 
 def oracle_bounds(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int,
                   assumptions: Assumptions) -> ProbInterval:
-    """Exact counterfactual probability bounds by LP over the two-pair coupling.
+    """Exact counterfactual probability bounds by LP over the two-pair coupling, with
+    the min and the max solved as two blocks of one LP.
 
     A query outcome the query pair cannot reach has the interval [0, 0] without a solve:
     the column-marginal constraint forces q[:, s_cf] = 0.
@@ -89,9 +124,30 @@ def oracle_bounds(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int,
     check_query(m, obs, (*query_pair, s_cf))
     if m.transition[query_pair][s_cf] == 0.0:
         return make_interval(0.0, 0.0)
-    lo, _ = oracle_solution(m, obs, query_pair, s_cf, assumptions, "min")
-    hi, _ = oracle_solution(m, obs, query_pair, s_cf, assumptions, "max")
+    problem, i, j = _coupling_lp(m, obs, query_pair, assumptions)
+    lo, hi = _solve_blocks(_bound_blocks(problem, i, j, obs[2], s_cf)) / m.transition[obs]
     return make_interval(lo, hi)
+
+
+def oracle_layer(m: Mdp, obs: ObsTriple,
+                 assumptions: Assumptions) -> tuple[np.ndarray, np.ndarray]:
+    """(S, A, S) arrays (lb, ub): `oracle_bounds` for every query (s, a, s_cf) given one
+    observed triple, with every bound a block of one LP. Unreachable query outcomes are
+    [0, 0] without a block."""
+    check_query(m, obs, ())
+    blocks, entries = [], []
+    for s in range(m.num_states):
+        for a in range(m.num_actions):
+            problem, i, j = _coupling_lp(m, obs, (s, a), assumptions)
+            for s_cf in np.flatnonzero(m.transition[s, a]):
+                blocks += _bound_blocks(problem, i, j, obs[2], s_cf)
+                entries.append((s, a, s_cf))
+    values = _solve_blocks(blocks).reshape(-1, 2) / m.transition[obs]
+    lb, ub = np.zeros((2,) + m.transition.shape)
+    for entry, (lo, hi) in zip(entries, values):
+        iv = make_interval(lo, hi)
+        lb[entry], ub[entry] = iv.lb, iv.ub
+    return lb, ub
 
 
 def check_coupling_feasible(q: np.ndarray, m: Mdp, obs: ObsTriple, query_pair: Pair,
@@ -159,8 +215,5 @@ def enumerate_theta_bounds(m: Mdp, obs: ObsTriple, query_triple: tuple[int, int,
     problem = LpProblem(c=joint[s_cf], a_eq=a_eq, b_eq=flat[flat > 0],
                         a_ub=sp.csc_matrix(np.concatenate([joint[capped], -joint[floored]])),
                         b_ub=np.concatenate([hi[capped], -lo[floored]]))
-    lo_value, _ = lp_solve(problem)
-    problem.sense = "max"
-    hi_value, _ = lp_solve(problem)
-    p_obs = obs_row[s_next]
-    return make_interval(lo_value / p_obs, hi_value / p_obs)
+    lo_value, hi_value = _solve_blocks([problem, replace(problem, sense="max")]) / obs_row[s_next]
+    return make_interval(lo_value, hi_value)

@@ -7,11 +7,26 @@ enumeration has up to ~1e5 sparse columns, with that box as <= rows. A mature si
 implementation is the right tool; this module just fixes the problem container and
 the error contract. It calls HiGHS through `scipy.optimize.milp` with no integrality
 constraints, whose input checks cost far less per tiny solve than `linprog`'s.
+
+Most of a tiny solve is scipy's fixed per-call cost, so independent LPs are solved
+together: `stack` lays LPs that share no variables out as the blocks of one LP, with a
+block-diagonal constraint matrix, each block's own variable bounds, and the cost of
+every max block negated. This is exact. The stacked feasible set is the product of the
+blocks' sets and the stacked objective is the sum of their signed objectives, so a
+point is optimal for the stack exactly when each block's part is optimal for its
+block; `block_values` reads each block's optimum back as c_b @ x_b. One infeasible
+block makes the stack infeasible, and one unbounded block makes it unbounded.
+
+Tolerance note: HiGHS applies its feasibility and optimality tolerances, its scaling
+and its presolve to the stacked problem, and the objective it reports is the sum. A
+block's value is therefore not guaranteed to match a separate solve of that block to
+the last bit; the tests pin stacked block values to separate solves within 1e-12.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,19 +34,27 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import Infeasible, InvariantViolation, Unbounded
 
+_SIGN = {"min": 1.0, "max": -1.0}
+
 
 @dataclass
 class LpProblem:
     """min or max of c @ x subject to A_eq x = b_eq, A_ub x <= b_ub, lower <= x <= upper."""
 
     c: np.ndarray
-    a_eq: np.ndarray | sp.spmatrix | None = None
+    a_eq: np.ndarray | sp.spmatrix | sp.sparray | None = None
     b_eq: np.ndarray | None = None
-    a_ub: np.ndarray | sp.spmatrix | None = None
+    a_ub: np.ndarray | sp.spmatrix | sp.sparray | None = None
     b_ub: np.ndarray | None = None
     lower: np.ndarray | float = 0.0
-    upper: np.ndarray | float | None = None
+    upper: np.ndarray | float = np.inf
     sense: str = "min"  # "min" | "max"
+
+
+def _sign(sense: str) -> float:
+    if sense not in _SIGN:
+        raise ValueError(f"unknown sense {sense!r}")
+    return _SIGN[sense]
 
 
 def lp_solve(problem: LpProblem) -> tuple[float, np.ndarray]:
@@ -39,17 +62,14 @@ def lp_solve(problem: LpProblem) -> tuple[float, np.ndarray]:
 
     Raises Infeasible or Unbounded; any other solver failure is an InvariantViolation.
     """
-    if problem.sense not in ("min", "max"):
-        raise ValueError(f"unknown sense {problem.sense!r}")
+    sign = _sign(problem.sense)
     c = np.asarray(problem.c, dtype=float)
-    sign = 1.0 if problem.sense == "min" else -1.0
     constraints = []
     if problem.a_eq is not None:
         constraints.append(LinearConstraint(problem.a_eq, problem.b_eq, problem.b_eq))
     if problem.a_ub is not None:
         constraints.append(LinearConstraint(problem.a_ub, -np.inf, problem.b_ub))
-    upper = np.inf if problem.upper is None else problem.upper
-    res = milp(sign * c, bounds=Bounds(problem.lower, upper), constraints=constraints)
+    res = milp(sign * c, bounds=Bounds(problem.lower, problem.upper), constraints=constraints)
     if res.status == 2:
         raise Infeasible("linear program is infeasible")
     if res.status == 3:
@@ -57,3 +77,54 @@ def lp_solve(problem: LpProblem) -> tuple[float, np.ndarray]:
     if res.status != 0:
         raise InvariantViolation(f"LP solver failed with status {res.status}: {res.message}")
     return sign * float(res.fun), res.x
+
+
+def _block_diag(mats: list, widths: list[int]) -> sp.csc_array | None:
+    """Block-diagonal CSC matrix of `mats` (None: a block with no rows), concatenated
+    from the blocks' own CSC arrays; None when no block has rows."""
+    data, indices, indptr = [], [], [np.zeros(1, dtype=np.int64)]
+    num_rows = nnz = 0
+    for mat, width in zip(mats, widths):
+        if mat is None:
+            indptr.append(np.full(width, nnz, dtype=np.int64))
+            continue
+        if not (sp.issparse(mat) and mat.format == "csc"):
+            mat = sp.csc_array(mat)
+        end = mat.indptr[-1]
+        data.append(mat.data[:end])
+        indices.append(mat.indices[:end] + num_rows)
+        indptr.append(mat.indptr[1:] + nnz)
+        num_rows += mat.shape[0]
+        nnz += end
+    if not data:
+        return None
+    return sp.csc_array((np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)),
+                        shape=(num_rows, sum(widths)))
+
+
+def stack(blocks: Sequence[LpProblem]) -> LpProblem:
+    """One minimization whose independent blocks are `blocks`, in order; max blocks
+    enter with a negated cost. Read each block's optimum with `block_values`."""
+    widths = [np.size(b.c) for b in blocks]
+    a_eq = _block_diag([b.a_eq for b in blocks], widths)
+    a_ub = _block_diag([b.a_ub for b in blocks], widths)
+    return LpProblem(
+        c=np.concatenate([_sign(b.sense) * np.asarray(b.c, dtype=float) for b in blocks]),
+        a_eq=a_eq,
+        b_eq=None if a_eq is None else np.concatenate(
+            [np.ravel(b.b_eq) for b in blocks if b.a_eq is not None]),
+        a_ub=a_ub,
+        b_ub=None if a_ub is None else np.concatenate(
+            [np.ravel(b.b_ub) for b in blocks if b.a_ub is not None]),
+        lower=np.concatenate([np.full(w, b.lower, dtype=float) for b, w in zip(blocks, widths)]),
+        upper=np.concatenate([np.full(w, b.upper, dtype=float) for b, w in zip(blocks, widths)]))
+
+
+def block_values(blocks: Sequence[LpProblem], x: np.ndarray) -> np.ndarray:
+    """Each block's own objective c_b @ x_b at a solution x of `stack(blocks)`."""
+    values, start = np.empty(len(blocks)), 0
+    for k, b in enumerate(blocks):
+        end = start + np.size(b.c)
+        values[k] = np.asarray(b.c, dtype=float) @ x[start:end]
+        start = end
+    return values

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from icfmdp import (Assumptions, Mdp, Mode, ObservedPath, PolicySchedule,
-                    build_interval_cfmdp, build_toy_mdp, enumerate_theta_bounds,
-                    gumbel_cf_probs, optimal_policy, oracle_bounds, robust_policy_eval,
-                    robust_value_iteration, rollout_rewards, sample_cfmdp,
-                    transition_row_bounds)
+                    build_frozen_lake, build_gridworld, build_interval_cfmdp, build_toy_mdp,
+                    enumerate_theta_bounds, gridworld_spec, gumbel_cf_probs, optimal_policy,
+                    oracle_layer, robust_policy_eval, robust_value_iteration,
+                    rollout_rewards, sample_cfmdp, transition_row_bounds)
 from icfmdp.experiments import RunConfig, run_bound_stats, run_ope, run_robustness, run_timing
 from helpers import make_random_mdp, random_interval_cfmdp, random_observed, random_path
 
@@ -64,17 +64,16 @@ def test_c01_table1_exactness():
 def test_c02_oracle_equivalence(mdp_suite):
     t0 = time.perf_counter()
     worst_lp = 0.0
-    lp_bounds = {}  # (MDP index, assumptions, s, a, s2) -> oracle interval, reused below
+    layers = {}  # (MDP index, assumptions) -> oracle (lb, ub) layer, reused below
     for i, (m, obs) in enumerate(mdp_suite):
         for assumptions in Assumptions:
+            lp_lb, lp_ub = layers[i, assumptions] = oracle_layer(m, obs, assumptions)
             for s in range(m.num_states):
                 for a in range(m.num_actions):
                     lb, ub = transition_row_bounds(m, obs, (s, a), assumptions)
-                    for s2 in range(m.num_states):
-                        iv = oracle_bounds(m, obs, (s, a), s2, assumptions)
-                        lp_bounds[i, assumptions, s, a, s2] = iv
-                        worst_lp = max(worst_lp, abs(lb[s2] - iv.lb), abs(ub[s2] - iv.ub))
-    n_lp = len(lp_bounds)
+                    worst_lp = max(worst_lp, np.abs(lb - lp_lb[s, a]).max(),
+                                   np.abs(ub - lp_ub[s, a]).max())
+    n_lp = sum(lp_lb.size for lp_lb, _ in layers.values())
     assert worst_lp <= 1e-8
     t_oracle = time.perf_counter() - t0
 
@@ -98,10 +97,10 @@ def test_c02_oracle_equivalence(mdp_suite):
             continue
         for assumptions in Assumptions:
             for s, a, s2 in triples:
-                via_q = lp_bounds[i, assumptions, s, a, s2]  # the oracle is deterministic
+                lp_lb, lp_ub = layers[i, assumptions]  # the oracle is deterministic
                 via_theta = enumerate_theta_bounds(m, obs, (s, a, s2), assumptions)
-                worst_th = max(worst_th, abs(via_q.lb - via_theta.lb),
-                               abs(via_q.ub - via_theta.ub))
+                worst_th = max(worst_th, abs(lp_lb[s, a, s2] - via_theta.lb),
+                               abs(lp_ub[s, a, s2] - via_theta.ub))
                 n_th += 1
     elapsed = time.perf_counter() - t0
     assert worst_th <= 1e-8
@@ -109,6 +108,30 @@ def test_c02_oracle_equivalence(mdp_suite):
     print(f"\nPASS C2 oracle equivalence ({n_lp} LP bounds, max delta {worst_lp:.2e}, "
           f"{t_oracle:.1f} s; {n_th} enumeration bounds, max delta {worst_th:.2e}, "
           f"{elapsed - t_oracle:.1f} s; {elapsed:.1f} s total)")
+
+
+@pytest.mark.parametrize("env", ["gridworld", "frozen_lake"])
+def test_full_paths_match_oracle_layers(env):
+    # Whole ICFMDPs on the studies' environments (S = 17), where C2 draws small random MDPs.
+    t0 = time.perf_counter()
+    m = build_gridworld(gridworld_spec(0.4)) if env == "gridworld" else build_frozen_lake()
+    rng = np.random.default_rng(1414)
+    paths = [random_path(m, rng, 10) for _ in range(3)]
+    worst, layers = 0.0, {}
+    for assumptions in Assumptions:
+        for path in paths:
+            icf = build_interval_cfmdp(m, path, assumptions)
+            for t in range(path.horizon):
+                key = path.step(t), assumptions
+                if key not in layers:
+                    layers[key] = oracle_layer(m, *key)
+                lp_lb, lp_ub = layers[key]
+                worst = max(worst, np.abs(icf.lb[t] - lp_lb).max(),
+                            np.abs(icf.ub[t] - lp_ub).max())
+    assert worst <= 1e-8
+    elapsed = time.perf_counter() - t0
+    print(f"\nPASS full {env} paths vs oracle layers ({len(paths)} paths x 10 steps x 3 "
+          f"assumption sets, {len(layers)} LP layers, max delta {worst:.2e}, {elapsed:.1f} s)")
 
 
 def test_c03_disjoint_bounds_match_causation_form():

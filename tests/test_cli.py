@@ -15,9 +15,18 @@ from icfmdp.lp import lp_solve
 from helpers import loop_icfmdp_csv_rows, loop_icfmdp_json, random_path
 
 
-def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "icfmdp.cli", *args],
-                          capture_output=True, text=True)
+@pytest.fixture
+def run_cli(capsys):
+    """Run `icfmdp` in-process through `cli.main`; returns its exit code (usage errors
+    included) and captured output as a CompletedProcess."""
+    def run(*args):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, captured.out, captured.err)
+    return run
 
 
 @pytest.fixture
@@ -28,7 +37,7 @@ def toy_files(tmp_path):
     return tmp_path / "toy.json", path_file
 
 
-def test_env_emits_valid_json():
+def test_env_emits_valid_json(run_cli):
     res = run_cli("env", "toy")
     assert res.returncode == 0
     payload = json.loads(res.stdout)
@@ -36,23 +45,25 @@ def test_env_emits_valid_json():
     assert payload["transition"][1][0] == [0.4, 0.0, 0.6]
 
 
-def test_env_gridworld_with_p():
+def test_env_gridworld_with_p(run_cli):
     res = run_cli("env", "gridworld", "--p", "0.4")
     payload = json.loads(res.stdout)
     assert payload["num_states"] == 17
 
 
-def test_unknown_env_is_config_error():
+def test_unknown_env_is_config_error(run_cli):
     res = run_cli("env", "sepsis")
     assert res.returncode == 1
 
 
 def test_unknown_flag_is_config_error():
-    res = run_cli("env", "toy", "--frobnicate")
+    # Run through the module entry point, `python -m icfmdp.cli`, in its own process.
+    res = subprocess.run([sys.executable, "-m", "icfmdp.cli", "env", "toy", "--frobnicate"],
+                         capture_output=True, text=True)
     assert res.returncode == 1
 
 
-def test_bounds_json(toy_files):
+def test_bounds_json(run_cli, toy_files):
     mdp_file, path_file = toy_files
     res = run_cli("bounds", "--mdp", str(mdp_file), "--path", str(path_file),
                   "--assumptions", "cs+mon")
@@ -63,7 +74,7 @@ def test_bounds_json(toy_files):
     assert iv["lb"] == pytest.approx(0.4) and iv["ub"] == pytest.approx(0.4)
 
 
-def test_bounds_csv(toy_files, tmp_path):
+def test_bounds_csv(run_cli, toy_files, tmp_path):
     mdp_file, path_file = toy_files
     out = tmp_path / "csvout"
     res = run_cli("bounds", "--mdp", str(mdp_file), "--path", str(path_file),
@@ -96,7 +107,7 @@ def test_bounds_output_bytes_match_nested_loops(tmp_path, rng, env, assumptions)
             == (json.dumps(loop_icfmdp_json(icf), indent=2) + "\n").encode())
 
 
-def test_verify_toy(toy_files, tmp_path):
+def test_verify_toy(run_cli, toy_files, tmp_path):
     mdp_file, path_file = toy_files
     res = run_cli("verify", "--mdp", str(mdp_file), "--path", str(path_file),
                   "--out", str(tmp_path / "v"))
@@ -121,16 +132,15 @@ def test_verify_solves_each_observed_triple_once(toy_files, tmp_path, monkeypatc
     code = cli.main(["verify", "--mdp", str(mdp_file), "--path", str(path_file),
                      "--out", str(tmp_path / "v")])
     assert code == 0
-    toy = cli.load_mdp(mdp_file)
-    # two unique triples (0, 0, 1) and (1, 0, 0); one min and one max per reachable entry
-    assert len(solves) == 2 * 2 * np.count_nonzero(toy.transition)
+    # two unique triples (0, 0, 1) and (1, 0, 0); one stacked LP each
+    assert len(solves) == 2
     with open(tmp_path / "v" / "verify.csv") as fh:
         rows = list(csv.reader(fh))[1:]
     assert len(rows) == 3 * 9
     assert [r[1:] for r in rows[18:]] == [r[1:] for r in rows[:9]]
 
 
-def test_solve_pessimistic(toy_files):
+def test_solve_pessimistic(run_cli, toy_files):
     mdp_file, path_file = toy_files
     res = run_cli("solve", "--mdp", str(mdp_file), "--path", str(path_file),
                   "--mode", "pessimistic")
@@ -141,7 +151,7 @@ def test_solve_pessimistic(toy_files):
     assert np.asarray(payload["policy"]).shape == (1, 3)
 
 
-def test_gumbel_with_policy(toy_files):
+def test_gumbel_with_policy(run_cli, toy_files):
     mdp_file, path_file = toy_files
     res = run_cli("gumbel", "--mdp", str(mdp_file), "--path", str(path_file),
                   "--samples", "500", "--with-policy", "--seed", "4")
@@ -155,7 +165,7 @@ def test_gumbel_with_policy(toy_files):
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
-def test_gumbel_without_samples_is_config_error(toy_files, samples):
+def test_gumbel_without_samples_is_config_error(run_cli, toy_files, samples):
     mdp_file, path_file = toy_files
     res = run_cli("gumbel", "--mdp", str(mdp_file), "--path", str(path_file),
                   "--samples", samples)
@@ -163,7 +173,7 @@ def test_gumbel_without_samples_is_config_error(toy_files, samples):
     assert res.stderr.strip() == "config error: samples must be >= 1"
 
 
-def test_malformed_mdp_is_config_error(tmp_path, toy_files):
+def test_malformed_mdp_is_config_error(run_cli, tmp_path, toy_files):
     _, path_file = toy_files
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"num_states": 2, "num_actions": 1,
@@ -173,7 +183,7 @@ def test_malformed_mdp_is_config_error(tmp_path, toy_files):
     assert res.returncode == 1
 
 
-def solve_patched_toy(toy_files, tmp_path, patch):
+def solve_patched_toy(run_cli, toy_files, tmp_path, patch):
     """Run `solve` on the toy MDP JSON after `patch` edits it; return the result."""
     mdp_file, path_file = toy_files
     d = json.loads(mdp_file.read_text())
@@ -188,26 +198,26 @@ def assert_config_error(res):
     assert "config error" in res.stderr and "Traceback" not in res.stderr
 
 
-def test_non_finite_mdp_is_config_error(toy_files, tmp_path):
+def test_non_finite_mdp_is_config_error(run_cli, toy_files, tmp_path):
     def patch(d):
         d["transition"][1][0][1] = float("nan")
         d["reward"][1] = [float("inf")]
-    assert_config_error(solve_patched_toy(toy_files, tmp_path, patch))
+    assert_config_error(solve_patched_toy(run_cli, toy_files, tmp_path, patch))
 
 
-def test_initial_dist_outside_unit_interval_is_config_error(toy_files, tmp_path):
+def test_initial_dist_outside_unit_interval_is_config_error(run_cli, toy_files, tmp_path):
     def patch(d):
         d["initial_dist"] = [1.5, -0.5, 0.0]
-    assert_config_error(solve_patched_toy(toy_files, tmp_path, patch))
+    assert_config_error(solve_patched_toy(run_cli, toy_files, tmp_path, patch))
 
 
-def test_wrong_reward_shape_is_config_error(toy_files, tmp_path):
+def test_wrong_reward_shape_is_config_error(run_cli, toy_files, tmp_path):
     def patch(d):
         d["reward"] = [[0.0, 0.0]] * 3
-    assert_config_error(solve_patched_toy(toy_files, tmp_path, patch))
+    assert_config_error(solve_patched_toy(run_cli, toy_files, tmp_path, patch))
 
 
-def test_invalid_path_is_config_error(toy_files, tmp_path):
+def test_invalid_path_is_config_error(run_cli, toy_files, tmp_path):
     mdp_file, _ = toy_files
     path_file = tmp_path / "impossible.json"
     path_file.write_text(json.dumps({"states": [1, 1], "actions": [0]}))
@@ -246,14 +256,14 @@ def test_flag_the_subcommand_does_not_read_is_usage_error(toy_files, capsys, com
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_experiment_subcommand_writes_csv(tmp_path):
+def test_experiment_subcommand_writes_csv(run_cli, tmp_path):
     res = run_cli("boundstats", "--env", "toy", "--num-paths", "2", "--horizon", "2",
                   "--out", str(tmp_path), "--seed", "9")
     assert res.returncode == 0
     assert (tmp_path / "boundstats.csv").exists()
 
 
-def test_experiment_bad_config_is_config_error(tmp_path):
+def test_experiment_bad_config_is_config_error(run_cli, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"num_paths": 0}))
     res = run_cli("ope", "--config", str(cfg))
@@ -277,7 +287,7 @@ def test_experiment_flags_override_config_which_overrides_defaults(tmp_path, cap
 @pytest.mark.parametrize("config", [{"num_paths": "3"}, {"num_paths": 2.5}, {"p": "x"},
                                     {"horizon": True}, {"seed": "a"}, {"p": True},
                                     {"env": 3}, {"output_dir": 1}, []])
-def test_wrongly_typed_run_config_is_config_error(tmp_path, config):
+def test_wrongly_typed_run_config_is_config_error(run_cli, tmp_path, config):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(config))
     res = run_cli("boundstats", "--config", str(cfg_file), "--env", "toy", "--num-paths", "1")

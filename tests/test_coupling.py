@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from icfmdp import (Assumptions, Mdp, ScaleExceeded, check_coupling_feasible,
-                    enumerate_theta_bounds, oracle_bounds, oracle_solution,
+                    enumerate_theta_bounds, oracle_bounds, oracle_layer, oracle_solution,
                     transition_row_bounds)
 from icfmdp.coupling import _successor_table
 from helpers import make_random_mdp, random_observed
@@ -25,6 +25,7 @@ class TestOracleBounds:
                                 sparse=sparse)
             obs = random_observed(m, rng)
             for assumptions in Assumptions:
+                layer_lb, layer_ub = oracle_layer(m, obs, assumptions)
                 for s in range(m.num_states):
                     for a in range(m.num_actions):
                         lb, ub = transition_row_bounds(m, obs, (s, a), assumptions)
@@ -32,6 +33,9 @@ class TestOracleBounds:
                             iv = oracle_bounds(m, obs, (s, a), s2, assumptions)
                             assert lb[s2] == pytest.approx(iv.lb, abs=1e-8)
                             assert ub[s2] == pytest.approx(iv.ub, abs=1e-8)
+                            # one stacked LP per triple answers as one per query
+                            assert abs(layer_lb[s, a, s2] - iv.lb) <= 1e-12
+                            assert abs(layer_ub[s, a, s2] - iv.ub) <= 1e-12
 
 
     def test_zero_query_entries_are_zero_in_the_lp(self, rng):
