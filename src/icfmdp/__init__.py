@@ -3,8 +3,7 @@ robust counterfactual policies, and a Gumbel-max SCM baseline."""
 
 from .bounds import (Assumptions, IntervalCfMdp, ProbInterval, build_interval_cfmdp,
                      transition_row_bounds)
-from .coupling import (check_coupling_feasible, enumerate_theta_bounds, oracle_bounds,
-                       oracle_layer, oracle_solution)
+from .coupling import enumerate_theta_bounds, oracle_bounds, oracle_layer
 from .envs import (GridSpec, build_frozen_lake, build_gridworld, build_toy_mdp,
                    gridworld_spec, resolve_env)
 from .errors import (ConfigError, Infeasible, InfeasibleRow, InvariantViolation,

@@ -8,8 +8,7 @@ the coupling: the joint mass of the observed outcome s_next and each query outco
   q[i, j] over (observed-pair outcome i, query-pair outcome j), with marginals tied to
   the two interventional rows. This is exact because constraints on other pairs never
   tighten the queried bound. `oracle_layer` answers every query of one observed
-  triple at once. `oracle_solution` re-solves one directed bound on its own and returns
-  its coupling, which `check_coupling_feasible` replays against the same constraints.
+  triple at once.
 * `enumerate_theta_bounds` optimizes over the canonical mechanism distribution theta
   (Balke & Pearl, 1997): one variable per deterministic map from every (s, a) to a next
   state in its support. It is used as a meta-check of the reduction at small scales.
@@ -101,18 +100,6 @@ def _bound_blocks(problem: LpProblem, i: np.ndarray, j: np.ndarray, s_next: int,
     return [replace(problem, c=c, sense="min"), replace(problem, c=c, sense="max")]
 
 
-def oracle_solution(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int,
-                    assumptions: Assumptions, sense: str) -> tuple[float, np.ndarray]:
-    """One directed bound plus the coupling that attains it: the (S, S) joint distribution
-    q[i, j] over (observed-pair outcome i, query-pair outcome j), from a solve of its own."""
-    problem, i, j = _coupling_lp(m, obs, query_pair, assumptions)
-    value, x = lp_solve(replace(problem, c=((i == obs[2]) & (j == s_cf)).astype(float),
-                                sense=sense))
-    q = np.zeros((m.num_states, m.num_states))
-    q[i, j] = x
-    return value / m.transition[obs], q
-
-
 def oracle_bounds(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int,
                   assumptions: Assumptions) -> ProbInterval:
     """Exact counterfactual probability bounds by LP over the two-pair coupling, with
@@ -148,21 +135,6 @@ def oracle_layer(m: Mdp, obs: ObsTriple,
         iv = make_interval(lo, hi)
         lb[entry], ub[entry] = iv.lb, iv.ub
     return lb, ub
-
-
-def check_coupling_feasible(q: np.ndarray, m: Mdp, obs: ObsTriple, query_pair: Pair,
-                            assumptions: Assumptions, tol: float = 1e-9) -> bool:
-    """Replay every constraint of the coupling LP against a candidate (S, S) coupling q."""
-    s_t, a_t, s_next = obs
-    s, a = query_pair
-    obs_row, query_row = m.transition[s_t, a_t], m.transition[s, a]
-    lo, hi = _observed_outcome_box(obs_row, s_next, query_row, assumptions)
-    off_diagonal = q - np.diag(np.diag(q)) if (s, a) == (s_t, a_t) else 0.0
-    return bool(np.all(q >= -tol)
-                and np.max(np.abs(q.sum(axis=1) - obs_row)) <= tol
-                and np.max(np.abs(q.sum(axis=0) - query_row)) <= tol
-                and np.all(np.abs(off_diagonal) <= tol)
-                and np.all(q[s_next] >= lo - tol) and np.all(q[s_next] <= hi + tol))
 
 
 # ---------------------------------------------------------------------------

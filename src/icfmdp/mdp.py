@@ -133,11 +133,6 @@ class PolicySchedule:
         if self.action_at.shape[0] != self.horizon:
             raise ValueError("action_at first axis must equal horizon")
 
-    @staticmethod
-    def stationary(actions_per_state, horizon: int) -> "PolicySchedule":
-        a = np.asarray(actions_per_state, dtype=np.int64)
-        return PolicySchedule(horizon, np.tile(a, (horizon, 1)))
-
 
 @dataclass(frozen=True)
 class ValueTable:

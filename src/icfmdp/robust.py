@@ -20,8 +20,14 @@ Concrete CFMDPs are sampled from the intervals by sequential conditional samplin
 the same compact layers, in one batched kernel over all T·S·A rows: every row visits its
 K support columns in its own random order, drawn from its step's generator, and the K
 ranks are filled in turn for all rows at once; the rows are then scattered into a dense
-(T, S, A, S) transition. Rollouts on a concrete CFMDP look up per-row CDFs summed once
-per call.
+(T, S, A, S) transition.
+
+Rollouts sum the CDF of each state's row under the policy once per call and find a step's
+next states with one sorted search. numpy orders complex numbers by real part, then
+imaginary part, so the keys s + 1j·cdf sort the CDFs row by row, and the insertion point
+of s + 1j·u, less s·S, is `(u > cdf[s]).sum()`, the next state of a draw u. CDF entries
+equal to their row's total are keyed 2, above every draw, so a draw above a row's rounded
+total stops at the first successor reaching it, never at a state of probability 0.
 """
 
 from __future__ import annotations
@@ -175,14 +181,16 @@ def rollout_rewards(transition: np.ndarray, reward: np.ndarray, policy: PolicySc
     t_len, n, _, _ = transition.shape
     _check_policy_horizon(policy, t_len)
     rng = rng_from(seed)
-    cdf = np.cumsum(transition, axis=-1)
+    s_all, acts = np.arange(n), policy.action_at[:t_len]
+    cdf = np.cumsum(transition[np.arange(t_len)[:, None], s_all, acts], axis=-1)  # (T, S, S)
+    cdf[cdf >= cdf[..., -1:]] = 2.0
+    keys = (s_all[:, None] + 1j * cdf).reshape(t_len, -1)
+    step_reward = reward[s_all, acts]
     states = np.full(num_paths, start_state, dtype=np.int64)
     out = np.empty((num_paths, t_len))
     for t in range(t_len):
-        a = policy.action_at[t][states]
-        out[:, t] = reward[states, a]
-        u = rng.random((num_paths, 1))
-        states = np.minimum((u > cdf[t, states, a]).sum(axis=1), n - 1)
+        out[:, t] = step_reward[t][states]
+        states = np.searchsorted(keys[t], states + 1j * rng.random(num_paths)) - states * n
     return out
 
 

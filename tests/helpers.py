@@ -1,14 +1,19 @@
-"""Shared test fixtures-in-code: random model factories and independent oracles.
+"""Shared test fixtures-in-code: random model factories, independent oracles, and the
+coupling-LP replay (`oracle_solution`, `check_coupling_feasible`) of the LP oracle tests.
 
 The oracles here (vertex enumeration, rejection sampling, Monte-Carlo evaluation)
 deliberately avoid the library code paths they are used to check.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from icfmdp import IntervalCfMdp, Mdp, Mode, ObservedPath, build_interval_cfmdp
+from icfmdp import (IntervalCfMdp, Mdp, Mode, ObservedPath, PolicySchedule,
+                    build_interval_cfmdp)
 from icfmdp.bounds import Assumptions
-from icfmdp.gumbel import _gumbel_rows, _score_table
+from icfmdp.coupling import _coupling_lp, _observed_outcome_box, lp_solve
+from icfmdp.gumbel import _posterior_probs, _prior_gumbels, _score_table
 from icfmdp.mdp import random_policy_schedule, rng_from, sample_path
 
 
@@ -51,6 +56,11 @@ def random_path(m, rng, horizon):
         actions.append(a)
         states.append(s)
     return ObservedPath(tuple(states), tuple(actions))
+
+
+def stationary_policy(actions_per_state, horizon):
+    """The policy that takes action `actions_per_state[s]` in state s at every step."""
+    return PolicySchedule(horizon, np.tile(np.asarray(actions_per_state), (horizon, 1)))
 
 
 def random_interval_bounds(rng, num_states=3, num_actions=2, horizon=3, scale=0.5):
@@ -104,6 +114,32 @@ def sequential_robust_vi(icf, reward, mode, tie_rtol=1e-12):
             acts[t, s] = next(a for a in range(k)
                               if q[a] >= v[t, s] - tie_rtol * max(1.0, abs(v[t, s])))
     return v, acts
+
+
+def oracle_solution(m, obs, query_pair, s_cf, assumptions, sense):
+    """One directed bound of the coupling LP plus the coupling that attains it: the (S, S)
+    joint distribution q[i, j] over (observed-pair outcome i, query-pair outcome j), from
+    a solve of its own."""
+    problem, i, j = _coupling_lp(m, obs, query_pair, assumptions)
+    value, x = lp_solve(replace(problem, c=((i == obs[2]) & (j == s_cf)).astype(float),
+                                sense=sense))
+    q = np.zeros((m.num_states, m.num_states))
+    q[i, j] = x
+    return value / m.transition[obs], q
+
+
+def check_coupling_feasible(q, m, obs, query_pair, assumptions, tol=1e-9):
+    """Replay every constraint of the coupling LP against a candidate (S, S) coupling q."""
+    s_t, a_t, s_next = obs
+    s, a = query_pair
+    obs_row, query_row = m.transition[s_t, a_t], m.transition[s, a]
+    lo, hi = _observed_outcome_box(obs_row, s_next, query_row, assumptions)
+    off_diagonal = q - np.diag(np.diag(q)) if (s, a) == (s_t, a_t) else 0.0
+    return bool(np.all(q >= -tol)
+                and np.max(np.abs(q.sum(axis=1) - obs_row)) <= tol
+                and np.max(np.abs(q.sum(axis=0) - query_row)) <= tol
+                and np.all(np.abs(off_diagonal) <= tol)
+                and np.all(q[s_next] >= lo - tol) and np.all(q[s_next] <= hi + tol))
 
 
 def interval_simplex_vertices_2(lb, ub):
@@ -243,28 +279,37 @@ def dense_sample_cfmdp(icf, seed):
 
 
 def per_step_cumsum_rollout(transition, reward, policy, start_state, num_paths, seed):
-    """Reference rollouts: the CDF of each path's gathered row is summed at every step."""
-    t_len, n, _, _ = transition.shape
+    """Reference rollouts: the CDF of each path's gathered row is summed at every step,
+    and the next state is the number of CDF entries below the draw, capped at the first
+    successor where the CDF reaches the row's total."""
+    t_len = transition.shape[0]
     rng = rng_from(seed)
     states = np.full(num_paths, start_state, dtype=np.int64)
     out = np.empty((num_paths, t_len))
     for t in range(t_len):
         a = policy.action_at[t][states]
         out[:, t] = reward[states, a]
-        rows = transition[t, states, a]
+        cdf = np.cumsum(transition[t, states, a], axis=1)
         u = rng.random((num_paths, 1))
-        states = np.minimum((u > np.cumsum(rows, axis=1)).sum(axis=1), n - 1)
+        states = np.minimum((u > cdf).sum(axis=1), (cdf < cdf[:, -1:]).sum(axis=1))
     return out
 
 
 def column_loop_gumbel_rows(obs_row, s_next, query, num_samples, rng):
-    """Reference Gumbel kernel for (R, S) query rows: the same posterior noise draw as the
-    library's, then a scan over each row's support columns (padded to the widest) that
-    keeps one (N, R) running maximum and winner and moves on a strict `>`, so ties go to
-    the lower state index."""
+    """Reference Gumbel kernel for (R, S) query rows: `column_loop_from_draws` on the
+    library's prior draw from `rng`."""
+    return column_loop_from_draws(obs_row, s_next, query,
+                                  *_prior_gumbels(rng, num_samples, query.shape[1]))
+
+
+def column_loop_from_draws(obs_row, s_next, query, top, noise):
+    """Reference Gumbel kernel for (R, S) query rows given prior draws `top` (N,) and
+    `noise` (S, N): the posterior taken on an (N, S) copy of the noise, then a scan over
+    each row's support columns (padded to the widest) that keeps one (N, R) running
+    maximum and winner and moves on a strict `>`, so ties go to the lower state index."""
     num_rows, n = query.shape
-    top = rng.gumbel(size=num_samples)
-    noise = rng.gumbel(size=(num_samples, n))
+    num_samples = top.shape[0]
+    noise = noise.T.copy()
     in_support = obs_row > 0
     logit = np.log(obs_row[in_support])
     noise[:, in_support] = -np.logaddexp(-top[:, None], -(logit + noise[:, in_support])) - logit
@@ -300,9 +345,11 @@ def _per_row_cfmdp(m, path, seed, rows):
 def per_row_gumbel_cfmdp(m, path, num_samples, seed):
     """Gumbel CFMDP of the library kernel with every (s, a) row of step t scored against
     the noise of `rng_from(seed, t)`, duplicates included."""
-    table = _score_table(m.transition.reshape(-1, m.num_states))
-    return _per_row_cfmdp(m, path, seed, lambda obs_row, s_next, rng: _gumbel_rows(
-        obs_row, s_next, table, num_samples, rng))
+    cols = m.support_cols.reshape(-1, m.support_cols.shape[-1])
+    table = _score_table(cols, np.take_along_axis(m.transition.reshape(-1, m.num_states), cols,
+                                                  axis=1))
+    return _per_row_cfmdp(m, path, seed, lambda obs_row, s_next, rng: _posterior_probs(
+        obs_row, s_next, table, *_prior_gumbels(rng, num_samples, m.num_states)))
 
 
 def column_loop_gumbel_cfmdp(m, path, num_samples, seed):

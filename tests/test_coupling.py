@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from icfmdp import (Assumptions, Mdp, ScaleExceeded, check_coupling_feasible,
-                    enumerate_theta_bounds, oracle_bounds, oracle_layer, oracle_solution,
-                    transition_row_bounds)
+from icfmdp import (Assumptions, Mdp, ScaleExceeded, enumerate_theta_bounds, oracle_bounds,
+                    oracle_layer, transition_row_bounds)
 from icfmdp.coupling import _successor_table
-from helpers import make_random_mdp, random_observed
+from helpers import check_coupling_feasible, make_random_mdp, oracle_solution, random_observed
 
 
 class TestOracleBounds:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from icfmdp import (Assumptions, Mdp, ObservedPath, build_gridworld, build_gumbel_cfmdp,
-                    build_interval_cfmdp, gumbel_cf_probs, gridworld_spec, resolve_env, rng_from,
-                    transition_row_bounds)
-from icfmdp.gumbel import _gumbel_rows, _score_table
-from helpers import (column_loop_gumbel_cfmdp, column_loop_gumbel_rows, gumbel_cf_oracle,
-                     make_random_mdp, per_row_gumbel_cfmdp, random_observed, random_path)
+from icfmdp import (Assumptions, GridSpec, Mdp, ObservedPath, build_gridworld,
+                    build_gumbel_cfmdp, build_interval_cfmdp, gumbel_cf_probs, gridworld_spec,
+                    resolve_env, rng_from, transition_row_bounds)
+from icfmdp.gumbel import _posterior_probs, _prior_gumbels, _score_table
+from icfmdp.mdp import support_columns
+from helpers import (column_loop_from_draws, column_loop_gumbel_cfmdp, column_loop_gumbel_rows,
+                     gumbel_cf_oracle, make_random_mdp, per_row_gumbel_cfmdp, random_observed,
+                     random_path)
 
 
 def one_pair_mdp(row, rng):
@@ -178,25 +180,22 @@ def test_kernel_matches_column_loop_reference_bit_for_bit(rng, kind, num_samples
             assert np.array_equal(gumbel_cf_probs(m, obs, pair, num_samples, trial), want)
 
 
-@pytest.mark.parametrize("env", ["toy", "gridworld", "frozen-lake"])
-def test_benchmark_envs_match_column_loop_reference_bit_for_bit(rng, env):
-    m = resolve_env(env, p=0.4)
+GRID32 = GridSpec(width=32, height=32, start=(0, 0), goal=(31, 31),
+                  danger_cells=frozenset({(1, 1), (16, 16)}), p_intended=0.4)
+
+
+@pytest.mark.parametrize("env, horizon, num_samples", [
+    pytest.param("toy", 10, 1000, id="toy"),
+    pytest.param("gridworld", 10, 1000, id="gridworld"),
+    pytest.param("frozen-lake", 10, 1000, id="frozen-lake"),
+    pytest.param("gridworld-32x32", 2, 100, id="gridworld-32x32"),
+])
+def test_benchmark_envs_match_column_loop_reference_bit_for_bit(rng, env, horizon, num_samples):
+    m = build_gridworld(GRID32) if env == "gridworld-32x32" else resolve_env(env, p=0.4)
     for seed in range(2):
-        path = random_path(m, rng, 10)
-        assert np.array_equal(build_gumbel_cfmdp(m, path, 1000, seed).transition,
-                              column_loop_gumbel_cfmdp(m, path, 1000, seed))
-
-
-class FixedDraws:
-    """Stands in for a generator: successive `gumbel` calls return the given arrays."""
-
-    def __init__(self, *draws):
-        self.draws = list(draws)
-
-    def gumbel(self, size):
-        draw = self.draws.pop(0)
-        assert draw.shape == np.shape(np.empty(size))
-        return draw.astype(float)
+        path = random_path(m, rng, horizon)
+        assert np.array_equal(build_gumbel_cfmdp(m, path, num_samples, seed).transition,
+                              column_loop_gumbel_cfmdp(m, path, num_samples, seed))
 
 
 def test_ties_go_to_the_lower_state_as_in_the_column_loop():
@@ -204,12 +203,51 @@ def test_ties_go_to_the_lower_state_as_in_the_column_loop():
     # observed state's entry, which becomes `top`: integer draws then tie exactly.
     obs_row = np.array([0.0, 1.0, 0.0, 0.0])
     query = np.array([[0.25] * 4, [0.5, 0, 0.5, 0], [0, 0.5, 0, 0.5], [0, 0, 0, 1.0]])
-    top = np.array([0, 1, 1, 2])
-    noise = np.array([[0, 9, 0, 0], [1, 9, 1, 0], [0, 9, 1, 1], [2, 9, 2, 2]])
-    got = _gumbel_rows(obs_row, 1, _score_table(query), 4, FixedDraws(top, noise))
-    want = column_loop_gumbel_rows(obs_row, 1, query, 4, FixedDraws(top, noise))
+    top = np.array([0, 1, 1, 2], dtype=float)
+    noise = np.array([[0, 9, 0, 0], [1, 9, 1, 0], [0, 9, 1, 1], [2, 9, 2, 2]], dtype=float)
+    cols = support_columns(query > 0)
+    got = _posterior_probs(obs_row, 1, _score_table(cols, np.take_along_axis(query, cols, 1)),
+                           top, noise.T.copy())
+    want = column_loop_from_draws(obs_row, 1, query, top, noise.T)
     assert np.array_equal(got, want)
     assert np.array_equal(got, [[0.75, 0.25, 0, 0], [0.75, 0, 0.25, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+
+
+def assert_within_last_bits(got, want):
+    """Equal up to the rounding of two `log` implementations: 1e-15, scaled up by |want|
+    where it exceeds 1 (about 4.5 units in the last place there)."""
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("num_samples, num_states", [(1, 1), (37, 5), (1000, 17)])
+def test_whole_array_draw_matches_generator_gumbel(num_samples, num_states):
+    for seed in range(5):
+        ours, numpy_gumbel = rng_from(seed), rng_from(seed)
+        top, noise = _prior_gumbels(ours, num_samples, num_states)
+        assert_within_last_bits(top, numpy_gumbel.gumbel(size=num_samples))
+        assert_within_last_bits(noise.T, numpy_gumbel.gumbel(size=(num_samples, num_states)))
+        assert ours.bit_generator.state == numpy_gumbel.bit_generator.state
+
+
+def generator_drawing_zero_next():
+    """A PCG64 generator stubbed to the state whose next double is exactly 0: the next
+    step lands on state 0, whose 64-bit output is 0."""
+    rng = rng_from(0)
+    state = rng.bit_generator.state
+    multiplier = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+    state["state"]["state"] = -state["state"]["inc"] * pow(multiplier, -1, 2**128) % 2**128
+    rng.bit_generator.state = state
+    return rng
+
+
+def test_a_zero_uniform_is_redrawn_as_generator_gumbel_does():
+    assert generator_drawing_zero_next().random() == 0.0
+    ours, numpy_gumbel = generator_drawing_zero_next(), generator_drawing_zero_next()
+    top, noise = _prior_gumbels(ours, 3, 2)  # the zero is top[0]'s double
+    assert np.all(np.isfinite(top)) and np.all(np.isfinite(noise))
+    assert_within_last_bits(top, numpy_gumbel.gumbel(size=3))
+    assert_within_last_bits(noise.T, numpy_gumbel.gumbel(size=(3, 2)))
+    assert ours.bit_generator.state == numpy_gumbel.bit_generator.state
 
 
 def test_sample_count_validated(toy, toy_obs, toy_path):

@@ -8,7 +8,7 @@ from icfmdp import (Assumptions, ConfigError, Mdp, ObservedPath, PolicySchedule,
                     mdp_to_json, optimal_policy, oracle_bounds, path_from_json, path_to_json,
                     resolve_env, sample_path, transition_row_bounds, validate_mdp,
                     validate_path)
-from helpers import make_random_mdp, mc_policy_value
+from helpers import make_random_mdp, mc_policy_value, stationary_policy
 
 
 def two_state_chain(reward=1.0):
@@ -80,14 +80,14 @@ def test_malformed_query_rejected(toy, call):
 
 def test_sample_path_deterministic_mdp_unique():
     m = two_state_chain()
-    policy = PolicySchedule.stationary([0, 0], horizon=4)
+    policy = stationary_policy([0, 0], horizon=4)
     for seed in range(5):
         path = sample_path(m, policy, 4, seed)
         assert path.states == (0, 1, 0, 1, 0)
 
 
 def test_sample_path_seed_reproducible(toy):
-    policy = PolicySchedule.stationary([0, 0, 0], horizon=6)
+    policy = stationary_policy([0, 0, 0], horizon=6)
     a = sample_path(toy, policy, 6, seed=42)
     b = sample_path(toy, policy, 6, seed=42)
     assert a == b
@@ -96,7 +96,7 @@ def test_sample_path_seed_reproducible(toy):
 
 def test_sample_path_frequencies_match_row(toy):
     # Law of large numbers on the first step from state 0.
-    policy = PolicySchedule.stationary([0, 0, 0], horizon=1)
+    policy = stationary_policy([0, 0, 0], horizon=1)
     counts = np.zeros(3)
     n = 100_000
     for seed in range(n):
@@ -105,14 +105,14 @@ def test_sample_path_frequencies_match_row(toy):
 
 
 def test_exact_policy_value_zero_rewards(toy):
-    policy = PolicySchedule.stationary([0, 0, 0], horizon=4)
+    policy = stationary_policy([0, 0, 0], horizon=4)
     v = exact_policy_value(toy, policy, 4)
     assert np.all(v.values == 0.0)
 
 
 def test_exact_policy_value_deterministic_chain():
     m = two_state_chain(reward=1.0)
-    policy = PolicySchedule.stationary([0, 0], horizon=5)
+    policy = stationary_policy([0, 0], horizon=5)
     v = exact_policy_value(m, policy, 5)
     assert v.values[0, 0] == 5.0
     assert np.all(v.values[5] == 0.0)

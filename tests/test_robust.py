@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icfmdp import (Assumptions, GridSpec, InfeasibleRow, Mdp, Mode, ObservedPath,
-                    PolicySchedule, build_frozen_lake, build_gridworld, build_interval_cfmdp,
-                    exact_policy_value, gridworld_spec, optimal_policy, point_policy_eval,
-                    point_value_iteration, resolve_env, robust_policy_eval,
+                    PolicySchedule, build_frozen_lake, build_gridworld, build_gumbel_cfmdp,
+                    build_interval_cfmdp, exact_policy_value, gridworld_spec, optimal_policy,
+                    point_policy_eval, point_value_iteration, resolve_env, robust_policy_eval,
                     robust_value_iteration, rollout_rewards, sample_cfmdp)
 from icfmdp.bounds import CLAMP_TOL, IntervalCfMdp, check_interval_rows
 from icfmdp.mdp import _greedy, rng_from
@@ -467,15 +467,36 @@ class TestPointBackups:
         se = totals.std(ddof=1) / np.sqrt(len(totals))
         assert totals.mean() == pytest.approx(exact, abs=3 * se + 1e-9)
 
-    @pytest.mark.parametrize("env", ["gridworld", "frozen-lake"])
+    @pytest.mark.parametrize("env", ["gridworld", "frozen-lake", "random-sparse"])
     def test_rollouts_match_per_step_cumsum_bit_for_bit(self, rng, env):
-        m = resolve_env(env, p=0.4)
         for seed in range(3):
+            m = (make_random_mdp(rng, int(rng.integers(2, 9)), int(rng.integers(1, 4)), sparse=True)
+                 if env == "random-sparse" else resolve_env(env, p=0.4))
             path = random_path(m, rng, 10)
-            cf = sample_cfmdp(build_interval_cfmdp(m, path, Assumptions.CS_MON), seed)
-            policy = PolicySchedule(10, rng.integers(0, 4, size=(10, m.num_states)))
-            args = (cf.transition, m.reward, policy, path.states[0], 1000, seed)
-            assert np.array_equal(rollout_rewards(*args), per_step_cumsum_rollout(*args))
+            sampled = sample_cfmdp(build_interval_cfmdp(m, path, Assumptions.CS_MON), seed)
+            policy = PolicySchedule(10, rng.integers(0, m.num_actions, size=(10, m.num_states)))
+            for cf in (sampled, build_gumbel_cfmdp(m, path, 1000, seed)):
+                args = (cf.transition, m.reward, policy, path.states[0], 1000, seed)
+                assert np.array_equal(rollout_rewards(*args), per_step_cumsum_rollout(*args))
+
+    def test_a_draw_above_the_rounded_row_total_stays_on_the_support(self, monkeypatch):
+        # Row (0, 0) holds its mass on states 0-4 and sums to 0.9999999999999998, so a
+        # draw of 1 - 2**-53 exceeds its total: it must stop at state 4, the first where
+        # the CDF reaches the total, and not escape to state 7, of probability 0.
+        transition = np.tile(np.eye(8)[:, None], (2, 1, 1, 1))  # (T, S, A, S) self-loops
+        transition[:, 0, 0] = 0.0
+        transition[:, 0, 0, :5] = np.random.default_rng(12).dirichlet(np.ones(5))
+        assert np.cumsum(transition[0, 0, 0])[-1] < 1.0 - 2.0**-53
+
+        class TopDraws:
+            def random(self, size):
+                return np.full(size, 1.0 - 2.0**-53)
+
+        for module in ("icfmdp.robust", "helpers"):
+            monkeypatch.setattr(f"{module}.rng_from", lambda *seed: TopDraws())
+        args = (transition, np.arange(8.0)[:, None], PolicySchedule(2, np.zeros((2, 8))), 0, 3, 0)
+        assert np.array_equal(rollout_rewards(*args), [[0.0, 4.0]] * 3)
+        assert np.array_equal(per_step_cumsum_rollout(*args), [[0.0, 4.0]] * 3)
 
 
 class TestOneBackwardInduction:
