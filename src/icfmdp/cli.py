@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import experiments
 from .bounds import Assumptions, build_interval_cfmdp, icfmdp_to_json, write_icfmdp_csv
-from .coupling import oracle_layer
 from .envs import grid_spec_from_json, gridworld_spec, resolve_env
 from .errors import ConfigError, InvariantViolation
 from .experiments import COUNT_FIELDS, RunConfig, run_config_from_json
@@ -140,6 +139,7 @@ def _cmd_bounds(args) -> None:
 
 
 def _cmd_verify(args) -> None:
+    from .coupling import oracle_layer  # the LP oracle needs scipy; no other command does
     m, path = _load_inputs(args)
     assumptions = Assumptions(args.assumptions)
     icf = build_interval_cfmdp(m, path, assumptions)

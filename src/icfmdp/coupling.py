@@ -26,7 +26,8 @@ from dataclasses import replace
 import numpy as np
 import scipy.sparse as sp
 
-from .bounds import Assumptions, ObsTriple, Pair, ProbInterval, _cs_mask, make_interval
+from .bounds import (Assumptions, ObsTriple, Pair, ProbInterval, _cs_mask, clamp_intervals,
+                     make_interval)
 from .errors import ScaleExceeded
 from .lp import LpProblem, block_values, lp_solve, stack
 from .mdp import Mdp, check_query
@@ -122,18 +123,15 @@ def oracle_layer(m: Mdp, obs: ObsTriple,
     observed triple, with every bound a block of one LP. Unreachable query outcomes are
     [0, 0] without a block."""
     check_query(m, obs, ())
-    blocks, entries = [], []
-    for s in range(m.num_states):
-        for a in range(m.num_actions):
-            problem, i, j = _coupling_lp(m, obs, (s, a), assumptions)
-            for s_cf in np.flatnonzero(m.transition[s, a]):
-                blocks += _bound_blocks(problem, i, j, obs[2], s_cf)
-                entries.append((s, a, s_cf))
+    blocks = []
+    for s, a in np.ndindex(m.transition.shape[:2]):
+        problem, i, j = _coupling_lp(m, obs, (s, a), assumptions)
+        for s_cf in np.flatnonzero(m.transition[s, a]):
+            blocks += _bound_blocks(problem, i, j, obs[2], s_cf)
     values = _solve_blocks(blocks).reshape(-1, 2) / m.transition[obs]
     lb, ub = np.zeros((2,) + m.transition.shape)
-    for entry, (lo, hi) in zip(entries, values):
-        iv = make_interval(lo, hi)
-        lb[entry], ub[entry] = iv.lb, iv.ub
+    entries = np.nonzero(m.transition)  # in the order of the blocks
+    lb[entries], ub[entries] = clamp_intervals(*values.T)
     return lb, ub
 
 

@@ -174,8 +174,9 @@ def validate_mdp(m: Mdp) -> list[str]:
     return problems
 
 
-def validate_path(m: Mdp, path: ObservedPath) -> list[str]:
-    """Check every observed transition has positive probability under m (exact > 0)."""
+def check_path(m: Mdp, path: ObservedPath) -> None:
+    """Raise ConfigError unless every observed transition of `path` is in range and has
+    positive probability under m (exact > 0)."""
     problems = []
     for t in range(path.horizon):
         s, a, s2 = path.step(t)
@@ -183,12 +184,6 @@ def validate_path(m: Mdp, path: ObservedPath) -> list[str]:
             problems.append(f"step {t}: indices ({s}, {a}, {s2}) out of range")
         elif not m.transition[s, a, s2] > 0:
             problems.append(f"step {t}: observed transition ({s}, {a} -> {s2}) has probability 0")
-    return problems
-
-
-def check_path(m: Mdp, path: ObservedPath) -> None:
-    """Raise ConfigError unless `path` passes `validate_path`."""
-    problems = validate_path(m, path)
     if problems:
         raise ConfigError("path invalid for this MDP: " + "; ".join(problems))
 

@@ -22,12 +22,12 @@ K support columns in its own random order, drawn from its step's generator, and 
 ranks are filled in turn for all rows at once; the rows are then scattered into a dense
 (T, S, A, S) transition.
 
-Rollouts sum the CDF of each state's row under the policy once per call and find a step's
-next states with one sorted search. numpy orders complex numbers by real part, then
-imaginary part, so the keys s + 1j·cdf sort the CDFs row by row, and the insertion point
-of s + 1j·u, less s·S, is `(u > cdf[s]).sum()`, the next state of a draw u. CDF entries
-equal to their row's total are keyed 2, above every draw, so a draw above a row's rounded
-total stops at the first successor reaching it, never at a state of probability 0.
+Rollouts take the CDF of each state's row under the policy on the row's K support columns
+(`mdp.support_columns`), which equals the S-wide CDF there: the other columns add exact
+zeros. A step moves all paths at once by a branchless binary search of log2 K passes:
+a draw u goes to column j exactly when cdf[j-1] <= u < cdf[j], so no draw, u = 0
+included, lands on a state of probability 0. CDF entries equal to the row's total are
+keyed 2, above every draw, so a draw above a rounded total cannot escape the support.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 from .bounds import CLAMP_TOL, IntervalCfMdp
 from .errors import InfeasibleRow
 from .mdp import (PointCfMdp, PolicySchedule, ValueTable, _backward, _check_policy_horizon,
-                  rng_from)
+                  rng_from, support_columns)
 
 
 class Mode(enum.Enum):
@@ -180,17 +180,24 @@ def rollout_rewards(transition: np.ndarray, reward: np.ndarray, policy: PolicySc
     """Instant rewards, shape (num_paths, T), of vectorized rollouts on a concrete CFMDP."""
     t_len, n, _, _ = transition.shape
     _check_policy_horizon(policy, t_len)
-    rng = rng_from(seed)
     s_all, acts = np.arange(n), policy.action_at[:t_len]
-    cdf = np.cumsum(transition[np.arange(t_len)[:, None], s_all, acts], axis=-1)  # (T, S, S)
+    rows = transition[np.arange(t_len)[:, None], s_all, acts]  # (T, S, S)
+    cols = support_columns(rows > 0)  # (T, S, K)
+    cdf = np.cumsum(np.take_along_axis(rows, cols, axis=-1), axis=-1)
     cdf[cdf >= cdf[..., -1:]] = 2.0
-    keys = (s_all[:, None] + 1j * cdf).reshape(t_len, -1)
+    k, cdf, succ = cols.shape[-1], cdf.reshape(t_len, -1), cols.reshape(t_len, -1)
+    u = rng_from(seed).random((t_len, num_paths))
     step_reward = reward[s_all, acts]
     states = np.full(num_paths, start_state, dtype=np.int64)
     out = np.empty((num_paths, t_len))
     for t in range(t_len):
         out[:, t] = step_reward[t][states]
-        states = np.searchsorted(keys[t], states + 1j * rng.random(num_paths)) - states * n
+        pos, left = states * k, k  # the next column is one of pos .. pos + left - 1
+        while left > 1:
+            half = left // 2
+            pos += half * (cdf[t, half - 1:][pos] <= u[t])
+            left -= half
+        states = succ[t][pos]
     return out
 
 

@@ -280,8 +280,9 @@ def dense_sample_cfmdp(icf, seed):
 
 def per_step_cumsum_rollout(transition, reward, policy, start_state, num_paths, seed):
     """Reference rollouts: the CDF of each path's gathered row is summed at every step,
-    and the next state is the number of CDF entries below the draw, capped at the first
-    successor where the CDF reaches the row's total."""
+    and the next state is the number of CDF entries at or below the draw, so a draw u
+    moves to state j exactly when cdf[j-1] <= u < cdf[j], capped at the first successor
+    where the CDF reaches the row's total."""
     t_len = transition.shape[0]
     rng = rng_from(seed)
     states = np.full(num_paths, start_state, dtype=np.int64)
@@ -291,7 +292,7 @@ def per_step_cumsum_rollout(transition, reward, policy, start_state, num_paths, 
         out[:, t] = reward[states, a]
         cdf = np.cumsum(transition[t, states, a], axis=1)
         u = rng.random((num_paths, 1))
-        states = np.minimum((u > cdf).sum(axis=1), (cdf < cdf[:, -1:]).sum(axis=1))
+        states = np.minimum((u >= cdf).sum(axis=1), (cdf < cdf[:, -1:]).sum(axis=1))
     return out
 
 

@@ -63,6 +63,20 @@ def test_unknown_flag_is_config_error():
     assert res.returncode == 1
 
 
+def test_import_and_bounds_leave_scipy_unloaded(toy_files):
+    # Only the LP oracle needs scipy: neither `import icfmdp` nor `icfmdp bounds` loads it.
+    mdp_file, path_file = toy_files
+    script = ("import sys, icfmdp\n"
+              "loaded = ['scipy' in sys.modules]\n"
+              "from icfmdp import cli\n"
+              f"assert cli.main(['bounds', '--mdp', {str(mdp_file)!r}, "
+              f"'--path', {str(path_file)!r}]) == 0\n"
+              "print(loaded + ['scipy' in sys.modules], file=sys.stderr)")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.strip() == "[False, False]"
+
+
 def test_bounds_json(run_cli, toy_files):
     mdp_file, path_file = toy_files
     res = run_cli("bounds", "--mdp", str(mdp_file), "--path", str(path_file),

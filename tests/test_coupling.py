@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from icfmdp import (Assumptions, Mdp, ScaleExceeded, enumerate_theta_bounds, oracle_bounds,
-                    oracle_layer, transition_row_bounds)
+from icfmdp import (Assumptions, InvariantViolation, Mdp, ScaleExceeded, coupling,
+                    enumerate_theta_bounds, oracle_bounds, oracle_layer, transition_row_bounds)
 from icfmdp.coupling import _successor_table
 from helpers import check_coupling_feasible, make_random_mdp, oracle_solution, random_observed
 
@@ -36,6 +36,26 @@ class TestOracleBounds:
                             assert abs(layer_lb[s, a, s2] - iv.lb) <= 1e-12
                             assert abs(layer_ub[s, a, s2] - iv.ub) <= 1e-12
 
+
+    @pytest.mark.parametrize("ub, message", [(1.0 + 1e-12, None),
+                                              (1.5, "violates interval invariants")])
+    def test_layer_clamps_dust_and_rejects_out_of_range_values(self, toy, toy_obs, monkeypatch,
+                                                               ub, message):
+        # The first block is the min, the second the max, of query (0, 0, 0): give that
+        # max the value ub before the division by P(s_next | s_t, a_t).
+        solve = coupling._solve_blocks
+
+        def shifted(blocks):
+            values = solve(blocks)
+            values[1] = ub * toy.transition[toy_obs]
+            return values
+
+        monkeypatch.setattr(coupling, "_solve_blocks", shifted)
+        if message is None:
+            assert oracle_layer(toy, toy_obs, Assumptions.CS_MON)[1][0, 0, 0] == 1.0
+        else:
+            with pytest.raises(InvariantViolation, match=message):
+                oracle_layer(toy, toy_obs, Assumptions.CS_MON)
 
     def test_zero_query_entries_are_zero_in_the_lp(self, rng):
         # oracle_bounds answers these without a solve; the full LP must agree.

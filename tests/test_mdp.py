@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from icfmdp import (Assumptions, ConfigError, Mdp, ObservedPath, PolicySchedule,
                     enumerate_theta_bounds, exact_policy_value, gumbel_cf_probs, mdp_from_json,
                     mdp_to_json, optimal_policy, oracle_bounds, path_from_json, path_to_json,
-                    resolve_env, sample_path, transition_row_bounds, validate_mdp,
-                    validate_path)
+                    resolve_env, sample_path, transition_row_bounds, validate_mdp)
+from icfmdp.mdp import check_path
 from helpers import make_random_mdp, mc_policy_value, stationary_policy
 
 
@@ -43,10 +44,12 @@ def test_path_length_invariant():
         ObservedPath((0, 1, 2), (0,))
 
 
-def test_validate_path_zero_probability_transition(toy):
+def test_check_path_zero_probability_transition(toy):
     bad = ObservedPath((1, 1), (0,))  # P(1 | 1, 0) == 0
-    assert validate_path(toy, bad)
-    assert validate_path(toy, ObservedPath((0, 2), (0,))) == []
+    message = "path invalid for this MDP: step 0: observed transition (1, 0 -> 1) has probability 0"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        check_path(toy, bad)
+    check_path(toy, ObservedPath((0, 2), (0,)))
 
 
 NONE = Assumptions.NONE

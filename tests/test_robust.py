@@ -467,17 +467,54 @@ class TestPointBackups:
         se = totals.std(ddof=1) / np.sqrt(len(totals))
         assert totals.mean() == pytest.approx(exact, abs=3 * se + 1e-9)
 
-    @pytest.mark.parametrize("env", ["gridworld", "frozen-lake", "random-sparse"])
+    # Rows with exactly K successors: K = 1 makes the search take no pass, and K = 3, 5
+    # and 17 are not powers of two.
+    K_SUCCESSORS = {"deterministic": 1, "dense-k3": 3, "dense-k5": 5, "dense-k17": 17}
+
+    @pytest.mark.parametrize("env", ["gridworld", "frozen-lake", "random-sparse", *K_SUCCESSORS,
+                                     "gridworld-16x16"])
     def test_rollouts_match_per_step_cumsum_bit_for_bit(self, rng, env):
         for seed in range(3):
-            m = (make_random_mdp(rng, int(rng.integers(2, 9)), int(rng.integers(1, 4)), sparse=True)
-                 if env == "random-sparse" else resolve_env(env, p=0.4))
-            path = random_path(m, rng, 10)
-            sampled = sample_cfmdp(build_interval_cfmdp(m, path, Assumptions.CS_MON), seed)
-            policy = PolicySchedule(10, rng.integers(0, m.num_actions, size=(10, m.num_states)))
-            for cf in (sampled, build_gumbel_cfmdp(m, path, 1000, seed)):
-                args = (cf.transition, m.reward, policy, path.states[0], 1000, seed)
+            if env in self.K_SUCCESSORS:
+                k = self.K_SUCCESSORS[env]
+                n = k + 2
+                shape = (10, n, 2, n)
+                weights = rng.exponential(size=shape) * (rng.random(shape).argsort(axis=-1) < k)
+                transitions = [weights / weights.sum(axis=-1, keepdims=True)]
+                reward, start = rng.normal(size=(n, 2)), int(rng.integers(n))
+            else:
+                m = (make_random_mdp(rng, int(rng.integers(2, 9)), int(rng.integers(1, 4)),
+                                     sparse=True) if env == "random-sparse"
+                     else large_grid(16) if env == "gridworld-16x16" else resolve_env(env, p=0.4))
+                path = random_path(m, rng, 10)
+                sampled = sample_cfmdp(build_interval_cfmdp(m, path, Assumptions.CS_MON), seed)
+                transitions = [sampled.transition,
+                               build_gumbel_cfmdp(m, path, 1000, seed).transition]
+                reward, start = m.reward, path.states[0]
+            num_states, num_actions = reward.shape
+            policy = PolicySchedule(10, rng.integers(0, num_actions, size=(10, num_states)))
+            for transition in transitions:
+                args = (transition, reward, policy, start, 1000, seed)
                 assert np.array_equal(rollout_rewards(*args), per_step_cumsum_rollout(*args))
+
+    def test_a_draw_of_zero_skips_a_state_of_probability_zero(self, monkeypatch):
+        # Row (0, 0) is [0, 1, 0] and row (2, 0) has two successors, so the search runs on
+        # K = 2 columns and row (0, 0) is padded to columns [0, 1] with CDF [0, 1]. A draw
+        # of exactly 0 equals the CDF at column 0, of probability 0: it must move on to
+        # state 1.
+        transition = np.tile(np.eye(3)[:, None], (2, 1, 1, 1))  # (T, S, A, S) self-loops
+        transition[:, 0, 0] = [0.0, 1.0, 0.0]
+        transition[:, 2, 0] = [0.0, 0.5, 0.5]
+
+        class ZeroDraws:
+            def random(self, size):
+                return np.zeros(size)
+
+        for module in ("icfmdp.robust", "helpers"):
+            monkeypatch.setattr(f"{module}.rng_from", lambda *seed: ZeroDraws())
+        args = (transition, np.arange(3.0)[:, None], PolicySchedule(2, np.zeros((2, 3))), 0, 3, 0)
+        assert np.array_equal(rollout_rewards(*args), [[0.0, 1.0]] * 3)
+        assert np.array_equal(per_step_cumsum_rollout(*args), [[0.0, 1.0]] * 3)
 
     def test_a_draw_above_the_rounded_row_total_stays_on_the_support(self, monkeypatch):
         # Row (0, 0) holds its mass on states 0-4 and sums to 0.9999999999999998, so a
