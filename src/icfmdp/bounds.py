@@ -64,19 +64,6 @@ class ProbInterval:
             raise InvariantViolation(f"invalid probability interval [{self.lb}, {self.ub}]")
 
 
-def clamp_intervals(lb: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`make_interval` on arrays of bound pairs, elementwise, without a ProbInterval per
-    pair; raises InvariantViolation if any pair is off by more than CLAMP_TOL, or NaN."""
-    bad = np.flatnonzero(~((lb <= ub + CLAMP_TOL) & (lb >= -CLAMP_TOL) & (ub <= 1.0 + CLAMP_TOL)))
-    if bad.size:
-        raise InvariantViolation(f"bound pair [{lb.flat[bad[0]]}, {ub.flat[bad[0]]}] violates "
-                                 "interval invariants")
-    # Python's min(max(x, 0.0), 1.0) on arrays: unlike np.maximum, keeps a -0.0 as it is
-    ub = np.where(ub > 1.0, 1.0, np.where(ub < 0.0, 0.0, ub))
-    lb = np.where(lb < 0.0, 0.0, lb)
-    return np.where(lb > ub, ub, lb), ub
-
-
 def make_interval(lb: float, ub: float) -> ProbInterval:
     """Clamp float dust (<= CLAMP_TOL) out of a computed bound pair."""
     if lb > ub + CLAMP_TOL or lb < -CLAMP_TOL or ub > 1.0 + CLAMP_TOL:

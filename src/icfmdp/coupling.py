@@ -26,8 +26,7 @@ from dataclasses import replace
 import numpy as np
 import scipy.sparse as sp
 
-from .bounds import (Assumptions, ObsTriple, Pair, ProbInterval, _cs_mask, clamp_intervals,
-                     make_interval)
+from .bounds import Assumptions, ObsTriple, Pair, ProbInterval, _cs_mask, make_interval
 from .errors import ScaleExceeded
 from .lp import LpProblem, block_values, lp_solve, stack
 from .mdp import Mdp, check_query
@@ -130,8 +129,9 @@ def oracle_layer(m: Mdp, obs: ObsTriple,
             blocks += _bound_blocks(problem, i, j, obs[2], s_cf)
     values = _solve_blocks(blocks).reshape(-1, 2) / m.transition[obs]
     lb, ub = np.zeros((2,) + m.transition.shape)
-    entries = np.nonzero(m.transition)  # in the order of the blocks
-    lb[entries], ub[entries] = clamp_intervals(*values.T)
+    for entry, (lo, hi) in zip(zip(*np.nonzero(m.transition)), values):  # block order
+        iv = make_interval(lo, hi)
+        lb[entry], ub[entry] = iv.lb, iv.ub
     return lb, ub
 
 
