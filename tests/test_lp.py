@@ -1,11 +1,46 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
-from icfmdp import (Assumptions, Infeasible, LpProblem, Unbounded, block_values, lp_solve,
-                    stack)
+from icfmdp import (Assumptions, Infeasible, InvariantViolation, LpProblem, Unbounded,
+                    block_values, build_toy_mdp, enumerate_theta_bounds, lp, lp_solve, stack)
+from icfmdp import coupling
 from icfmdp.coupling import _bound_blocks, _coupling_lp
 from helpers import make_random_mdp, random_observed
+
+
+def milp_solve(problem):
+    """Reference: the problem through scipy `milp`, with the same error contract."""
+    sign = {"min": 1.0, "max": -1.0}[problem.sense]
+    constraints = []
+    if problem.a_eq is not None:
+        constraints.append(LinearConstraint(problem.a_eq, problem.b_eq, problem.b_eq))
+    if problem.a_ub is not None:
+        constraints.append(LinearConstraint(problem.a_ub, -np.inf, problem.b_ub))
+    res = milp(sign * np.asarray(problem.c, dtype=float),
+               bounds=Bounds(problem.lower, problem.upper), constraints=constraints)
+    if res.status == 2:
+        raise Infeasible(res.message)
+    if res.status == 3:
+        raise Unbounded(res.message)
+    if res.status != 0:
+        raise InvariantViolation(res.message)
+    return sign * float(res.fun), res.x
+
+
+def assert_solves_as_milp(problem):
+    """lp_solve returns milp's optimum and solution bit for bit, or raises exactly the
+    class milp_solve raises (Infeasible and Unbounded subclass InvariantViolation)."""
+    try:
+        expected = milp_solve(problem)
+    except (ValueError, InvariantViolation) as exc:
+        with pytest.raises((ValueError, InvariantViolation)) as info:
+            lp_solve(problem)
+        assert type(info.value) is type(exc)
+        return
+    value, x = lp_solve(problem)
+    assert np.array_equal([value], [expected[0]]) and np.array_equal(x, expected[1])
 
 
 def test_single_variable_max():
@@ -106,3 +141,71 @@ def test_stack_with_one_infeasible_block_is_infeasible(rng):
     lp_solve(stack(blocks))  # feasible without it
     with pytest.raises(Infeasible):
         lp_solve(stack(blocks[:1] + [infeasible] + blocks[1:]))
+
+
+def test_direct_solves_match_milp_bit_for_bit(rng):
+    for sparse in (False, True):
+        for _ in range(4):
+            m = make_random_mdp(rng, int(rng.integers(2, 5)), int(rng.integers(1, 3)),
+                                sparse=sparse)
+            obs = random_observed(m, rng)
+            for assumptions in Assumptions:
+                assert_solves_as_milp(stack(coupling_blocks(m, obs, assumptions)))
+    for _ in range(4):
+        blocks = generic_blocks(rng)
+        for problem in blocks + [stack(blocks[:1]), stack(blocks[1:2]), stack(blocks)]:
+            assert_solves_as_milp(problem)
+
+
+def test_enumeration_lp_matches_milp_bit_for_bit(monkeypatch):
+    captured = []
+    monkeypatch.setattr(coupling, "_solve_blocks",
+                        lambda blocks: captured.append(stack(blocks)) or np.zeros(len(blocks)))
+    enumerate_theta_bounds(build_toy_mdp(), (0, 0, 1), (1, 0, 1), Assumptions.CS_MON)
+    problem, = captured
+    assert problem.a_eq is not None and problem.a_ub is not None and problem.a_ub.shape[0]
+    assert_solves_as_milp(problem)
+
+
+_ONE_ROW = dict(a_eq=np.ones((1, 2)), b_eq=np.array([1.0]))
+MALFORMED = {
+    "nan-c": LpProblem(c=np.array([np.nan, 1.0]), **_ONE_ROW),
+    "inf-c": LpProblem(c=np.array([np.inf, 1.0]), **_ONE_ROW),
+    "empty-c": LpProblem(c=np.array([])),
+    "2d-c": LpProblem(c=np.ones((2, 2))),
+    "nan-b_eq": LpProblem(c=np.array([1.0, 2.0]), a_eq=np.ones((1, 2)), b_eq=np.array([np.nan])),
+    "nan-b_ub": LpProblem(c=np.array([1.0, 2.0]), a_ub=np.ones((1, 2)), b_ub=np.array([np.nan])),
+    "nan-lower": LpProblem(c=np.array([1.0, 2.0]), lower=np.array([np.nan, 0.0]), **_ONE_ROW),
+    "nan-upper": LpProblem(c=np.array([1.0, 2.0]), upper=np.nan, **_ONE_ROW),
+    "matrix-columns": LpProblem(c=np.ones(3), **_ONE_ROW),
+    "matrix-rows": LpProblem(c=np.ones(2), a_ub=sp.csr_matrix(np.ones((2, 2))),
+                             b_ub=np.ones(3)),
+    "bounds-shape": LpProblem(c=np.ones(2), upper=np.ones(3)),
+    "lower-above-upper": LpProblem(c=np.ones(2), lower=np.array([1.0, 0.0]),
+                                   upper=np.array([0.5, 1.0])),
+    "infeasible-rows": LpProblem(c=np.array([1.0]), a_ub=np.array([[1.0], [-1.0]]),
+                                 b_ub=np.array([0.2, -0.5])),
+    "infeasible-eq": LpProblem(c=np.ones(2), a_eq=np.ones((2, 2)), b_eq=np.array([1.0, 2.0])),
+    "unbounded": LpProblem(c=np.array([1.0]), sense="max"),
+    # Primal and dual both infeasible (free x, y with x - y <= -1 and y - x <= -1);
+    # HiGHS's presolve reports it infeasible.
+    "unbounded-or-infeasible": LpProblem(c=np.array([-1.0, -1.0]),
+                                         a_ub=np.array([[1.0, -1.0], [-1.0, 1.0]]),
+                                         b_ub=np.array([-1.0, -1.0]), lower=-np.inf),
+    "scalar-b_eq": LpProblem(c=np.array([1.0, 2.0]), a_eq=np.ones((2, 2)), b_eq=1.0),
+}
+
+
+@pytest.mark.parametrize("problem", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_and_degenerate_lps_fail_as_milp(problem):
+    assert_solves_as_milp(problem)
+
+
+def test_other_solver_status_is_an_invariant_violation(monkeypatch):
+    class Solver(lp.highs._Highs):
+        def getModelStatus(self):
+            return lp.highs.HighsModelStatus.kUnboundedOrInfeasible
+
+    monkeypatch.setattr(lp.highs, "_Highs", Solver)
+    with pytest.raises(InvariantViolation, match="model status"):
+        lp_solve(LpProblem(c=np.array([1.0]), upper=1.0))
