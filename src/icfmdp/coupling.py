@@ -16,7 +16,9 @@ the coupling: the joint mass of the observed outcome s_next and each query outco
 Each directed bound (query, sense) is its own LP, and LPs for different bounds share no
 variables, so they are solved as independent blocks of one stacked LP (`lp.stack`): the
 min and the max of a query together, and every reachable query of an observed triple
-together in `oracle_layer`. Every solve goes through this module's `lp_solve`.
+together in `oracle_layer`. Their matrices are `lp.CscMatrix` arrays made with numpy
+alone, and every solve goes through this module's `lp_solve`, on the one HiGHS solver
+`lp` reuses from call to call (so from one thread at a time).
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bounds import Assumptions, ObsTriple, Pair, ProbInterval, _cs_mask, make_interval
 from .errors import ScaleExceeded
-from .lp import LpProblem, block_values, lp_solve, stack
+from .lp import CscMatrix, LpProblem, block_values, lp_solve, stack
 from .mdp import Mdp, check_query
 
 ENUMERATION_LIMIT = 100_000
@@ -79,8 +80,9 @@ def _coupling_lp(m: Mdp, obs: ObsTriple, query_pair: Pair,
     at = i == s_next
     lower[at], upper[at] = lo[j[at]], hi[j[at]]
     # Each variable sits in one row-marginal and one column-marginal equality.
-    a_eq = sp.csc_array((np.ones(2 * i.size), np.column_stack([ri, rows.size + rj]).ravel(),
-                         np.arange(0, 2 * i.size + 1, 2)), shape=(rows.size + cols.size, i.size))
+    a_eq = CscMatrix(np.arange(0, 2 * i.size + 1, 2),
+                     np.column_stack([ri, rows.size + rj]).ravel(), np.ones(2 * i.size),
+                     rows.size + cols.size)
     problem = LpProblem(c=np.zeros(i.size), a_eq=a_eq,
                         b_eq=np.concatenate([obs_row[rows], query_row[cols]]),
                         lower=lower, upper=upper)
@@ -174,16 +176,16 @@ def enumerate_theta_bounds(m: Mdp, obs: ObsTriple, query_triple: tuple[int, int,
     flat = m.transition.ravel()
     entry_row = np.cumsum(flat > 0) - 1
     pairs = succ.shape[0]
-    a_eq = sp.csc_matrix(
-        (np.ones(succ.size), entry_row[(np.arange(pairs)[:, None] * n + succ).T.ravel()],
-         np.arange(0, succ.size + 1, pairs)), shape=(entry_row[-1] + 1, succ.shape[1]))
+    a_eq = CscMatrix(np.arange(0, succ.size + 1, pairs),
+                     entry_row[(np.arange(pairs)[:, None] * n + succ).T.ravel()],
+                     np.ones(succ.size), entry_row[-1] + 1)
 
     lo, hi = _observed_outcome_box(obs_row, s_next, query_row, assumptions)
     joint = ((succ[s_t * k + a_t] == s_next)
              & (succ[s * k + a] == np.arange(n)[:, None])).astype(float)
     capped, floored = np.isfinite(hi) & (query_row > 0), lo > 0
     problem = LpProblem(c=joint[s_cf], a_eq=a_eq, b_eq=flat[flat > 0],
-                        a_ub=sp.csc_matrix(np.concatenate([joint[capped], -joint[floored]])),
+                        a_ub=np.concatenate([joint[capped], -joint[floored]]),
                         b_ub=np.concatenate([hi[capped], -lo[floored]]))
     lo_value, hi_value = _solve_blocks([problem, replace(problem, sense="max")]) / obs_row[s_next]
     return make_interval(lo_value, hi_value)

@@ -1,36 +1,32 @@
-"""Thin linear-programming layer over the HiGHS solver.
+"""Thin linear-programming layer: each LP is one direct call to the HiGHS solver
+(Huangfu & Hall, 2018) through scipy's private binding `scipy.optimize._highspy._core`
+(scipy >= 1.15), with the input checks and status mapping of `scipy.optimize.milp`.
 
-The verification LPs here are small: a coupling LP has at most S^2 variables on the
-joint support of two rows, with equality rows for its two marginals and the
-assumptions as a box on the observed-outcome row's variable bounds; a mechanism
-enumeration has up to ~1e5 sparse columns, with that box as <= rows. A mature simplex
-implementation is the right tool; this module just fixes the problem container and
-the error contract. Each LP is one direct HiGHS call (Huangfu & Hall, 2018), with the
-input checks and status mapping of `scipy.optimize.milp` kept in `lp_solve`. This
-imports scipy's private HiGHS binding, `scipy.optimize._highspy._core` (scipy >= 1.15).
+A constraint matrix is a `CscMatrix`, HiGHS's own column-wise arrays, built and joined
+with numpy alone (nothing here imports scipy's sparse module); dense arrays and scipy's
+sparse matrices are converted to the arrays of scipy's CSC form. Every `lp_solve` call
+passes its model to one reused solver, where `passModel` replaces the last model, so no
+solve sees the one before; `lp_solve` must not run in two threads at once.
 
-Most of a tiny solve is fixed per-call cost, so independent LPs are solved
-together: `stack` lays LPs that share no variables out as the blocks of one LP, with a
-block-diagonal constraint matrix, each block's own variable bounds, and the cost of
-every max block negated. This is exact. The stacked feasible set is the product of the
-blocks' sets and the stacked objective is the sum of their signed objectives, so a
-point is optimal for the stack exactly when each block's part is optimal for its
-block; `block_values` reads each block's optimum back as c_b @ x_b. One infeasible
-block makes the stack infeasible, and one unbounded block makes it unbounded.
-
-Tolerance note: HiGHS applies its feasibility and optimality tolerances, its scaling
-and its presolve to the stacked problem, and the objective it reports is the sum. A
-block's value is therefore not guaranteed to match a separate solve of that block to
-the last bit; the tests pin stacked block values to separate solves within 1e-12.
+Most of a tiny solve is fixed per-call cost, so `stack` lays independent LPs out as the
+blocks of one: a block-diagonal constraint matrix, each block's own variable bounds,
+and the cost of every max block negated. This is exact: the stacked feasible set is the
+product of the blocks' sets and its objective the sum of their signed objectives, so a
+point is optimal for the stack exactly when each block's part is optimal for its block.
+`block_values` reads each block's optimum back as c_b @ x_b. One infeasible (unbounded)
+block makes the stack infeasible (unbounded). HiGHS applies its tolerances, scaling and
+presolve to the whole stack, so a block's value need not match a separate solve to the
+last bit; the tests pin the two within 1e-12.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cache
+from itertools import accumulate
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize._highspy import _core as highs
 
 from .errors import Infeasible, InvariantViolation, Unbounded
@@ -38,14 +34,24 @@ from .errors import Infeasible, InvariantViolation, Unbounded
 _SIGN = {"min": 1.0, "max": -1.0}
 
 
+class CscMatrix(NamedTuple):
+    """Column k holds value[start[k]:start[k + 1]] in rows index[start[k]:start[k + 1]]."""
+
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    num_row: int
+
+
 @dataclass
 class LpProblem:
-    """min or max of c @ x subject to A_eq x = b_eq, A_ub x <= b_ub, lower <= x <= upper."""
+    """min or max of c @ x subject to A_eq x = b_eq, A_ub x <= b_ub, lower <= x <= upper.
+    A matrix is a CscMatrix, a dense array or one of scipy's sparse matrices."""
 
     c: np.ndarray
-    a_eq: np.ndarray | sp.spmatrix | sp.sparray | None = None
+    a_eq: Any = None
     b_eq: np.ndarray | None = None
-    a_ub: np.ndarray | sp.spmatrix | sp.sparray | None = None
+    a_ub: Any = None
     b_ub: np.ndarray | None = None
     lower: np.ndarray | float = 0.0
     upper: np.ndarray | float = np.inf
@@ -58,35 +64,62 @@ def _sign(sense: str) -> float:
     return _SIGN[sense]
 
 
-def _rows(a, b, num_col: int, equality: bool) -> tuple[sp.csc_array, np.ndarray, np.ndarray]:
-    """A constraint block in CSC form with its row bounds (lower, upper); ValueError
-    unless it has `num_col` columns and `b` broadcasts to its rows."""
-    if not (sp.issparse(a) and a.format == "csc"):
-        a = sp.csc_array(a if sp.issparse(a) else np.atleast_2d(np.asarray(a, dtype=float)))
-    if a.ndim != 2 or a.shape[1] != num_col:
-        raise ValueError(f"constraint matrix of shape {a.shape} for {num_col} variables")
-    b = np.broadcast_to(np.asarray(b, dtype=float), a.shape[:1])
+def _csc(a) -> CscMatrix:
+    """`a` as a CscMatrix: scipy's sparse matrices through `.tocsc()`, dense ones by
+    their nonzero entries, in ascending row order within each column as in scipy."""
+    if isinstance(a, CscMatrix):
+        return a
+    if hasattr(a, "tocsc"):
+        a = a.tocsc()
+        return CscMatrix(a.indptr, a.indices, a.data, a.shape[0])
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    if a.ndim != 2:
+        raise ValueError(f"constraint matrix of shape {a.shape}")
+    col, row = np.nonzero(a.T)
+    return CscMatrix(np.searchsorted(col, np.arange(a.shape[1] + 1)), row, a[row, col],
+                     a.shape[0])
+
+
+def _rows(a, b, num_col: int, equality: bool) -> tuple[CscMatrix, np.ndarray, np.ndarray]:
+    """A constraint block as a CscMatrix with its row bounds (lower, upper); ValueError
+    unless it has `num_col` columns, finite entries, and `b` broadcasts to its rows."""
+    a = _csc(a)
+    if a.start.size - 1 != num_col:
+        raise ValueError(f"constraint matrix of {a.start.size - 1} columns, not {num_col}")
+    if not np.all(np.isfinite(a.value[:a.start[-1]])):
+        raise ValueError("constraint matrix entries must be finite")
+    b = np.broadcast_to(np.asarray(b, dtype=float), (a.num_row,))
     return a, b if equality else np.full(b.size, -np.inf), b
 
 
-def _csc_parts(top: sp.csc_array, bottom: sp.csc_array | None = None) -> tuple[np.ndarray, ...]:
+def _csc_parts(top: CscMatrix, bottom: CscMatrix | None = None) -> tuple[np.ndarray, ...]:
     """CSC (start, index, value) of `top`, or of [top; bottom] with each column's top
     entries first."""
+    nnz = top.start[-1]
     if bottom is None:
-        return top.indptr, top.indices[:top.nnz], top.data[:top.nnz]
-    column = np.concatenate([np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
+        return top.start, top.index[:nnz], top.value[:nnz]
+    column = np.concatenate([np.repeat(np.arange(m.start.size - 1), np.diff(m.start))
                              for m in (top, bottom)])
     order = np.argsort(column, kind="stable")
-    index = np.concatenate([top.indices[:top.nnz], bottom.indices[:bottom.nnz] + top.shape[0]])
-    value = np.concatenate([top.data[:top.nnz], bottom.data[:bottom.nnz]])
-    return top.indptr + bottom.indptr, index[order], value[order]
+    index = np.concatenate([top.index[:nnz], bottom.index[:bottom.start[-1]] + top.num_row])
+    value = np.concatenate([top.value[:nnz], bottom.value[:bottom.start[-1]]])
+    return top.start + bottom.start, index[order], value[order]
+
+
+@cache
+def _solver() -> highs._Highs:
+    """The HiGHS solver that every `lp_solve` call reuses, made on first use."""
+    solver = highs._Highs()
+    solver.setOptionValue("log_to_console", False)
+    return solver
 
 
 def lp_solve(problem: LpProblem) -> tuple[float, np.ndarray]:
     """Solve an LpProblem; returns (optimum, solution).
 
-    Raises ValueError for a malformed problem, as `scipy.optimize.milp` does, and
-    Infeasible or Unbounded; any other solver outcome is an InvariantViolation.
+    Raises ValueError for a malformed problem (as `scipy.optimize.milp` does, and for a
+    non-finite matrix entry), Infeasible or Unbounded; any other outcome is an
+    InvariantViolation.
     """
     sign = _sign(problem.sense)
     c = sign * np.atleast_1d(np.asarray(problem.c, dtype=float))
@@ -95,17 +128,16 @@ def lp_solve(problem: LpProblem) -> tuple[float, np.ndarray]:
     # Equality rows first, then the <= rows, as one LP with a column-wise matrix.
     blocks = [_rows(a, b, c.size, equality) for a, b, equality in (
         (problem.a_eq, problem.b_eq, True), (problem.a_ub, problem.b_ub, False)) if a is not None]
-    matrices, row_lower, row_upper = zip(*blocks or [(sp.csc_array((0, c.size)), [], [])])
+    matrices, row_lower, row_upper = zip(*blocks or [(_csc(np.zeros((0, c.size))), [], [])])
     lp = highs.HighsLp()
-    lp.num_col_, lp.num_row_ = c.size, sum(m.shape[0] for m in matrices)
+    lp.num_col_, lp.num_row_ = c.size, sum(m.num_row for m in matrices)
     lp.col_cost_ = c
     lp.col_lower_, lp.col_upper_ = (np.broadcast_to(v, c.shape).astype(float)
                                     for v in (problem.lower, problem.upper))
     lp.row_lower_, lp.row_upper_ = np.concatenate(row_lower), np.concatenate(row_upper)
     # HighsLp's matrix is column-wise by default, and passModel sizes it from the LP.
     lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = _csc_parts(*matrices)
-    solver = highs._Highs()
-    solver.setOptionValue("log_to_console", False)
+    solver = _solver()
     status = highs.HighsModelStatus.kModelError  # milp's status for a model HiGHS rejects
     if solver.passModel(lp) != highs.HighsStatus.kError:
         solver.run()
@@ -120,27 +152,16 @@ def lp_solve(problem: LpProblem) -> tuple[float, np.ndarray]:
     return sign * solver.getObjectiveValue(), np.array(solver.getSolution().col_value)
 
 
-def _block_diag(mats: list, widths: list[int]) -> sp.csc_array | None:
-    """Block-diagonal CSC matrix of `mats` (None: a block with no rows), concatenated
-    from the blocks' own CSC arrays; None when no block has rows."""
-    data, indices, indptr = [], [], [np.zeros(1, dtype=np.int64)]
-    num_rows = nnz = 0
-    for mat, width in zip(mats, widths):
-        if mat is None:
-            indptr.append(np.full(width, nnz, dtype=np.int64))
-            continue
-        if not (sp.issparse(mat) and mat.format == "csc"):
-            mat = sp.csc_array(mat)
-        end = mat.indptr[-1]
-        data.append(mat.data[:end])
-        indices.append(mat.indices[:end] + num_rows)
-        indptr.append(mat.indptr[1:] + nnz)
-        num_rows += mat.shape[0]
-        nnz += end
-    if not data:
+def _block_diag(mats: list, widths: list[int]) -> CscMatrix | None:
+    """Block-diagonal CscMatrix of `mats` (None: a block with no rows); None if none has rows."""
+    if all(mat is None for mat in mats):
         return None
-    return sp.csc_array((np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)),
-                        shape=(num_rows, sum(widths)))
+    mats = [_csc(np.zeros((0, w)) if m is None else m) for m, w in zip(mats, widths)]
+    nnz = accumulate((m.start[-1] for m in mats), initial=0)
+    rows = list(accumulate((m.num_row for m in mats), initial=0))
+    return CscMatrix(np.concatenate([[0]] + [m.start[1:] + n for m, n in zip(mats, nnz)]),
+                     np.concatenate([m.index[:m.start[-1]] + r for m, r in zip(mats, rows)]),
+                     np.concatenate([m.value[:m.start[-1]] for m in mats]), rows[-1])
 
 
 def stack(blocks: Sequence[LpProblem]) -> LpProblem:
@@ -163,9 +184,6 @@ def stack(blocks: Sequence[LpProblem]) -> LpProblem:
 
 def block_values(blocks: Sequence[LpProblem], x: np.ndarray) -> np.ndarray:
     """Each block's own objective c_b @ x_b at a solution x of `stack(blocks)`."""
-    values, start = np.empty(len(blocks)), 0
-    for k, b in enumerate(blocks):
-        end = start + np.size(b.c)
-        values[k] = np.asarray(b.c, dtype=float) @ x[start:end]
-        start = end
-    return values
+    ends = accumulate(np.size(b.c) for b in blocks)
+    return np.array([np.asarray(b.c, dtype=float) @ x[end - np.size(b.c):end]
+                     for b, end in zip(blocks, ends)])

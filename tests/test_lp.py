@@ -5,9 +5,17 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from icfmdp import (Assumptions, Infeasible, InvariantViolation, LpProblem, Unbounded,
                     block_values, build_toy_mdp, enumerate_theta_bounds, lp, lp_solve, stack)
+from icfmdp.lp import CscMatrix
 from icfmdp import coupling
 from icfmdp.coupling import _bound_blocks, _coupling_lp
 from helpers import make_random_mdp, random_observed
+
+
+def scipy_matrix(a):
+    """A CscMatrix as a scipy csc_array; any other matrix as it is."""
+    if isinstance(a, CscMatrix):
+        return sp.csc_array((a.value, a.index, a.start), shape=(a.num_row, a.start.size - 1))
+    return a
 
 
 def milp_solve(problem):
@@ -15,9 +23,10 @@ def milp_solve(problem):
     sign = {"min": 1.0, "max": -1.0}[problem.sense]
     constraints = []
     if problem.a_eq is not None:
-        constraints.append(LinearConstraint(problem.a_eq, problem.b_eq, problem.b_eq))
+        constraints.append(LinearConstraint(scipy_matrix(problem.a_eq), problem.b_eq,
+                                            problem.b_eq))
     if problem.a_ub is not None:
-        constraints.append(LinearConstraint(problem.a_ub, -np.inf, problem.b_ub))
+        constraints.append(LinearConstraint(scipy_matrix(problem.a_ub), -np.inf, problem.b_ub))
     res = milp(sign * np.asarray(problem.c, dtype=float),
                bounds=Bounds(problem.lower, problem.upper), constraints=constraints)
     if res.status == 2:
@@ -109,14 +118,19 @@ def coupling_blocks(m, obs, assumptions):
 
 
 def generic_blocks(rng, n=5):
-    """Feasible, bounded LPs in the container's other forms: dense and sparse matrices,
-    inequality rows with and without equality rows, scalar and per-variable bounds."""
+    """Feasible, bounded LPs in the container's other forms: dense, scipy sparse and
+    CscMatrix matrices, inequality rows with and without equality rows, scalar and
+    per-variable bounds."""
     a, x0 = rng.random((2, n)), rng.random(n)
-    return [LpProblem(c=rng.normal(size=n), a_eq=a, b_eq=a @ x0, upper=np.full(n, 2.0)),
-            LpProblem(c=rng.normal(size=n), a_ub=sp.csr_matrix(a), b_ub=a @ x0, upper=1.0,
-                      sense="max"),
-            LpProblem(c=rng.normal(size=n), a_eq=a[:1], b_eq=a[:1] @ x0, a_ub=a[1:],
-                      b_ub=a[1:] @ x0, upper=3.0)]
+    blocks = [LpProblem(c=rng.normal(size=n), a_eq=a, b_eq=a @ x0, upper=np.full(n, 2.0)),
+              LpProblem(c=rng.normal(size=n), a_ub=sp.csr_matrix(a), b_ub=a @ x0, upper=1.0,
+                        sense="max"),
+              LpProblem(c=rng.normal(size=n), a_eq=a[:1], b_eq=a[:1] @ x0, a_ub=a[1:],
+                        b_ub=a[1:] @ x0, upper=3.0)]
+    # Every entry of `a` is positive, so column k of its CscMatrix holds rows 0 and 1.
+    csc = CscMatrix(np.arange(0, 2 * n + 1, 2), np.tile([0, 1], n), a.T.ravel(), 2)
+    return blocks + [LpProblem(c=rng.normal(size=n), a_eq=csc, b_eq=a @ x0, upper=1.5,
+                               sense="max")]
 
 
 @pytest.mark.parametrize("sparse", [False, True])
@@ -163,7 +177,7 @@ def test_enumeration_lp_matches_milp_bit_for_bit(monkeypatch):
                         lambda blocks: captured.append(stack(blocks)) or np.zeros(len(blocks)))
     enumerate_theta_bounds(build_toy_mdp(), (0, 0, 1), (1, 0, 1), Assumptions.CS_MON)
     problem, = captured
-    assert problem.a_eq is not None and problem.a_ub is not None and problem.a_ub.shape[0]
+    assert problem.a_eq is not None and problem.a_ub is not None and problem.a_ub.num_row
     assert_solves_as_milp(problem)
 
 
@@ -206,6 +220,77 @@ def test_other_solver_status_is_an_invariant_violation(monkeypatch):
         def getModelStatus(self):
             return lp.highs.HighsModelStatus.kUnboundedOrInfeasible
 
-    monkeypatch.setattr(lp.highs, "_Highs", Solver)
+    solver = Solver()
+    solver.setOptionValue("log_to_console", False)
+    monkeypatch.setattr(lp, "_solver", lambda: solver)
     with pytest.raises(InvariantViolation, match="model status"):
         lp_solve(LpProblem(c=np.array([1.0]), upper=1.0))
+
+
+def matrix_forms(entry):
+    """The one-row matrix [[entry, 1]] as a dense array, a scipy sparse matrix and a
+    CscMatrix."""
+    dense = np.array([[entry, 1.0]])
+    return {"dense": dense, "scipy": sp.csr_matrix(dense),
+            "container": CscMatrix(np.array([0, 1, 2]), np.array([0, 0]), dense[0], 1)}
+
+
+# Not in the milp-parity table: milp accepts a non-finite matrix entry.
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("form", ["dense", "scipy", "container"])
+@pytest.mark.parametrize("rows", ["eq", "ub"])
+def test_non_finite_matrix_entry_is_rejected(rows, form, entry):
+    problem = LpProblem(c=np.array([1.0, 2.0]), **{f"a_{rows}": matrix_forms(entry)[form],
+                                                   f"b_{rows}": np.array([1.0])})
+    for candidate in (problem, stack([problem])):
+        with pytest.raises(ValueError, match="finite"):
+            lp_solve(candidate)
+
+
+def test_dense_and_scipy_matrices_convert_to_scipy_csc_arrays(rng):
+    a = rng.random((4, 6)) * (rng.random((4, 6)) < 0.5)
+    expected = sp.csc_array(a)
+    for form in (a, sp.csr_matrix(a), sp.coo_array(a), expected):
+        got = lp._csc(form)
+        assert got.num_row == 4
+        for part, want in zip(got[:3], (expected.indptr, expected.indices, expected.data)):
+            assert np.array_equal(part, want)
+
+
+def outcome(problem):
+    """lp_solve's (optimum, solution), or the class of the error it raises."""
+    try:
+        return lp_solve(problem)
+    except (ValueError, InvariantViolation) as exc:
+        return type(exc)
+
+
+def fresh_solver():
+    solver = lp.highs._Highs()
+    solver.setOptionValue("log_to_console", False)
+    return solver
+
+
+def test_shared_solver_carries_no_state_between_calls(rng, monkeypatch):
+    m = make_random_mdp(rng, 3, 2)
+    first = stack(coupling_blocks(m, random_observed(m, rng), Assumptions.CS_MON))
+    captured = []
+    monkeypatch.setattr(coupling, "_solve_blocks",
+                        lambda blocks: captured.append(blocks[0]) or np.zeros(len(blocks)))
+    big = make_random_mdp(rng, 4, 2)  # every row positive: 4 ** 8 mechanisms
+    enumerate_theta_bounds(big, random_observed(big, rng), (1, 1, 2), Assumptions.CS_MON)
+    enumeration, = captured
+    assert enumeration.c.size == 65_536
+    # passModel rejects the NaN right-hand side; the next two fail in the solve.
+    problems = [first, MALFORMED["nan-b_eq"], MALFORMED["infeasible-rows"],
+                MALFORMED["unbounded"], enumeration, first]
+    assert lp._solver() is lp._solver()
+    shared = [outcome(problem) for problem in problems]
+    assert shared[1:4] == [Infeasible, Infeasible, Unbounded]
+    monkeypatch.setattr(lp, "_solver", fresh_solver)
+    for problem, got in zip(problems, shared):
+        want = outcome(problem)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert np.array_equal([got[0]], [want[0]]) and np.array_equal(got[1], want[1])
