@@ -14,15 +14,17 @@ the underlying causal mechanism are adopted:
 
 Stacking the per-step bounds for every transition yields a time-indexed interval
 counterfactual MDP (ICFMDP). One kernel computes the bounds of a block of query rows
-given one observed step, vectorized over rows and successors: the ICFMDP is built one
-observed step at a time, and `transition_row_bounds` is the one-row call.
+given a set of observed steps, vectorized over steps, rows and successors: the ICFMDP is
+one call over every unique observed triple and every (s, a) row, and
+`transition_row_bounds` is the one-row call.
 
 Layout. Every bound is zero off the query row's support, and the bounds of a step depend
 only on its observed triple. An `IntervalCfMdp` therefore stores one (S, A, K) layer per
 unique observed triple, on the base MDP's support columns padded to K = the widest row
 (`Mdp.support_cols`), plus a (T,) index from steps to layers. The dense (T, S, A, S)
 `lb`/`ub` are read-only views built on first access, for serialization, sampling and
-checks; robust DP reads only the compact layers.
+checks; robust DP reads only the compact layers, and each layer row's room and slack,
+computed once with the row check.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from __future__ import annotations
 import csv
 import enum
 from collections.abc import Callable
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from itertools import repeat
 from pathlib import Path
 
@@ -89,16 +91,18 @@ def _cs_mask(obs: np.ndarray, p_obs: float, query: np.ndarray,
 
 
 def check_interval_rows(lb: np.ndarray, ub: np.ndarray,
-                        row_name: Callable[[tuple], str]) -> None:
+                        row_name: Callable[[tuple], str]) -> np.ndarray:
     """Raise InfeasibleRow unless every row of (..., K) intervals is a set of distributions:
     -tol <= lb <= ub + tol and ub <= 1 + tol entrywise, sum(lb) <= 1 + tol and
     sum(ub) >= 1 - tol, with tol = CLAMP_TOL (Givan, Leach & Dean, 2000). A NaN entry
     fails every comparison, and the chain bounds both ends, so non-finite entries fail
-    too. The error names the first bad row by `row_name` of its index.
+    too. The error names the first bad row by `row_name` of its index. Returns the
+    rows' sum(lb).
     """
     entry_ok = (lb >= -CLAMP_TOL) & (lb <= ub + CLAMP_TOL) & (ub <= 1.0 + CLAMP_TOL)
     lb_sum, ub_sum = lb.sum(axis=-1), ub.sum(axis=-1)
-    bad = ~entry_ok.all(axis=-1) | (lb_sum > 1.0 + CLAMP_TOL) | (ub_sum < 1.0 - CLAMP_TOL)
+    row_ok = reduce(np.logical_and, (entry_ok[..., j] for j in range(lb.shape[-1])))
+    bad = ~row_ok | (lb_sum > 1.0 + CLAMP_TOL) | (ub_sum < 1.0 - CLAMP_TOL)
     if bad.any():
         idx = np.unravel_index(np.argmax(bad), bad.shape)
         row_lb, row_ub, row_ok = lb[idx], ub[idx], entry_ok[idx]
@@ -107,42 +111,46 @@ def check_interval_rows(lb: np.ndarray, ub: np.ndarray,
         raise InfeasibleRow(
             f"interval row {row_name(tuple(int(i) for i in idx))} is not a set of "
             f"distributions: sum(lb)={lb_sum[idx]:.12g}, sum(ub)={ub_sum[idx]:.12g}{entry}")
+    return lb_sum
 
 
-def _bound_block(obs_row: np.ndarray, s_next: int, query: np.ndarray, cols: np.ndarray,
-                 is_observed: np.ndarray, assumptions: Assumptions,
+def _bound_block(p_obs: np.ndarray | float, obs: np.ndarray, query: np.ndarray,
+                 at_next: np.ndarray, is_observed: np.ndarray, assumptions: Assumptions,
                  row_name: Callable[[tuple], str]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-successor (lb, ub) for a block of query rows given one observed transition.
+    """Per-successor (lb, ub) for a block of query rows, each given an observed transition.
 
-    `query` (R, K) holds each query row's probabilities on its columns `cols` (R, K):
-    distinct successors covering the row's support, padded with ones it cannot reach.
-    Every bound is zero off the query row's support, so no other successor is needed.
-    `is_observed` (R,) marks the row of the observed pair itself. Rows whose support is
-    disjoint from the observed pair's take the assumption-free formulas, since stability
-    and monotonicity are vacuous there. The raw rows pass `check_interval_rows`, which
-    names row r by `row_name((r,))`, before float dust is clamped out.
+    The arguments broadcast to the rows' shape (..., K). `query` holds each query row's
+    probabilities on its columns: distinct successors covering the row's support, padded
+    with ones it cannot reach; every bound is zero off that support. On the same columns,
+    `obs` holds the observed pair's probabilities and `at_next` marks the observed
+    outcome, of probability `p_obs` (..., 1) under the observed pair; `is_observed` (...)
+    marks the observed pair's own rows. Rows whose support is disjoint from the observed
+    pair's take the assumption-free formulas, since stability and monotonicity are
+    vacuous there. Maxima over the K columns run one column at a time over all rows. The
+    raw rows pass `check_interval_rows`, which names a row by `row_name` of its index,
+    before float dust is clamped out.
     """
-    p_obs = obs_row[s_next]
-    obs = obs_row[cols]
-    at_next = cols == s_next
+    k = query.shape[-1]
+    ratio = query / p_obs
     lb = np.maximum(0.0, (query - (1.0 - p_obs)) / p_obs)
-    ub = np.minimum(1.0, query / p_obs)
+    ub = np.minimum(1.0, ratio)
     if assumptions is not Assumptions.NONE:
-        p_next_q = np.where(at_next, query, 0.0).max(axis=1, keepdims=True)
+        at_q, both = np.where(at_next, query, 0.0), (obs > 0) & (query > 0)
+        p_next_q = reduce(np.maximum, (at_q[..., j] for j in range(k)))[..., None]
+        overlap = reduce(np.logical_or, (both[..., j] for j in range(k)))[..., None]
         cs = _cs_mask(obs, p_obs, query, p_next_q)
-        overlap = np.any((obs > 0) & (query > 0), axis=1, keepdims=True)
         if assumptions is Assumptions.CS:
             ub[cs] = 0.0  # cs never fires on a disjoint row
             ub_o = ub
         else:
             ub_o = np.where(obs > 0, np.minimum(query, 1.0 - p_next_q),
-                            np.minimum(1.0 - p_next_q, query / p_obs))
+                            np.minimum(1.0 - p_next_q, ratio))
             ub_o[cs] = 0.0
             ub_o = np.where(at_next, np.minimum(p_obs, p_next_q) / p_obs, ub_o)
         # Mass the other successors cannot absorb. A value within the rounding error of
         # the K-term sum is 0: lowering a lower bound only widens the interval.
-        leftover = 1.0 - (ub_o.sum(axis=1, keepdims=True) - ub_o)
-        lb_o = np.where(leftover > query.shape[1] * np.finfo(float).eps, leftover, 0.0)
+        leftover = 1.0 - (ub_o.sum(axis=-1, keepdims=True) - ub_o)
+        lb_o = np.where(leftover > k * np.finfo(float).eps, leftover, 0.0)
         if assumptions is Assumptions.CS_MON:
             lb_o = np.where(at_next, np.maximum(p_next_q, lb_o), lb_o)
         lb_o[cs | (query <= 0)] = 0.0  # off the support (padding too), before the row check
@@ -150,7 +158,7 @@ def _bound_block(obs_row: np.ndarray, s_next: int, query: np.ndarray, cols: np.n
         ub = np.where(overlap, ub_o, ub)
     # Same mechanism input reproduces the observed outcome, under every assumption set.
     lb[is_observed] = ub[is_observed] = 0.0
-    hit = is_observed[:, None] & at_next
+    hit = is_observed[..., None] & at_next
     lb[hit] = ub[hit] = 1.0
 
     check_interval_rows(lb, ub, row_name)
@@ -166,11 +174,12 @@ def transition_row_bounds(m: Mdp, obs: ObsTriple, query_pair: Pair,
     check_query(m, obs, query_pair)
     s, a = query_pair
     cols = m.support_cols[s, a]
-    lb, ub = _bound_block(m.transition[obs[0], obs[1]], obs[2], m.transition[s, a, cols][None],
-                          cols[None], np.array([(s, a) == tuple(obs[:2])]), assumptions,
+    obs_row = m.transition[obs[0], obs[1]]
+    lb, ub = _bound_block(obs_row[obs[2]], obs_row[cols], m.transition[s, a, cols],
+                          cols == obs[2], np.array((s, a) == tuple(obs[:2])), assumptions,
                           lambda idx: f"pair {query_pair} given {obs}")
     dense = np.zeros((2, m.num_states))
-    dense[:, cols] = lb[0], ub[0]
+    dense[:, cols] = lb, ub
     return dense[0], dense[1]
 
 
@@ -183,6 +192,8 @@ class IntervalCfMdp:
     in `cols[s, a]` has the interval [0, 0]. The dense (T, S, A, S) `lb` and `ub` are
     built on first access and cached. Every layer row must be a set of distributions
     (`check_interval_rows`); a bad row is named by the first step that uses its layer.
+    The order-and-fill backups of `robust` read each layer row's room `ub - lb` and slack
+    `1 - sum(lb)`, computed once here.
     """
 
     horizon: int
@@ -193,12 +204,17 @@ class IntervalCfMdp:
     assumptions: Assumptions
     base: Mdp
     path: ObservedPath
+    room: np.ndarray = field(init=False, repr=False, compare=False)  # (U, S, A, K)
+    slack: np.ndarray = field(init=False, repr=False, compare=False)  # (U, S, A)
 
     def __post_init__(self):
-        for name in ("cols", "layer", "layer_lb", "layer_ub"):
+        lb_sum = check_interval_rows(
+            self.layer_lb, self.layer_ub, lambda idx: "(t={}, s={}, a={})".format(
+                int(np.argmax(self.layer == idx[0])), *idx[1:]))
+        object.__setattr__(self, "room", self.layer_ub - self.layer_lb)
+        object.__setattr__(self, "slack", 1.0 - lb_sum)
+        for name in ("cols", "layer", "layer_lb", "layer_ub", "room", "slack"):
             getattr(self, name).setflags(write=False)
-        check_interval_rows(self.layer_lb, self.layer_ub, lambda idx: "(t={}, s={}, a={})".format(
-            int(np.argmax(self.layer == idx[0])), *idx[1:]))
 
     @classmethod
     def from_dense(cls, lb: np.ndarray, ub: np.ndarray, assumptions: Assumptions, base: Mdp,
@@ -233,31 +249,24 @@ class IntervalCfMdp:
 def build_interval_cfmdp(m: Mdp, path: ObservedPath, assumptions: Assumptions) -> IntervalCfMdp:
     """Interval CFMDP covering every transition of m at every observed step of the path.
 
-    Each unique observed triple is bounded once, over all (s, a) rows in one block.
+    Each unique observed triple is bounded once, and all of them in one block of U·S·A
+    rows. A bad raw row is named by the first step that observes its triple.
     """
     check_path(m, path)
-    n, k = m.num_states, m.num_actions
-    cols = m.support_cols
-    rows = cols.reshape(n * k, -1)
-    query = np.take_along_axis(m.transition, cols, axis=2).reshape(rows.shape)
-    pairs = np.arange(n * k)
-    layers: dict[ObsTriple, int] = {}
-    lb, ub = [], []
-    for t in range(path.horizon):
-        obs = path.step(t)
-        if obs in layers:
-            continue
-        layers[obs] = len(layers)
-        lo, hi = _bound_block(m.transition[obs[0], obs[1]], obs[2], query, rows,
-                              pairs == obs[0] * k + obs[1], assumptions,
-                              lambda idx: "(t={}, s={}, a={}) given {}".format(
-                                  t, *divmod(idx[0], k), obs))
-        lb.append(lo)
-        ub.append(hi)
-    layer = np.array([layers[path.step(t)] for t in range(path.horizon)], dtype=np.int64)
-    shape = (len(layers),) + cols.shape
-    return IntervalCfMdp(path.horizon, cols, layer, np.reshape(lb, shape), np.reshape(ub, shape),
-                         assumptions, m, path)
+    steps = [path.step(t) for t in range(path.horizon)]
+    triples = list(dict.fromkeys(steps))  # in order of first occurrence
+    s_t, a_t, s_next = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    cols = m.support_cols.reshape(-1, m.support_cols.shape[-1])  # rows are pairs s * A + a
+    lb, ub = _bound_block(
+        m.transition[s_t, a_t, s_next][:, None, None], m.transition[s_t, a_t][:, cols],
+        np.take_along_axis(m.transition, m.support_cols, axis=2).reshape(cols.shape),
+        cols == s_next[:, None, None], np.arange(len(cols)) == (s_t * m.num_actions + a_t)[:, None],
+        assumptions, lambda idx: "(t={}, s={}, a={}) given {}".format(
+            steps.index(triples[idx[0]]), *divmod(idx[1], m.num_actions), triples[idx[0]]))
+    shape = (len(triples),) + m.support_cols.shape
+    return IntervalCfMdp(path.horizon, m.support_cols,
+                         np.array([triples.index(obs) for obs in steps], dtype=np.int64),
+                         lb.reshape(shape), ub.reshape(shape), assumptions, m, path)
 
 
 # ---------------------------------------------------------------------------

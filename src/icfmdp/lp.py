@@ -5,8 +5,8 @@
 A constraint matrix is a `CscMatrix`, HiGHS's own column-wise arrays, built and joined
 with numpy alone (nothing here imports scipy's sparse module); dense arrays and scipy's
 sparse matrices are converted to the arrays of scipy's CSC form. Every `lp_solve` call
-passes its model to one reused solver, where `passModel` replaces the last model, so no
-solve sees the one before; `lp_solve` must not run in two threads at once.
+passes its model as raw arrays to one reused solver, where `passModel` replaces the last
+model, so no solve sees the one before; `lp_solve` must not run in two threads at once.
 
 Most of a tiny solve is fixed per-call cost, so `stack` lays independent LPs out as the
 blocks of one: a block-diagonal constraint matrix, each block's own variable bounds,
@@ -129,17 +129,17 @@ def lp_solve(problem: LpProblem) -> tuple[float, np.ndarray]:
     blocks = [_rows(a, b, c.size, equality) for a, b, equality in (
         (problem.a_eq, problem.b_eq, True), (problem.a_ub, problem.b_ub, False)) if a is not None]
     matrices, row_lower, row_upper = zip(*blocks or [(_csc(np.zeros((0, c.size))), [], [])])
-    lp = highs.HighsLp()
-    lp.num_col_, lp.num_row_ = c.size, sum(m.num_row for m in matrices)
-    lp.col_cost_ = c
-    lp.col_lower_, lp.col_upper_ = (np.broadcast_to(v, c.shape).astype(float)
-                                    for v in (problem.lower, problem.upper))
-    lp.row_lower_, lp.row_upper_ = np.concatenate(row_lower), np.concatenate(row_upper)
-    # HighsLp's matrix is column-wise by default, and passModel sizes it from the LP.
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = _csc_parts(*matrices)
+    start, index, value = _csc_parts(*matrices)
+    col_lower, col_upper = (np.broadcast_to(v, c.shape).astype(float)
+                            for v in (problem.lower, problem.upper))
     solver = _solver()
     status = highs.HighsModelStatus.kModelError  # milp's status for a model HiGHS rejects
-    if solver.passModel(lp) != highs.HighsStatus.kError:
+    # passModel's array form: column-wise (1), minimize (1), no offset, all continuous (0).
+    if solver.passModel(c.size, sum(m.num_row for m in matrices), value.size, 1, 1, 0.0, c,
+                        col_lower, col_upper, np.concatenate(row_lower),
+                        np.concatenate(row_upper), start.astype(np.int32),
+                        index.astype(np.int32), value, np.zeros(c.size, dtype=np.int32)
+                        ) != highs.HighsStatus.kError:
         solver.run()
         status = solver.getModelStatus()
     if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kModelError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
 
 import numpy as np
@@ -217,9 +217,10 @@ def _greedy(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The action is the lowest one whose Q lies within ACTION_TIE_RTOL * max(1, |q_max|)
     of the maximum, so that Q-values equal in exact arithmetic pick the same action
-    whatever order the backup summed in. The value is the maximum itself.
+    whatever order the backup summed in. The value is the maximum itself, taken one
+    action column at a time over all states.
     """
-    q_max = q.max(axis=1)
+    q_max = reduce(np.maximum, q.T)
     near = q >= (q_max - ACTION_TIE_RTOL * np.maximum(1.0, np.abs(q_max)))[:, None]
     return np.argmax(near, axis=1), q_max
 

@@ -5,13 +5,13 @@ The inner optimization of each Bellman backup -- extremize an expectation over a
 distributions inside per-successor probability intervals -- is solved exactly by
 order-and-fill: start every successor at its lower bound and hand out the remaining
 mass in value order (worst-first when pessimistic, best-first when optimistic). One
-kernel does this for all rows of a time step at once: each row's K successor values are
-sorted, and its fill is a cumulative sum of the room ub - lb clipped to the mass left
-over. Robust value iteration and policy evaluation run it on the ICFMDP's compact
-layers, gathering the next-step values on each row's support columns, so a backup
-touches S·A·K entries rather than S·A·S; they never build the dense (T, S, A, S) view.
-Nothing here re-checks the intervals: every `IntervalCfMdp` row is checked once, when
-the ICFMDP is made.
+kernel does this for all rows of a time step at once: one argsort orders each row's K
+successor values, and its fill is a running sum of the room ub - lb clipped to the slack
+1 - sum(lb), both precomputed per layer row by `IntervalCfMdp`. Robust value iteration
+and policy evaluation run it on the ICFMDP's compact layers, gathering the next-step
+values on each row's support columns, so a backup touches S·A·K entries rather than
+S·A·S; they never build the dense (T, S, A, S) view. Nothing here re-checks the
+intervals: every `IntervalCfMdp` row is checked once, when the ICFMDP is made.
 Both, and the point versions on a concrete CFMDP (backup `transition[t][rows] @ v`), are
 thin calls to `mdp._backward`, the one backward-induction routine of all six DP entry
 points.
@@ -56,26 +56,32 @@ class RobustSolution:
     mode: Mode
 
 
-def _order_fill(v: np.ndarray, lb: np.ndarray, ub: np.ndarray, mode: Mode) -> np.ndarray:
+def _order_fill(v: np.ndarray, lb: np.ndarray, room: np.ndarray, slack: np.ndarray,
+                mode: Mode) -> np.ndarray:
     """Extreme of p @ v over {lb <= p <= ub, sum(p) = 1} for every row of (..., K)
-    intervals, where v (..., K) holds the values of each row's successors. The rows must
-    pass `bounds.check_interval_rows`; they are not checked again here.
+    intervals, given as lb, the room ub - lb and the slack 1 - sum(lb) (...), where v
+    (..., K) holds the values of each row's successors. The rows must pass
+    `bounds.check_interval_rows`; they are not checked again here.
 
     Each row's successors are sorted by value (stable, so value ties go to the earlier
-    column; columns ascend by state index). Each row starts at lb and hands 1 - sum(lb)
-    out in that order, so the mass a successor receives is its room ub - lb clipped to
-    what the successors before it left over.
+    column; columns ascend by state index). Each row starts at lb and hands its slack
+    out in that order, so the mass a successor receives is its room clipped to what the
+    successors before it left over. One argsort orders all rows; its flat indices gather
+    the sorted room and keys, and the running sum over K runs one column at a time.
     """
-    lb_sum = lb.sum(axis=-1)
     keys = v if mode is Mode.PESSIMISTIC else -v  # ascending keys: fill order
-    room = np.take_along_axis(ub - lb, np.argsort(keys, axis=-1, kind="stable"),
-                              axis=-1).astype(float, copy=False)
-    fill = np.cumsum(room, axis=-1)
-    fill -= room  # mass handed out before each successor
-    np.subtract((1.0 - lb_sum)[..., None], fill, out=fill)
-    np.minimum(np.maximum(fill, 0.0, out=fill), room, out=fill)
+    order = np.argsort(keys, axis=-1, kind="stable")
+    k = order.shape[-1]
+    order += np.arange(0, order.size, k).reshape(order.shape[:-1] + (1,))
+    room_o = np.take(room, order)
+    fill = room_o.astype(float)
+    for j in range(1, k):
+        fill[..., j] += fill[..., j - 1]
+    fill -= room_o  # mass handed out before each successor
+    np.subtract(slack[..., None], fill, out=fill)
+    np.minimum(np.maximum(fill, 0.0, out=fill), room_o, out=fill)
     # the sorted keys are the values in fill order, negated when optimistic
-    extra = np.einsum("...k,...k->...", fill, np.sort(keys, axis=-1))
+    extra = np.einsum("...k,...k->...", fill, np.take(keys, order))
     return np.einsum("...k,...k->...", lb, v) + (extra if mode is Mode.PESSIMISTIC else -extra)
 
 
@@ -84,8 +90,8 @@ def _robust_backup(icf: IntervalCfMdp, mode: Mode) -> Callable:
     with the next-step values gathered on each row's support columns."""
     def expect(t, v_next, rows):
         u = icf.layer[t]
-        return _order_fill(v_next[icf.cols[rows]], icf.layer_lb[u][rows], icf.layer_ub[u][rows],
-                           mode)
+        return _order_fill(v_next[icf.cols[rows]], icf.layer_lb[u][rows], icf.room[u][rows],
+                           icf.slack[u][rows], mode)
     return expect
 
 
@@ -128,11 +134,13 @@ def _sample_rows(lb: np.ndarray, ub: np.ndarray, keys: np.ndarray, u: np.ndarray
     """
     num_rows, n = lb.shape
     order = np.argsort(keys, axis=1)
-    lb_o = np.take_along_axis(lb, order, axis=1)
-    ub_o = np.take_along_axis(ub, order, axis=1)
-    # mass bounds of the entries after each rank
-    lb_after = np.cumsum(lb_o[:, ::-1], axis=1)[:, ::-1] - lb_o
-    ub_after = np.cumsum(ub_o[:, ::-1], axis=1)[:, ::-1] - ub_o
+    order += np.arange(0, order.size, n)[:, None]  # flat indices
+    lb_o, ub_o = np.take(lb, order), np.take(ub, order)
+    # mass bounds of the entries after each rank: suffix sums, one column at a time
+    after = np.stack([lb_o, ub_o])
+    for rank in range(n - 2, -1, -1):
+        after[..., rank] += after[..., rank + 1]
+    lb_after, ub_after = after - (lb_o, ub_o)
     drawn = np.empty((num_rows, n))
     p_o = np.empty((num_rows, n))
     remaining = np.ones(num_rows)
@@ -149,7 +157,7 @@ def _sample_rows(lb: np.ndarray, ub: np.ndarray, keys: np.ndarray, u: np.ndarray
         raise InfeasibleRow(f"sampled mass {drawn[r, rank]} escapes [{lb_o[r, rank]}, "
                             f"{ub_o[r, rank]}] {row_name(int(r))}")
     p = np.empty_like(p_o)
-    np.put_along_axis(p, order, p_o, axis=1)
+    np.put(p, order, p_o)
     return p
 
 
@@ -183,7 +191,9 @@ def rollout_rewards(transition: np.ndarray, reward: np.ndarray, policy: PolicySc
     s_all, acts = np.arange(n), policy.action_at[:t_len]
     rows = transition[np.arange(t_len)[:, None], s_all, acts]  # (T, S, S)
     cols = support_columns(rows > 0)  # (T, S, K)
-    cdf = np.cumsum(np.take_along_axis(rows, cols, axis=-1), axis=-1)
+    cdf = np.take_along_axis(rows, cols, axis=-1)
+    for j in range(1, cols.shape[-1]):  # running sum over K, one column at a time
+        cdf[..., j] += cdf[..., j - 1]
     cdf[cdf >= cdf[..., -1:]] = 2.0
     k, cdf, succ = cols.shape[-1], cdf.reshape(t_len, -1), cols.reshape(t_len, -1)
     u = rng_from(seed).random((t_len, num_paths))

@@ -9,8 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from icfmdp import (IntervalCfMdp, Mdp, Mode, ObservedPath, PolicySchedule,
-                    build_interval_cfmdp)
+from icfmdp import (GridSpec, IntervalCfMdp, Mdp, Mode, ObservedPath, PolicySchedule,
+                    build_frozen_lake, build_gridworld, build_interval_cfmdp)
 from icfmdp.bounds import Assumptions
 from icfmdp.coupling import _coupling_lp, _observed_outcome_box, lp_solve
 from icfmdp.gumbel import _posterior_probs, _prior_gumbels, _score_table
@@ -31,6 +31,36 @@ def make_random_mdp(rng, num_states, num_actions, sparse=False):
     reward = rng.normal(size=(num_states, num_actions))
     initial = rng.dirichlet(np.ones(num_states))
     return Mdp(num_states, num_actions, t, reward, initial)
+
+
+def large_grid(side):
+    """A side x side GridWorld, p=0.9, with four danger cells."""
+    q = side // 4
+    return build_gridworld(GridSpec(
+        width=side, height=side, start=(0, 0), goal=(side - 1, side - 1),
+        danger_cells=frozenset({(q - 1, q), (q + 1, 3 * q), (2 * q, 2 * q), (3 * q, q + 1)}),
+        p_intended=0.9))
+
+
+# The MDPs of the row-kernel identity tests: GridWorld 16x16 and Frozen Lake, whose rows
+# are padded to the widest, and dense random MDPs whose rows have 8 or 12 successors,
+# where numpy's row sums turn pairwise.
+KERNEL_ENVS = ("gridworld-16x16", "frozen-lake", "dense-k8", "dense-k12")
+
+
+def kernel_env(name, rng):
+    if name == "gridworld-16x16":
+        return large_grid(16)
+    if name == "frozen-lake":
+        return build_frozen_lake()
+    n = int(name.removeprefix("dense-k"))
+    return make_random_mdp(rng, n, 2)
+
+
+def same_bits(a, b):
+    """True iff two arrays have the same dtype, shape and bytes (signs of zero included)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def random_observed(m, rng):
@@ -97,6 +127,95 @@ def sequential_fill_expectation(values, lb, ub, mode):
         p[i] += add
         remaining -= add
     return float(p @ values)
+
+
+def trailing_axis_order_fill(v, lb, ub, mode):
+    """Reference order-and-fill kernel for (..., K) rows, with every sort, gather and
+    running sum along the trailing axis: a stable argsort, `take_along_axis`, `cumsum`,
+    and a second sort for the keys in fill order."""
+    lb_sum = lb.sum(axis=-1)
+    keys = v if mode is Mode.PESSIMISTIC else -v
+    room = np.take_along_axis(ub - lb, np.argsort(keys, axis=-1, kind="stable"),
+                              axis=-1).astype(float, copy=False)
+    fill = np.cumsum(room, axis=-1)
+    fill -= room
+    np.subtract((1.0 - lb_sum)[..., None], fill, out=fill)
+    np.minimum(np.maximum(fill, 0.0, out=fill), room, out=fill)
+    extra = np.einsum("...k,...k->...", fill, np.sort(keys, axis=-1))
+    return np.einsum("...k,...k->...", lb, v) + (extra if mode is Mode.PESSIMISTIC else -extra)
+
+
+def trailing_axis_robust_dp(icf, reward, mode, policy=None, tie_rtol=1e-12):
+    """Reference robust DP on the compact layers: `trailing_axis_order_fill` backups, and
+    the greedy action as the first one within tie_rtol * max(1, |max Q|) of
+    `q.max(axis=1)`. Returns the values and the actions followed."""
+    t_len, n = icf.horizon, icf.base.num_states
+    v = np.zeros((t_len + 1, n))
+    acts = np.zeros((t_len, n), dtype=np.int64)
+    for t in range(t_len - 1, -1, -1):
+        u = icf.layer[t]
+        rows = np.s_[:, :] if policy is None else (np.arange(n), policy.action_at[t])
+        expect = trailing_axis_order_fill(v[t + 1][icf.cols[rows]], icf.layer_lb[u][rows],
+                                          icf.layer_ub[u][rows], mode)
+        if policy is None:
+            q = reward + expect
+            v[t] = q.max(axis=1)
+            near = q >= (v[t] - tie_rtol * np.maximum(1.0, np.abs(v[t])))[:, None]
+            acts[t] = np.argmax(near, axis=1)
+        else:
+            v[t] = reward[rows] + expect
+            acts[t] = policy.action_at[t]
+    return v, acts
+
+
+def per_triple_bound_rows(obs_row, s_next, query, cols, is_observed, assumptions):
+    """Reference closed-form bounds of (R, K) query rows on columns `cols` given one
+    observed transition (its pair's row `obs_row` and outcome `s_next`), with the
+    per-row maxima and overlap tests taken along the trailing axis; clamped, unchecked."""
+    p_obs = obs_row[s_next]
+    obs = obs_row[cols]
+    at_next = cols == s_next
+    lb = np.maximum(0.0, (query - (1.0 - p_obs)) / p_obs)
+    ub = np.minimum(1.0, query / p_obs)
+    if assumptions is not Assumptions.NONE:
+        p_next_q = np.where(at_next, query, 0.0).max(axis=1, keepdims=True)
+        cs = (obs > 0) & (p_next_q * obs > query * p_obs)
+        overlap = np.any((obs > 0) & (query > 0), axis=1, keepdims=True)
+        if assumptions is Assumptions.CS:
+            ub[cs] = 0.0
+            ub_o = ub
+        else:
+            ub_o = np.where(obs > 0, np.minimum(query, 1.0 - p_next_q),
+                            np.minimum(1.0 - p_next_q, query / p_obs))
+            ub_o[cs] = 0.0
+            ub_o = np.where(at_next, np.minimum(p_obs, p_next_q) / p_obs, ub_o)
+        leftover = 1.0 - (ub_o.sum(axis=1, keepdims=True) - ub_o)
+        lb_o = np.where(leftover > query.shape[1] * np.finfo(float).eps, leftover, 0.0)
+        if assumptions is Assumptions.CS_MON:
+            lb_o = np.where(at_next, np.maximum(p_next_q, lb_o), lb_o)
+        lb_o[cs | (query <= 0)] = 0.0
+        lb = np.where(overlap, lb_o, lb)
+        ub = np.where(overlap, ub_o, ub)
+    lb[is_observed] = ub[is_observed] = 0.0
+    hit = is_observed[:, None] & at_next
+    lb[hit] = ub[hit] = 1.0
+    np.clip(ub, 0.0, 1.0, out=ub)
+    np.minimum(lb, ub, out=lb)
+    np.clip(lb, 0.0, 1.0, out=lb)
+    return lb, ub
+
+
+def per_triple_layers(m, path, assumptions):
+    """Reference ICFMDP layers (U, S, A, K): `per_triple_bound_rows` over all (s, a)
+    rows, one unique observed triple at a time in order of first occurrence."""
+    cols = m.support_cols.reshape(-1, m.support_cols.shape[-1])
+    query = np.take_along_axis(m.transition, m.support_cols, axis=2).reshape(cols.shape)
+    triples = list(dict.fromkeys(path.step(t) for t in range(path.horizon)))
+    rows = [per_triple_bound_rows(m.transition[s, a], s2, query, cols,
+                                  np.arange(len(cols)) == s * m.num_actions + a, assumptions)
+            for s, a, s2 in triples]
+    shape = (len(triples),) + m.support_cols.shape
+    return tuple(np.reshape([r[i] for r in rows], shape) for i in (0, 1))
 
 
 def sequential_robust_vi(icf, reward, mode, tie_rtol=1e-12):
@@ -248,9 +367,16 @@ def dense_sample_rows(lb, ub, rng):
     """Reference sequential conditional sampler for (R, S) dense interval rows: each row
     visits all S columns in the argsort order of one uniform per entry, then draws its
     rank masses from a second (R, S) block of uniforms."""
+    keys = rng.random(lb.shape)
+    return trailing_axis_sample_rows(lb, ub, keys, rng.random(lb.shape))
+
+
+def trailing_axis_sample_rows(lb, ub, keys, u):
+    """Reference sequential conditional sampling of (R, K) interval rows, visiting each
+    row in the argsort order of its `keys` and placing rank j's mass by `u[:, j]`, with
+    the gathers, suffix sums and scatter along the trailing axis."""
     num_rows, n = lb.shape
-    order = np.argsort(rng.random((num_rows, n)), axis=1)
-    u = rng.random((num_rows, n))
+    order = np.argsort(keys, axis=1)
     lb_o = np.take_along_axis(lb, order, axis=1)
     ub_o = np.take_along_axis(ub, order, axis=1)
     lb_after = np.cumsum(lb_o[:, ::-1], axis=1)[:, ::-1] - lb_o

@@ -9,7 +9,8 @@ from icfmdp import (Assumptions, Mdp, ObservedPath, ProbInterval, build_gridworl
                     build_interval_cfmdp, gridworld_spec, oracle_bounds, transition_row_bounds)
 from icfmdp.bounds import IntervalCfMdp, _cs_mask, make_interval
 from icfmdp.errors import InfeasibleRow, InvariantViolation
-from helpers import (make_random_mdp, random_interval_bounds, random_observed, random_path,
+from helpers import (KERNEL_ENVS, kernel_env, make_random_mdp, per_triple_layers,
+                     random_interval_bounds, random_observed, random_path, same_bits,
                      supports_overlap)
 
 # Reference intervals for the toy MDP after observing 0 -> 1, per (s, a, s'):
@@ -218,9 +219,11 @@ class TestBuildIntervalCfMdp:
 
     @pytest.mark.parametrize("assumptions", list(Assumptions))
     def test_layers_equal_stacked_rows(self, rng, assumptions):
-        """Each layer, built one action block at a time, equals the one-row bounds bitwise."""
+        """Each layer, built in one block with every other layer, equals the one-row
+        bounds bitwise."""
         cases = [(m, random_path(m, rng, 4)) for m in
                  [build_gridworld(gridworld_spec(p)) for p in (0.4, 0.9)]
+                 + [kernel_env(env, rng) for env in KERNEL_ENVS]
                  + [make_random_mdp(rng, int(rng.integers(2, 7)), int(rng.integers(1, 4)),
                                     sparse=True) for _ in range(20)]]
         for m, path in cases:
@@ -229,7 +232,7 @@ class TestBuildIntervalCfMdp:
                 rows = [[transition_row_bounds(m, path.step(t), (s, a), assumptions)
                          for a in range(m.num_actions)] for s in range(m.num_states)]
                 lb, ub = np.moveaxis(np.array(rows), 2, 0)
-                assert np.array_equal(icf.lb[t], lb) and np.array_equal(icf.ub[t], ub)
+                assert same_bits(icf.lb[t], lb) and same_bits(icf.ub[t], ub)
 
     def test_infeasible_row_named(self, toy, toy_path):
         # Rows of a valid MDP always leave a distribution, so corrupt one to sum to 2.
@@ -291,6 +294,42 @@ class TestCompactLayout:
         lb[1, 4, 2] = 1.0  # layer 1 serves steps 1 and 4
         with pytest.raises(InfeasibleRow, match=r"\(t=1, s=4, a=2\).*sum\(lb\)="):
             replace(icf, layer_lb=lb)
+
+    def test_one_block_build_names_the_first_step_of_a_bad_triple(self):
+        # Row (2, 0) sums to 1.2. Bounded given a deterministic observed step, its lower
+        # bounds are its entries; given a stochastic one, they stay below 1.
+        t = np.zeros((3, 1, 3))
+        t[0, 0], t[1, 0], t[2, 0] = [0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.6, 0.6, 0.0]
+        m = Mdp(3, 1, t, np.zeros((3, 1)), np.array([1.0, 0.0, 0.0]))
+        # Triples (0, 0, 0), (0, 0, 0), (0, 0, 1), (1, 0, 2), (2, 0, 0), (0, 0, 1), (1, 0, 2):
+        # the third unique one, first observed at step 3, makes row (2, 0) infeasible.
+        path = ObservedPath((0, 0, 0, 1, 2, 0, 1, 2), (0,) * 7)
+        with pytest.raises(InfeasibleRow,
+                           match=r"\(t=3, s=2, a=0\) given \(1, 0, 2\).*sum\(lb\)=1\.2,"):
+            build_interval_cfmdp(m, path, Assumptions.NONE)
+        build_interval_cfmdp(m, ObservedPath((0, 0, 1), (0, 0)), Assumptions.NONE)
+
+
+class TestOneBoundBlock:
+    """`build_interval_cfmdp` bounds every unique observed triple in one block, with the
+    maxima over the K columns taken one column at a time."""
+
+    @pytest.mark.parametrize("env", KERNEL_ENVS)
+    @pytest.mark.parametrize("assumptions", list(Assumptions))
+    def test_layers_match_per_triple_reference_bit_for_bit(self, rng, env, assumptions):
+        m = kernel_env(env, rng)
+        for _ in range(3):
+            path = random_path(m, rng, 10)
+            icf = build_interval_cfmdp(m, path, assumptions)
+            lb, ub = per_triple_layers(m, path, assumptions)
+            assert same_bits(icf.layer_lb, lb) and same_bits(icf.layer_ub, ub)
+
+    def test_room_and_slack_of_each_layer_row(self, rng):
+        m = kernel_env("frozen-lake", rng)
+        icf = build_interval_cfmdp(m, random_path(m, rng, 10), Assumptions.CS_MON)
+        assert same_bits(icf.room, icf.layer_ub - icf.layer_lb)
+        assert same_bits(icf.slack, 1.0 - icf.layer_lb.sum(axis=-1))
+        assert not icf.room.flags.writeable and not icf.slack.flags.writeable
 
 
 def _assumption_rows(m, obs, pair):

@@ -271,7 +271,32 @@ def fresh_solver():
     return solver
 
 
+class HighsLpSolver:
+    """A fresh solver that gets the model of `lp_solve`'s array `passModel` call as a
+    `HighsLp` filled attribute by attribute, the other form the binding takes."""
+
+    def __init__(self):
+        self.solver = fresh_solver()
+
+    def passModel(self, num_col, num_row, num_nz, a_format, sense, offset, cost, col_lower,
+                  col_upper, row_lower, row_upper, start, index, value, integrality):
+        assert (a_format, sense, offset) == (1, 1, 0.0) and not np.any(integrality)
+        assert start[-1] == num_nz == value.size
+        model = lp.highs.HighsLp()
+        model.num_col_, model.num_row_ = num_col, num_row
+        model.col_cost_, model.col_lower_, model.col_upper_ = cost, col_lower, col_upper
+        model.row_lower_, model.row_upper_ = row_lower, row_upper
+        model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = (
+            start, index, value)
+        return self.solver.passModel(model)
+
+    def __getattr__(self, name):
+        return getattr(self.solver, name)
+
+
 def test_shared_solver_carries_no_state_between_calls(rng, monkeypatch):
+    """The one reused solver, fed arrays, matches a fresh solver per solve, fed either
+    arrays or a `HighsLp`, bit for bit."""
     m = make_random_mdp(rng, 3, 2)
     first = stack(coupling_blocks(m, random_observed(m, rng), Assumptions.CS_MON))
     captured = []
@@ -287,10 +312,11 @@ def test_shared_solver_carries_no_state_between_calls(rng, monkeypatch):
     assert lp._solver() is lp._solver()
     shared = [outcome(problem) for problem in problems]
     assert shared[1:4] == [Infeasible, Infeasible, Unbounded]
-    monkeypatch.setattr(lp, "_solver", fresh_solver)
-    for problem, got in zip(problems, shared):
-        want = outcome(problem)
-        if isinstance(want, type):
-            assert got is want
-        else:
-            assert np.array_equal([got[0]], [want[0]]) and np.array_equal(got[1], want[1])
+    for reference in (fresh_solver, HighsLpSolver):
+        monkeypatch.setattr(lp, "_solver", reference)
+        for problem, got in zip(problems, shared):
+            want = outcome(problem)
+            if isinstance(want, type):
+                assert got is want
+            else:
+                assert np.array_equal([got[0]], [want[0]]) and np.array_equal(got[1], want[1])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icfmdp import (Assumptions, GridSpec, InfeasibleRow, Mdp, Mode, ObservedPath,
+from icfmdp import (Assumptions, InfeasibleRow, Mdp, Mode, ObservedPath,
                     PolicySchedule, build_frozen_lake, build_gridworld, build_gumbel_cfmdp,
                     build_interval_cfmdp, exact_policy_value, gridworld_spec, optimal_policy,
                     point_policy_eval, point_value_iteration, resolve_env, robust_policy_eval,
@@ -13,10 +13,19 @@ from icfmdp import (Assumptions, GridSpec, InfeasibleRow, Mdp, Mode, ObservedPat
 from icfmdp.bounds import CLAMP_TOL, IntervalCfMdp, check_interval_rows
 from icfmdp.mdp import _greedy, rng_from
 from icfmdp.robust import _order_fill, _sample_rows
-from helpers import (dense_sample_cfmdp, entry_moments, interval_simplex_vertices_2,
-                     make_random_mdp, mc_nonstationary_value, per_step_cumsum_rollout,
-                     random_interval_cfmdp, random_path, rejection_sample_feasible,
-                     sequential_fill_expectation, sequential_robust_vi)
+from helpers import (KERNEL_ENVS, dense_sample_cfmdp, entry_moments,
+                     interval_simplex_vertices_2, kernel_env, large_grid, make_random_mdp,
+                     mc_nonstationary_value, per_step_cumsum_rollout, random_interval_cfmdp,
+                     random_path, rejection_sample_feasible, same_bits,
+                     sequential_fill_expectation, sequential_robust_vi,
+                     trailing_axis_order_fill, trailing_axis_robust_dp,
+                     trailing_axis_sample_rows)
+
+
+def order_fill(v, lb, ub, mode):
+    """The order-and-fill kernel on rows given by their bounds, with the room and slack
+    that `IntervalCfMdp` computes for its layers."""
+    return _order_fill(v, lb, ub - lb, 1.0 - lb.sum(axis=-1), mode)
 
 
 class TestRobustExpectation:
@@ -24,14 +33,14 @@ class TestRobustExpectation:
         p = rng.dirichlet(np.ones(4))
         v = rng.normal(size=4)
         for mode in Mode:
-            assert _order_fill(v, p, p, mode) == pytest.approx(p @ v, abs=1e-12)
+            assert order_fill(v, p, p, mode) == pytest.approx(p @ v, abs=1e-12)
 
     def test_fully_free_mass(self):
         v = np.array([0.0, 10.0])
         for dtype in (float, int):
             lb, ub = np.zeros(2, dtype=dtype), np.ones(2, dtype=dtype)
-            assert _order_fill(v, lb, ub, Mode.PESSIMISTIC) == 0.0
-            assert _order_fill(v, lb, ub, Mode.OPTIMISTIC) == 10.0
+            assert order_fill(v, lb, ub, Mode.PESSIMISTIC) == 0.0
+            assert order_fill(v, lb, ub, Mode.OPTIMISTIC) == 10.0
 
     def test_two_successor_reference_case(self):
         v = np.array([0.0, 10.0])
@@ -41,8 +50,8 @@ class TestRobustExpectation:
         vertex_values = [p @ v for p in interval_simplex_vertices_2(lb, ub)]
         assert min(vertex_values) == pytest.approx(4.0)
         assert max(vertex_values) == pytest.approx(7.0)
-        assert _order_fill(v, lb, ub, Mode.PESSIMISTIC) == pytest.approx(4.0)
-        assert _order_fill(v, lb, ub, Mode.OPTIMISTIC) == pytest.approx(7.0)
+        assert order_fill(v, lb, ub, Mode.PESSIMISTIC) == pytest.approx(4.0)
+        assert order_fill(v, lb, ub, Mode.OPTIMISTIC) == pytest.approx(7.0)
 
     def test_vertex_enumeration_on_random_two_successor_rows(self, rng):
         for _ in range(50):
@@ -52,8 +61,8 @@ class TestRobustExpectation:
                 continue
             v = rng.normal(size=2)
             values = [p @ v for p in interval_simplex_vertices_2(lb, ub)]
-            assert _order_fill(v, lb, ub, Mode.PESSIMISTIC) == pytest.approx(min(values))
-            assert _order_fill(v, lb, ub, Mode.OPTIMISTIC) == pytest.approx(max(values))
+            assert order_fill(v, lb, ub, Mode.PESSIMISTIC) == pytest.approx(min(values))
+            assert order_fill(v, lb, ub, Mode.OPTIMISTIC) == pytest.approx(max(values))
 
     def test_infeasible_rows_rejected(self):
         # _order_fill takes checked rows; the one row check rejects these
@@ -69,8 +78,8 @@ class TestRobustExpectation:
             lb = nominal * rng.random(n)
             ub = nominal + (1.0 - nominal) * rng.random(n)
             v = rng.normal(size=n)
-            lo = _order_fill(v, lb, ub, Mode.PESSIMISTIC)
-            hi = _order_fill(v, lb, ub, Mode.OPTIMISTIC)
+            lo = order_fill(v, lb, ub, Mode.PESSIMISTIC)
+            hi = order_fill(v, lb, ub, Mode.OPTIMISTIC)
             for p in rejection_sample_feasible(lb, ub, rng, want=50):
                 assert lo - 1e-9 <= p @ v <= hi + 1e-9
 
@@ -90,8 +99,8 @@ def interval_rows(draw):
 @given(interval_rows())
 def test_property_nominal_between_extremes(case):
     v, lb, ub, nominal = case
-    lo = _order_fill(v, lb, ub, Mode.PESSIMISTIC)
-    hi = _order_fill(v, lb, ub, Mode.OPTIMISTIC)
+    lo = order_fill(v, lb, ub, Mode.PESSIMISTIC)
+    hi = order_fill(v, lb, ub, Mode.OPTIMISTIC)
     assert lo <= nominal @ v + 1e-9
     assert nominal @ v <= hi + 1e-9
 
@@ -115,7 +124,7 @@ def interval_row_batch(rng, n):
 
 def assert_kernel_matches_sequential_fill(v, lb, ub):
     for mode in Mode:
-        got = _order_fill(np.broadcast_to(v, lb.shape), lb, ub, mode)
+        got = order_fill(np.broadcast_to(v, lb.shape), lb, ub, mode)
         want = [sequential_fill_expectation(v, lo, hi, mode) for lo, hi in zip(lb, ub)]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -156,15 +165,6 @@ class TestOrderFillKernel:
                     assert np.array_equal(got, sequential_robust_vi(icf, m.reward, mode)[1])
 
 
-def large_grid(side):
-    """A side x side GridWorld, p=0.9, with four danger cells."""
-    q = side // 4
-    return build_gridworld(GridSpec(
-        width=side, height=side, start=(0, 0), goal=(side - 1, side - 1),
-        danger_cells=frozenset({(q - 1, q), (q + 1, 3 * q), (2 * q, 2 * q), (3 * q, q + 1)}),
-        p_intended=0.9))
-
-
 class TestCompactRobustDp:
     def test_robust_dp_never_builds_the_dense_view(self, rng):
         m = build_gridworld(gridworld_spec(0.4))
@@ -199,6 +199,65 @@ class TestCompactRobustDp:
         assert np.all(np.isfinite(sol.values.values))
         np.testing.assert_allclose(own, sol.values.values, rtol=1e-12, atol=1e-12)
         assert np.all(other <= sol.values.values + 1e-9)
+
+
+class TestRowKernelsMatchTrailingAxisReference:
+    """The kernels that work one column at a time over all rows, against the trailing-axis
+    expressions they replaced (`helpers.trailing_axis_*`), bit for bit."""
+
+    @pytest.mark.parametrize("env", KERNEL_ENVS)
+    def test_order_fill_on_layers(self, rng, env):
+        m = kernel_env(env, rng)
+        icf = build_interval_cfmdp(m, random_path(m, rng, 10), Assumptions.CS_MON)
+        n = m.num_states
+        policy_rows = np.arange(n), rng.integers(0, m.num_actions, size=n)
+        # normal values, and small integers that tie within most rows
+        for v in (rng.normal(size=n), rng.integers(-2, 3, size=n).astype(float)):
+            for u in range(len(icf.layer_lb)):
+                for rows in (np.s_[:, :], policy_rows):
+                    lb, ub = icf.layer_lb[u][rows], icf.layer_ub[u][rows]
+                    for mode in Mode:
+                        got = _order_fill(v[icf.cols[rows]], lb, icf.room[u][rows],
+                                          icf.slack[u][rows], mode)
+                        assert same_bits(got, trailing_axis_order_fill(v[icf.cols[rows]], lb,
+                                                                       ub, mode))
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 17])
+    def test_order_fill_on_edge_rows(self, rng, n):
+        """Degenerate (lb = ub), sum(lb) just above 1, 1 - sum(lb) = 0, and free rows."""
+        lb, ub = interval_row_batch(rng, n)
+        for v in (rng.normal(size=lb.shape), rng.integers(-2, 3, size=lb.shape) * 1.0):
+            for mode in Mode:
+                assert same_bits(order_fill(v, lb, ub, mode),
+                                 trailing_axis_order_fill(v, lb, ub, mode))
+
+    @pytest.mark.parametrize("env", KERNEL_ENVS)
+    def test_robust_dp(self, rng, env):
+        m = kernel_env(env, rng)
+        path = random_path(m, rng, 10)
+        policy = PolicySchedule(10, rng.integers(0, m.num_actions, size=(10, m.num_states)))
+        for assumptions in Assumptions:
+            icf = build_interval_cfmdp(m, path, assumptions)
+            for mode in Mode:
+                for reward in (m.reward, np.round(m.reward)):  # rounded: tied actions
+                    sol = robust_value_iteration(icf, reward, mode)
+                    values, acts = trailing_axis_robust_dp(icf, reward, mode)
+                    assert same_bits(sol.values.values, values)
+                    assert same_bits(sol.policy.action_at, acts)
+                values, _ = trailing_axis_robust_dp(icf, m.reward, mode, policy)
+                assert same_bits(robust_policy_eval(icf, policy, mode).values, values)
+
+    @pytest.mark.parametrize("env", KERNEL_ENVS)
+    def test_sampled_rows(self, rng, env):
+        m = kernel_env(env, rng)
+        icf = build_interval_cfmdp(m, random_path(m, rng, 10), Assumptions.CS_MON)
+        k = icf.cols.shape[-1]
+        lb, ub = icf.layer_lb[icf.layer].reshape(-1, k), icf.layer_ub[icf.layer].reshape(-1, k)
+        edge_lb, edge_ub = interval_row_batch(rng, k)
+        for lo, hi in ((lb, ub), (edge_lb, edge_ub)):
+            keys, u = rng.random((2,) + lo.shape)
+            assert same_bits(_sample_rows(lo, hi, keys, u),
+                             trailing_axis_sample_rows(lo, hi, keys, u))
 
 
 class TestInfeasibleRows:
