@@ -16,9 +16,9 @@ the coupling: the joint mass of the observed outcome s_next and each query outco
 Each directed bound (query, sense) is its own LP, and LPs for different bounds share no
 variables, so they are solved as independent blocks of one stacked LP (`lp.stack`): the
 min and the max of a query together, and every reachable query of an observed triple
-together in `oracle_layer`. Their matrices are `lp.CscMatrix` arrays made with numpy
-alone, and every solve goes through this module's `lp_solve`, on the one HiGHS solver
-`lp` reuses from call to call (so from one thread at a time).
+together in `oracle_layer`. Each LP is HiGHS's own model, an `lp.CscMatrix` made with
+numpy alone and its row bounds, and every solve goes through this module's `lp_solve`,
+on the one HiGHS solver `lp` reuses from call to call (so from one thread at a time).
 """
 
 from __future__ import annotations
@@ -80,11 +80,11 @@ def _coupling_lp(m: Mdp, obs: ObsTriple, query_pair: Pair,
     at = i == s_next
     lower[at], upper[at] = lo[j[at]], hi[j[at]]
     # Each variable sits in one row-marginal and one column-marginal equality.
-    a_eq = CscMatrix(np.arange(0, 2 * i.size + 1, 2),
-                     np.column_stack([ri, rows.size + rj]).ravel(), np.ones(2 * i.size),
-                     rows.size + cols.size)
-    problem = LpProblem(c=np.zeros(i.size), a_eq=a_eq,
-                        b_eq=np.concatenate([obs_row[rows], query_row[cols]]),
+    marginals = CscMatrix(np.arange(0, 2 * i.size + 1, 2),
+                          np.column_stack([ri, rows.size + rj]).ravel(), np.ones(2 * i.size),
+                          rows.size + cols.size)
+    b_eq = np.concatenate([obs_row[rows], query_row[cols]])
+    problem = LpProblem(c=np.zeros(i.size), a=marginals, row_lower=b_eq, row_upper=b_eq,
                         lower=lower, upper=upper)
     return problem, i, j
 
@@ -170,22 +170,30 @@ def enumerate_theta_bounds(m: Mdp, obs: ObsTriple, query_triple: tuple[int, int,
     s, a, s_cf = query_triple
     obs_row, query_row = m.transition[s_t, a_t], m.transition[s, a]
 
-    # One equality row per positive (pair, successor) entry; mechanism u puts a one in
-    # the row of each pair's successor.
+    # One equality row per positive (pair, successor) entry, where mechanism u has a one
+    # for each pair's successor. Box rows follow, with no lower bound: query outcome j's
+    # capped row (+1) is box_row[j], its floored row (-1) box_row[n + j], for every
+    # mechanism that maps the observed pair to s_next and the query pair to j.
     succ = _successor_table(m)
     flat = m.transition.ravel()
     entry_row = np.cumsum(flat > 0) - 1
-    pairs = succ.shape[0]
-    a_eq = CscMatrix(np.arange(0, succ.size + 1, pairs),
-                     entry_row[(np.arange(pairs)[:, None] * n + succ).T.ravel()],
-                     np.ones(succ.size), entry_row[-1] + 1)
-
     lo, hi = _observed_outcome_box(obs_row, s_next, query_row, assumptions)
-    joint = ((succ[s_t * k + a_t] == s_next)
-             & (succ[s * k + a] == np.arange(n)[:, None])).astype(float)
     capped, floored = np.isfinite(hi) & (query_row > 0), lo > 0
-    problem = LpProblem(c=joint[s_cf], a_eq=a_eq, b_eq=flat[flat > 0],
-                        a_ub=np.concatenate([joint[capped], -joint[floored]]),
-                        b_ub=np.concatenate([hi[capped], -lo[floored]]))
+    box = np.concatenate([capped, floored])
+    box_row = entry_row[-1] + np.cumsum(box)
+    hit, query_succ = succ[s_t * k + a_t] == s_next, succ[s * k + a]
+    box_col = np.column_stack([query_succ, n + query_succ])
+    # (M, pairs + 2): each mechanism's equality rows, then its capped and floored rows.
+    index = np.column_stack([entry_row[(np.arange(succ.shape[0])[:, None] * n + succ).T],
+                             box_row[box_col]])
+    keep = np.column_stack([np.ones(succ.shape[::-1], dtype=bool), hit[:, None] & box[box_col]])
+    value = np.ones(index.shape)
+    value[:, -1] = -1.0
+    matrix = CscMatrix(np.concatenate([[0], np.cumsum(keep.sum(axis=1))]), index[keep],
+                       value[keep], box_row[-1] + 1)
+    b_eq = flat[flat > 0]
+    problem = LpProblem(c=(hit & (query_succ == s_cf)).astype(float), a=matrix,
+                        row_lower=np.concatenate([b_eq, np.full(np.count_nonzero(box), -np.inf)]),
+                        row_upper=np.concatenate([b_eq, hi[capped], -lo[floored]]))
     lo_value, hi_value = _solve_blocks([problem, replace(problem, sense="max")]) / obs_row[s_next]
     return make_interval(lo_value, hi_value)

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mdp import Mdp, ObservedPath, PointCfMdp, check_path, check_query, rng_from, support_columns
+from .mdp import (Mdp, ObservedPath, PointCfMdp, check_path, check_query, mdp_to_json, rng_from,
+                  support_columns)
 
 
 def _score_table(cols: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,8 +125,7 @@ def gumbel_cfmdp_to_json(cf: PointCfMdp, base: Mdp, path: ObservedPath,
     """Serialize as one MDP JSON per time layer (initial state pinned to the path's)."""
     initial = np.zeros(base.num_states)
     initial[path.states[0]] = 1.0
-    layers = [{"num_states": base.num_states, "num_actions": base.num_actions,
-               "transition": layer.tolist(), "reward": base.reward.tolist(),
-               "initial_dist": initial.tolist()} for layer in cf.transition]
+    layers = [mdp_to_json(Mdp(base.num_states, base.num_actions, layer, base.reward, initial))
+              for layer in cf.transition]
     return {"horizon": cf.horizon, "seed": cf.seed, "layers": layers,
             "num_samples": num_samples}

@@ -6,7 +6,7 @@ be shared freely across threads. Every stochastic operation takes an explicit se
 One backward-induction routine, `_backward`, serves all six finite-horizon DP entry
 points: `optimal_policy` and `exact_policy_value` here, and the robust and point value
 iteration and policy evaluation in `robust`. Each passes only its backup; `_backward`
-owns the loop over t, the action choice (`_greedy`) and the policy-horizon check.
+owns the loop over t, the action choice (`_greedy`) and the policy check (`_check_policy`).
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def check_query(m: Mdp, obs: tuple[int, int, int], query: tuple[int, ...]) -> No
 
 def sample_path(m: Mdp, policy: PolicySchedule, horizon: int, seed: int) -> ObservedPath:
     """Sample one path of `horizon` transitions; deterministic for a fixed seed."""
-    _check_policy_horizon(policy, horizon)
+    _check_policy(policy, horizon, m.num_states, m.num_actions)
     rng = rng_from(seed)
     s = int(rng.choice(m.num_states, p=m.initial_dist))
     states, actions = [s], []
@@ -225,10 +225,17 @@ def _greedy(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.argmax(near, axis=1), q_max
 
 
-def _check_policy_horizon(policy: PolicySchedule, horizon: int) -> None:
+def _check_policy(policy: PolicySchedule, horizon: int, num_states: int,
+                  num_actions: int) -> None:
+    """ValueError unless `policy` has `horizon` steps of valid actions for every state."""
+    acts = policy.action_at
     if policy.horizon < horizon:
         raise ValueError(f"policy horizon {policy.horizon} is shorter than the horizon "
                          f"{horizon}")
+    if acts.shape[1:] != (num_states,):
+        raise ValueError(f"policy of shape {acts.shape} has no column per state of {num_states}")
+    if not 0 <= acts.min() <= acts.max() < num_actions:
+        raise ValueError(f"policy actions {acts.min()}..{acts.max()} leave 0..{num_actions - 1}")
 
 
 def _backward(horizon: int, reward: np.ndarray, expect: Callable,
@@ -242,7 +249,7 @@ def _backward(horizon: int, reward: np.ndarray, expect: Callable,
     values; `values[horizon]` is zero.
     """
     if policy is not None:
-        _check_policy_horizon(policy, horizon)
+        _check_policy(policy, horizon, *reward.shape)
     n = reward.shape[0]
     s_idx = np.arange(n)
     v = np.zeros((horizon + 1, n))

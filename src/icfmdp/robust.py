@@ -40,8 +40,8 @@ import numpy as np
 
 from .bounds import CLAMP_TOL, IntervalCfMdp
 from .errors import InfeasibleRow
-from .mdp import (PointCfMdp, PolicySchedule, ValueTable, _backward, _check_policy_horizon,
-                  rng_from, support_columns)
+from .mdp import (PointCfMdp, PolicySchedule, ValueTable, _backward, _check_policy, rng_from,
+                  support_columns)
 
 
 class Mode(enum.Enum):
@@ -186,8 +186,10 @@ def sample_cfmdp(icf: IntervalCfMdp, seed: int) -> PointCfMdp:
 def rollout_rewards(transition: np.ndarray, reward: np.ndarray, policy: PolicySchedule,
                     start_state: int, num_paths: int, seed: int) -> np.ndarray:
     """Instant rewards, shape (num_paths, T), of vectorized rollouts on a concrete CFMDP."""
-    t_len, n, _, _ = transition.shape
-    _check_policy_horizon(policy, t_len)
+    t_len, n, num_actions, _ = transition.shape
+    _check_policy(policy, t_len, n, num_actions)
+    if not 0 <= start_state < n:
+        raise ValueError(f"start state {start_state} is outside 0..{n - 1}")
     s_all, acts = np.arange(n), policy.action_at[:t_len]
     rows = transition[np.arange(t_len)[:, None], s_all, acts]  # (T, S, S)
     cols = support_columns(rows > 0)  # (T, S, K)

@@ -14,6 +14,7 @@ from icfmdp import (GridSpec, IntervalCfMdp, Mdp, Mode, ObservedPath, PolicySche
 from icfmdp.bounds import Assumptions
 from icfmdp.coupling import _coupling_lp, _observed_outcome_box, lp_solve
 from icfmdp.gumbel import _posterior_probs, _prior_gumbels, _score_table
+from icfmdp.lp import CscMatrix
 from icfmdp.mdp import random_policy_schedule, rng_from, sample_path
 
 
@@ -61,6 +62,15 @@ def same_bits(a, b):
     """True iff two arrays have the same dtype, shape and bytes (signs of zero included)."""
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def csc(a):
+    """A dense matrix as an `lp.CscMatrix`: its nonzero entries column by column, in
+    ascending row order, as in scipy's CSC form of the same matrix."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    col, row = np.nonzero(a.T)
+    return CscMatrix(np.searchsorted(col, np.arange(a.shape[1] + 1)), row, a[row, col],
+                     a.shape[0])
 
 
 def random_observed(m, rng):

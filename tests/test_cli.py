@@ -1,14 +1,16 @@
+import ast
 import csv
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from icfmdp import (Assumptions, build_gridworld, build_interval_cfmdp, build_toy_mdp, cli,
-                    gridworld_spec, load_mdp, mdp_to_json, path_to_json)
+from icfmdp import (Assumptions, build_gridworld, build_gumbel_cfmdp, build_interval_cfmdp,
+                    build_toy_mdp, cli, gridworld_spec, load_mdp, mdp_to_json, path_to_json)
 from icfmdp.errors import InvariantViolation
 from icfmdp.experiments import RunConfig, run_ope
 from icfmdp.lp import lp_solve
@@ -75,6 +77,22 @@ def test_import_and_bounds_leave_scipy_unloaded(toy_files):
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stderr.strip() == "[False, False]"
+
+
+def test_only_the_lp_layer_imports_scipy():
+    # The private HiGHS binding stays in one place: no module but `icfmdp.lp` imports scipy.
+    importers = []
+    for file in sorted(Path(cli.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(file.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.append(file.name)
+    assert importers == ["lp.py"]
 
 
 def test_bounds_json(run_cli, toy_files):
@@ -163,6 +181,26 @@ def test_solve_pessimistic(run_cli, toy_files):
     assert payload["mode"] == "pessimistic"
     assert np.asarray(payload["values"]).shape == (2, 3)
     assert np.asarray(payload["policy"]).shape == (1, 3)
+
+
+def test_gumbel_output_keeps_its_bytes(tmp_path):
+    # One MDP JSON per layer, in `mdp_to_json`'s key order, pinned to the path's first state.
+    m = build_gridworld(gridworld_spec(0.4))
+    path = random_path(m, np.random.default_rng(3), 3)
+    (tmp_path / "grid.json").write_text(json.dumps(mdp_to_json(m)))
+    (tmp_path / "path.json").write_text(json.dumps(path_to_json(path)))
+    assert cli.main(["gumbel", "--mdp", str(tmp_path / "grid.json"), "--path",
+                     str(tmp_path / "path.json"), "--samples", "200", "--seed", "5",
+                     "--out", str(tmp_path / "out")]) == 0
+    cf = build_gumbel_cfmdp(m, path, 200, 5)
+    initial = [0.0] * m.num_states
+    initial[path.states[0]] = 1.0
+    layers = [{"num_states": m.num_states, "num_actions": m.num_actions,
+               "transition": layer.tolist(), "reward": m.reward.tolist(),
+               "initial_dist": initial} for layer in cf.transition]
+    expected = {"horizon": 3, "seed": 5, "layers": layers, "num_samples": 200}
+    text = (tmp_path / "out" / "gumbel_cfmdp.json").read_text()
+    assert text == json.dumps(expected, indent=2) + "\n"
 
 
 def test_gumbel_with_policy(run_cli, toy_files):

@@ -7,26 +7,36 @@ from icfmdp import (Assumptions, Infeasible, InvariantViolation, LpProblem, Unbo
                     block_values, build_toy_mdp, enumerate_theta_bounds, lp, lp_solve, stack)
 from icfmdp.lp import CscMatrix
 from icfmdp import coupling
-from icfmdp.coupling import _bound_blocks, _coupling_lp
-from helpers import make_random_mdp, random_observed
+from icfmdp.coupling import _bound_blocks, _coupling_lp, _successor_table
+from helpers import csc, make_random_mdp, random_observed
 
 
 def scipy_matrix(a):
-    """A CscMatrix as a scipy csc_array; any other matrix as it is."""
-    if isinstance(a, CscMatrix):
-        return sp.csc_array((a.value, a.index, a.start), shape=(a.num_row, a.start.size - 1))
-    return a
+    """A CscMatrix as a scipy csc_array."""
+    return sp.csc_array((a.value, a.index, a.start), shape=(a.num_row, a.start.size - 1))
+
+
+def no_rows(c, **kw):
+    """An LpProblem with cost `c` and no constraint rows."""
+    return LpProblem(c=c, a=csc(np.zeros((0, np.size(c)))), row_lower=np.empty(0),
+                     row_upper=np.empty(0), **kw)
+
+
+def eq_rows(c, a, b, **kw):
+    """An LpProblem with the equality rows a @ x = b."""
+    return LpProblem(c=c, a=csc(a), row_lower=b, row_upper=b, **kw)
+
+
+def ub_rows(c, a, b, **kw):
+    """An LpProblem with the rows a @ x <= b."""
+    return LpProblem(c=c, a=csc(a), row_lower=-np.inf, row_upper=b, **kw)
 
 
 def milp_solve(problem):
     """Reference: the problem through scipy `milp`, with the same error contract."""
     sign = {"min": 1.0, "max": -1.0}[problem.sense]
-    constraints = []
-    if problem.a_eq is not None:
-        constraints.append(LinearConstraint(scipy_matrix(problem.a_eq), problem.b_eq,
-                                            problem.b_eq))
-    if problem.a_ub is not None:
-        constraints.append(LinearConstraint(scipy_matrix(problem.a_ub), -np.inf, problem.b_ub))
+    constraints = [LinearConstraint(scipy_matrix(problem.a), problem.row_lower,
+                                    problem.row_upper)] if problem.a.num_row else []
     res = milp(sign * np.asarray(problem.c, dtype=float),
                bounds=Bounds(problem.lower, problem.upper), constraints=constraints)
     if res.status == 2:
@@ -53,8 +63,7 @@ def assert_solves_as_milp(problem):
 
 
 def test_single_variable_max():
-    p = LpProblem(c=np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([0.7]),
-                  sense="max")
+    p = ub_rows(np.array([1.0]), np.array([[1.0]]), np.array([0.7]), sense="max")
     value, x = lp_solve(p)
     assert value == pytest.approx(0.7, abs=1e-9)
     assert x[0] == pytest.approx(0.7, abs=1e-9)
@@ -74,22 +83,21 @@ def test_transportation_corner():
     ])
     b_eq = np.concatenate([r, c])
     obj = np.array([1.0, 0.0, 0.0, 0.0])
-    lo, _ = lp_solve(LpProblem(c=obj, a_eq=a_eq, b_eq=b_eq))
-    hi, _ = lp_solve(LpProblem(c=obj, a_eq=a_eq, b_eq=b_eq, sense="max"))
+    lo, _ = lp_solve(eq_rows(obj, a_eq, b_eq))
+    hi, _ = lp_solve(eq_rows(obj, a_eq, b_eq, sense="max"))
     assert lo == pytest.approx(lo_expected, abs=1e-9)
     assert lo == pytest.approx(0.0, abs=1e-9)
     assert hi == pytest.approx(hi_expected, abs=1e-9)
 
 
 def test_infeasible():
-    p = LpProblem(c=np.array([1.0]),
-                  a_ub=np.array([[1.0], [-1.0]]), b_ub=np.array([0.2, -0.5]))
+    p = ub_rows(np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([0.2, -0.5]))
     with pytest.raises(Infeasible):
         lp_solve(p)
 
 
 def test_unbounded():
-    p = LpProblem(c=np.array([1.0]), sense="max")
+    p = no_rows(np.array([1.0]), sense="max")
     with pytest.raises(Unbounded):
         lp_solve(p)
 
@@ -100,7 +108,7 @@ def test_solution_satisfies_constraints(rng):
     x_feasible = rng.random(n)
     b_eq = a_eq @ x_feasible
     c = rng.normal(size=n)
-    value, x = lp_solve(LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, upper=np.full(n, 2.0)))
+    value, x = lp_solve(eq_rows(c, a_eq, b_eq, upper=np.full(n, 2.0)))
     assert np.abs(a_eq @ x - b_eq).max() < 1e-9
     assert np.all(x >= -1e-9) and np.all(x <= 2.0 + 1e-9)
     assert value == pytest.approx(c @ x, abs=1e-9)
@@ -118,19 +126,19 @@ def coupling_blocks(m, obs, assumptions):
 
 
 def generic_blocks(rng, n=5):
-    """Feasible, bounded LPs in the container's other forms: dense, scipy sparse and
-    CscMatrix matrices, inequality rows with and without equality rows, scalar and
-    per-variable bounds."""
+    """Feasible, bounded LPs unlike the coupling LP's: inequality rows with and without
+    equality rows, scalar and per-row row bounds, scalar and per-variable bounds, and a
+    CscMatrix built by hand."""
     a, x0 = rng.random((2, n)), rng.random(n)
-    blocks = [LpProblem(c=rng.normal(size=n), a_eq=a, b_eq=a @ x0, upper=np.full(n, 2.0)),
-              LpProblem(c=rng.normal(size=n), a_ub=sp.csr_matrix(a), b_ub=a @ x0, upper=1.0,
-                        sense="max"),
-              LpProblem(c=rng.normal(size=n), a_eq=a[:1], b_eq=a[:1] @ x0, a_ub=a[1:],
-                        b_ub=a[1:] @ x0, upper=3.0)]
+    b = a @ x0
+    blocks = [eq_rows(rng.normal(size=n), a, b, upper=np.full(n, 2.0)),
+              ub_rows(rng.normal(size=n), a, b, upper=1.0, sense="max"),
+              LpProblem(c=rng.normal(size=n), a=csc(a), row_lower=np.array([b[0], -np.inf]),
+                        row_upper=b, upper=3.0)]
     # Every entry of `a` is positive, so column k of its CscMatrix holds rows 0 and 1.
-    csc = CscMatrix(np.arange(0, 2 * n + 1, 2), np.tile([0, 1], n), a.T.ravel(), 2)
-    return blocks + [LpProblem(c=rng.normal(size=n), a_eq=csc, b_eq=a @ x0, upper=1.5,
-                               sense="max")]
+    by_hand = CscMatrix(np.arange(0, 2 * n + 1, 2), np.tile([0, 1], n), a.T.ravel(), 2)
+    return blocks + [LpProblem(c=rng.normal(size=n), a=by_hand, row_lower=b, row_upper=b,
+                               upper=1.5, sense="max")]
 
 
 @pytest.mark.parametrize("sparse", [False, True])
@@ -149,8 +157,7 @@ def test_stacked_block_values_equal_separate_solves(rng, sparse):
 
 
 def test_stack_with_one_infeasible_block_is_infeasible(rng):
-    infeasible = LpProblem(c=np.array([1.0]),
-                           a_ub=np.array([[1.0], [-1.0]]), b_ub=np.array([0.2, -0.5]))
+    infeasible = ub_rows(np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([0.2, -0.5]))
     blocks = generic_blocks(rng)
     lp_solve(stack(blocks))  # feasible without it
     with pytest.raises(Infeasible):
@@ -177,36 +184,89 @@ def test_enumeration_lp_matches_milp_bit_for_bit(monkeypatch):
                         lambda blocks: captured.append(stack(blocks)) or np.zeros(len(blocks)))
     enumerate_theta_bounds(build_toy_mdp(), (0, 0, 1), (1, 0, 1), Assumptions.CS_MON)
     problem, = captured
-    assert problem.a_eq is not None and problem.a_ub is not None and problem.a_ub.num_row
+    assert problem.a.num_row and np.isinf(problem.row_lower).any()  # it has box rows
     assert_solves_as_milp(problem)
 
 
-_ONE_ROW = dict(a_eq=np.ones((1, 2)), b_eq=np.array([1.0]))
+def enumeration_rows(m, obs, query_triple, assumptions):
+    """The enumeration LP's rows as dense (matrix, row_lower, row_upper): one equality
+    row per positive transition entry, then the box rows joint[capped] <= hi[capped]
+    and -joint[floored] <= -lo[floored], where joint[j] marks the mechanisms that map
+    the observed pair to its outcome and the query pair to j."""
+    (s_t, a_t, s_next), (s, a, _) = obs, query_triple
+    k, flat = m.num_actions, m.transition.ravel()
+    succ = _successor_table(m)
+    entries = np.flatnonzero(flat)
+    eq = (np.arange(succ.shape[0])[:, None] * m.num_states + succ
+          == entries[:, None, None]).any(axis=1).astype(float)
+    lo, hi = coupling._observed_outcome_box(m.transition[s_t, a_t], s_next,
+                                            m.transition[s, a], assumptions)
+    joint = ((succ[s_t * k + a_t] == s_next)
+             & (succ[s * k + a] == np.arange(m.num_states)[:, None])).astype(float)
+    capped, floored = np.isfinite(hi) & (m.transition[s, a] > 0), lo > 0
+    box = np.concatenate([joint[capped], -joint[floored]])
+    return (np.vstack([eq, box]), np.concatenate([flat[entries], np.full(len(box), -np.inf)]),
+            np.concatenate([flat[entries], hi[capped], -lo[floored]]))
+
+
+def test_enumeration_rows_are_the_equalities_then_the_box(rng, monkeypatch):
+    captured = []
+    monkeypatch.setattr(coupling, "_solve_blocks",
+                        lambda blocks: captured.append(blocks) or np.zeros(len(blocks)))
+    box_rows = 0
+    for _ in range(6):
+        m = make_random_mdp(rng, int(rng.integers(2, 4)), int(rng.integers(1, 3)),
+                            sparse=True)
+        obs = random_observed(m, rng)
+        for assumptions in Assumptions:
+            for query in np.ndindex(m.num_states, m.num_actions, m.num_states):
+                enumerate_theta_bounds(m, obs, query, assumptions)
+                low, high = captured.pop()
+                assert (low.sense, high.sense) == ("min", "max") and high.a is low.a
+                matrix, row_lower, row_upper = enumeration_rows(m, obs, query, assumptions)
+                assert np.array_equal(scipy_matrix(low.a).toarray(), matrix)
+                assert scipy_matrix(low.a).has_sorted_indices  # rows ascend in each column
+                assert row_lower.tobytes() == low.row_lower.tobytes()
+                assert row_upper.tobytes() == low.row_upper.tobytes()
+                box_rows += len(row_lower) - np.count_nonzero(m.transition)
+    assert box_rows
+
+
+_ONE_ROW = dict(a=csc(np.ones((1, 2))), row_lower=np.array([1.0]), row_upper=np.array([1.0]))
+_TWO_ROWS = csc(np.ones((2, 2)))
 MALFORMED = {
     "nan-c": LpProblem(c=np.array([np.nan, 1.0]), **_ONE_ROW),
     "inf-c": LpProblem(c=np.array([np.inf, 1.0]), **_ONE_ROW),
-    "empty-c": LpProblem(c=np.array([])),
-    "2d-c": LpProblem(c=np.ones((2, 2))),
-    "nan-b_eq": LpProblem(c=np.array([1.0, 2.0]), a_eq=np.ones((1, 2)), b_eq=np.array([np.nan])),
-    "nan-b_ub": LpProblem(c=np.array([1.0, 2.0]), a_ub=np.ones((1, 2)), b_ub=np.array([np.nan])),
+    "empty-c": no_rows(np.array([])),
+    "2d-c": no_rows(np.ones((2, 2))),
+    "nan-b_eq": eq_rows(np.array([1.0, 2.0]), np.ones((1, 2)), np.array([np.nan])),
+    "nan-b_ub": ub_rows(np.array([1.0, 2.0]), np.ones((1, 2)), np.array([np.nan])),
+    "nan-row_lower": LpProblem(c=np.array([1.0, 2.0]), a=_ONE_ROW["a"],
+                               row_lower=np.array([np.nan]), row_upper=np.array([1.0])),
     "nan-lower": LpProblem(c=np.array([1.0, 2.0]), lower=np.array([np.nan, 0.0]), **_ONE_ROW),
     "nan-upper": LpProblem(c=np.array([1.0, 2.0]), upper=np.nan, **_ONE_ROW),
     "matrix-columns": LpProblem(c=np.ones(3), **_ONE_ROW),
-    "matrix-rows": LpProblem(c=np.ones(2), a_ub=sp.csr_matrix(np.ones((2, 2))),
-                             b_ub=np.ones(3)),
-    "bounds-shape": LpProblem(c=np.ones(2), upper=np.ones(3)),
-    "lower-above-upper": LpProblem(c=np.ones(2), lower=np.array([1.0, 0.0]),
-                                   upper=np.array([0.5, 1.0])),
-    "infeasible-rows": LpProblem(c=np.array([1.0]), a_ub=np.array([[1.0], [-1.0]]),
-                                 b_ub=np.array([0.2, -0.5])),
-    "infeasible-eq": LpProblem(c=np.ones(2), a_eq=np.ones((2, 2)), b_eq=np.array([1.0, 2.0])),
-    "unbounded": LpProblem(c=np.array([1.0]), sense="max"),
+    "matrix-rows": LpProblem(c=np.ones(2), a=_TWO_ROWS, row_lower=-np.inf,
+                             row_upper=np.ones(3)),
+    "row_lower-shape": LpProblem(c=np.ones(2), a=_TWO_ROWS, row_lower=np.zeros(3),
+                                 row_upper=np.ones(2)),
+    "bounds-shape": no_rows(np.ones(2), upper=np.ones(3)),
+    "lower-above-upper": no_rows(np.ones(2), lower=np.array([1.0, 0.0]),
+                                 upper=np.array([0.5, 1.0])),
+    "infeasible-rows": ub_rows(np.array([1.0]), np.array([[1.0], [-1.0]]),
+                               np.array([0.2, -0.5])),
+    "infeasible-eq": eq_rows(np.ones(2), np.ones((2, 2)), np.array([1.0, 2.0])),
+    "row_lower-above-row_upper": LpProblem(c=np.ones(2), a=_TWO_ROWS,
+                                           row_lower=np.array([1.0, 2.0]),
+                                           row_upper=np.array([1.0, 1.5])),
+    "unbounded": no_rows(np.array([1.0]), sense="max"),
     # Primal and dual both infeasible (free x, y with x - y <= -1 and y - x <= -1);
     # HiGHS's presolve reports it infeasible.
-    "unbounded-or-infeasible": LpProblem(c=np.array([-1.0, -1.0]),
-                                         a_ub=np.array([[1.0, -1.0], [-1.0, 1.0]]),
-                                         b_ub=np.array([-1.0, -1.0]), lower=-np.inf),
-    "scalar-b_eq": LpProblem(c=np.array([1.0, 2.0]), a_eq=np.ones((2, 2)), b_eq=1.0),
+    "unbounded-or-infeasible": ub_rows(np.array([-1.0, -1.0]),
+                                       np.array([[1.0, -1.0], [-1.0, 1.0]]),
+                                       np.array([-1.0, -1.0]), lower=-np.inf),
+    "scalar-b_eq": LpProblem(c=np.array([1.0, 2.0]), a=_TWO_ROWS, row_lower=1.0,
+                             row_upper=1.0),
 }
 
 
@@ -224,37 +284,17 @@ def test_other_solver_status_is_an_invariant_violation(monkeypatch):
     solver.setOptionValue("log_to_console", False)
     monkeypatch.setattr(lp, "_solver", lambda: solver)
     with pytest.raises(InvariantViolation, match="model status"):
-        lp_solve(LpProblem(c=np.array([1.0]), upper=1.0))
-
-
-def matrix_forms(entry):
-    """The one-row matrix [[entry, 1]] as a dense array, a scipy sparse matrix and a
-    CscMatrix."""
-    dense = np.array([[entry, 1.0]])
-    return {"dense": dense, "scipy": sp.csr_matrix(dense),
-            "container": CscMatrix(np.array([0, 1, 2]), np.array([0, 0]), dense[0], 1)}
+        lp_solve(no_rows(np.array([1.0]), upper=1.0))
 
 
 # Not in the milp-parity table: milp accepts a non-finite matrix entry.
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("form", ["dense", "scipy", "container"])
-@pytest.mark.parametrize("rows", ["eq", "ub"])
-def test_non_finite_matrix_entry_is_rejected(rows, form, entry):
-    problem = LpProblem(c=np.array([1.0, 2.0]), **{f"a_{rows}": matrix_forms(entry)[form],
-                                                   f"b_{rows}": np.array([1.0])})
+@pytest.mark.parametrize("rows", [eq_rows, ub_rows], ids=["eq", "ub"])
+def test_non_finite_matrix_entry_is_rejected(rows, entry):
+    problem = rows(np.array([1.0, 2.0]), np.array([[entry, 1.0]]), np.array([1.0]))
     for candidate in (problem, stack([problem])):
         with pytest.raises(ValueError, match="finite"):
             lp_solve(candidate)
-
-
-def test_dense_and_scipy_matrices_convert_to_scipy_csc_arrays(rng):
-    a = rng.random((4, 6)) * (rng.random((4, 6)) < 0.5)
-    expected = sp.csc_array(a)
-    for form in (a, sp.csr_matrix(a), sp.coo_array(a), expected):
-        got = lp._csc(form)
-        assert got.num_row == 4
-        for part, want in zip(got[:3], (expected.indptr, expected.indices, expected.data)):
-            assert np.array_equal(part, want)
 
 
 def outcome(problem):

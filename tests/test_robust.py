@@ -11,7 +11,7 @@ from icfmdp import (Assumptions, InfeasibleRow, Mdp, Mode, ObservedPath,
                     point_policy_eval, point_value_iteration, resolve_env, robust_policy_eval,
                     robust_value_iteration, rollout_rewards, sample_cfmdp)
 from icfmdp.bounds import CLAMP_TOL, IntervalCfMdp, check_interval_rows
-from icfmdp.mdp import _greedy, rng_from
+from icfmdp.mdp import _greedy, rng_from, sample_path
 from icfmdp.robust import _order_fill, _sample_rows
 from helpers import (KERNEL_ENVS, dense_sample_cfmdp, entry_moments,
                      interval_simplex_vertices_2, kernel_env, large_grid, make_random_mdp,
@@ -596,21 +596,55 @@ class TestPointBackups:
 
 
 class TestOneBackwardInduction:
-    SHORT_POLICY_CALLS = {
+    POLICY_CALLS = {
         "robust_policy_eval": lambda icf, pi: robust_policy_eval(icf, pi, Mode.PESSIMISTIC),
         "point_policy_eval": lambda icf, pi: point_policy_eval(
             sample_cfmdp(icf, 0).transition, icf.base.reward, pi),
         "exact_policy_value": lambda icf, pi: exact_policy_value(icf.base, pi, icf.horizon),
         "rollout_rewards": lambda icf, pi: rollout_rewards(
             sample_cfmdp(icf, 0).transition, icf.base.reward, pi, 0, 10, seed=0),
+        "sample_path": lambda icf, pi: sample_path(icf.base, pi, icf.horizon, seed=0),
+    }
+    # Policies for S = 4, A = 2 and T = 5 that name no state's column or no action.
+    BAD_POLICIES = {
+        "one-column": (np.zeros((5, 1)), r"policy of shape \(5, 1\) has no column per state "
+                                         "of 4"),
+        "five-columns": (np.zeros((5, 5)), r"policy of shape \(5, 5\)"),
+        "action-minus-one": (np.zeros((5, 4)) - np.eye(5, 4), r"policy actions -1..0 leave 0..1"),
+        "action-A": (np.pad([[2]], ((4, 0), (3, 0))), r"policy actions 0..2 leave 0..1"),
     }
 
-    @pytest.mark.parametrize("call", SHORT_POLICY_CALLS)
+    @pytest.mark.parametrize("call", POLICY_CALLS)
     def test_short_policy_rejected(self, rng, call):
         icf = random_interval_cfmdp(rng, num_states=4, num_actions=2, horizon=5)
         short = PolicySchedule(3, np.zeros((3, 4), dtype=np.int64))
         with pytest.raises(ValueError, match="policy horizon 3 is shorter than the horizon 5"):
-            self.SHORT_POLICY_CALLS[call](icf, short)
+            self.POLICY_CALLS[call](icf, short)
+
+    @pytest.mark.parametrize("case", BAD_POLICIES)
+    @pytest.mark.parametrize("call", POLICY_CALLS)
+    def test_policy_outside_the_mdp_rejected(self, rng, call, case):
+        icf = random_interval_cfmdp(rng, num_states=4, num_actions=2, horizon=5)
+        action_at, message = self.BAD_POLICIES[case]
+        with pytest.raises(ValueError, match=message):
+            self.POLICY_CALLS[call](icf, PolicySchedule(5, action_at))
+
+    def test_frozen_lake_policy_with_action_minus_one_rejected(self):
+        m = build_frozen_lake()
+        policy = PolicySchedule(10, np.full((10, m.num_states), -1))
+        icf = build_interval_cfmdp(m, ObservedPath((0, 0), (0,)), Assumptions.CS_MON)
+        with pytest.raises(ValueError, match=r"policy actions -1..-1 leave 0..3"):
+            exact_policy_value(m, policy, 10)
+        with pytest.raises(ValueError, match=r"policy actions -1..-1 leave 0..3"):
+            robust_policy_eval(icf, policy, Mode.PESSIMISTIC)
+
+    @pytest.mark.parametrize("start_state", [-1, 4])
+    def test_rollout_start_state_outside_the_mdp_rejected(self, rng, start_state):
+        icf = random_interval_cfmdp(rng, num_states=4, num_actions=2, horizon=5)
+        policy = PolicySchedule(5, np.zeros((5, 4)))
+        with pytest.raises(ValueError, match=f"start state {start_state} is outside 0..3"):
+            rollout_rewards(sample_cfmdp(icf, 0).transition, icf.base.reward, policy,
+                            start_state, 10, seed=0)
 
     @pytest.mark.parametrize("env", ["random", "gridworld"])
     def test_stationary_and_time_indexed_dp_agree_bit_for_bit(self, rng, env):
