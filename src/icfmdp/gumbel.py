@@ -10,10 +10,15 @@ other in-support state gets a Gumbel truncated below the maximum. States outside
 observed row's support are unconstrained by the observation, so their posterior equals
 the prior. One batched kernel draws the noise once per step and replays it through the
 distinct compact rows (support columns padded to the widest support W, and their
-probabilities) of the base MDP, whose score table is built once per CFMDP. Each step
-scores all R rows against all N draws as one (W, R, N) block; each draw goes to the first
-column attaining its row's maximum, the lower state index on a tie. Equal rows see the
-same noise, so they get equal probabilities. The output is a dense (T, S, A, S) CFMDP.
+probabilities) of the base MDP. Their score table, built once per CFMDP, keys the R x W
+entries on their P distinct (column, log-probability) pairs and holds the scratch arrays
+that every step's scoring overwrites, so scoring allocates no large array per step. A
+step scores each distinct entry once against all N draws, (P, N), and each row takes its
+running maximum over its W positions from those scores. A draw goes to the first column
+attaining its row's maximum, the lower state index on a tie: position w claims the draws
+whose maximum is reached at w but not before, counted by popcount over the reached masks
+packed into bits. Equal rows see the same noise, so they get equal probabilities. The
+output is a dense (T, S, A, S) CFMDP.
 
 The prior noise is drawn a whole array at a time as `rng.gumbel` draws it: numpy maps each
 double U of `rng.random` to -log(-log(1 - U)) and redraws on U = 0, so the same doubles in
@@ -23,20 +28,40 @@ bit, as numpy's vectorized `log` rounds differently from the C library's.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .mdp import (Mdp, ObservedPath, PointCfMdp, check_path, check_query, mdp_to_json, rng_from,
                   support_columns)
 
 
-def _score_table(cols: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _ScoreTable(NamedTuple):
+    """Distinct (successor column, log-probability) entries of (R, W) compact query rows,
+    with the scratch arrays that each step of N draws overwrites."""
+
+    cols: np.ndarray  # (R, W) support columns of each row, padded (`support_columns`)
+    entry: np.ndarray  # (W, R) each (position, row)'s index among the P distinct entries
+    entry_col: np.ndarray  # (P,) successor column of each distinct entry
+    entry_log_q: np.ndarray  # (P, 1) its log-probability, -inf on padding
+    sums: np.ndarray  # (P, N) scratch: noise[entry_col] + entry_log_q
+    running: np.ndarray  # (W, R, N) scratch: each row's running maximum over positions
+    reached: np.ndarray  # (W - 1, R, N) scratch: running maximum == row maximum
+
+
+def _score_table(cols: np.ndarray, probs: np.ndarray, num_samples: int) -> _ScoreTable:
     """Score table of (R, W) compact query rows: `cols`, each row's support columns padded
-    to the widest support W (`support_columns`), and `log_q` (W, R, 1), the
-    log-probabilities `probs` on them, -inf on padding."""
-    q_cand = probs.T[:, :, None]
-    log_q = np.full(q_cand.shape, -np.inf)
-    np.log(q_cand, out=log_q, where=q_cand > 0)
-    return cols, log_q
+    to the widest support W (`support_columns`), and `probs`, their probabilities (0 on
+    padding), keyed on their distinct (column, probability) entries, with the scratch
+    arrays for steps of `num_samples` draws."""
+    pairs = np.stack([cols, probs], axis=-1).reshape(-1, 2)
+    entries, entry = np.unique(pairs, axis=0, return_inverse=True)
+    log_q = np.full((len(entries), 1), -np.inf)
+    np.log(entries[:, 1:], out=log_q, where=entries[:, 1:] > 0)
+    r, w = cols.shape
+    return _ScoreTable(cols, entry.reshape(r, w).T.copy(), entries[:, 0].astype(np.int64),
+                       log_q, np.empty((len(entries), num_samples)),
+                       np.empty((w, r, num_samples)), np.empty((w - 1, r, num_samples), bool))
 
 
 def _prior_gumbels(rng: np.random.Generator, num_samples: int,
@@ -57,8 +82,8 @@ def _prior_gumbels(rng: np.random.Generator, num_samples: int,
     return g[0], g[1:]
 
 
-def _posterior_probs(obs_row: np.ndarray, s_next: int, table: tuple[np.ndarray, np.ndarray],
-                     top: np.ndarray, noise: np.ndarray) -> np.ndarray:
+def _posterior_probs(obs_row: np.ndarray, s_next: int, table: _ScoreTable, top: np.ndarray,
+                     noise: np.ndarray) -> np.ndarray:
     """Counterfactual probabilities of the `_score_table` rows for one possible observed
     step, from prior draws `top` (N,) and `noise` (S, N), which becomes the posterior.
 
@@ -66,25 +91,29 @@ def _posterior_probs(obs_row: np.ndarray, s_next: int, table: tuple[np.ndarray, 
     lower state index and padding (-inf) never wins. Entries are argmax frequencies: rows
     sum to one and are zero off the query support.
     """
-    cand, log_q = table
     in_support = obs_row > 0
     logit = np.log(obs_row[in_support])[:, None]
     noise[in_support] = -np.logaddexp(-top, -(logit + noise[in_support])) - logit
     noise[s_next] = top - np.log(obs_row[s_next])
 
-    score = noise[cand.T]  # (W, R, N), gathered from whole rows
-    score += log_q
-    best = np.maximum.reduce(score, axis=0)
-    counts = np.empty(cand.shape, dtype=np.int64)
-    free = np.ones(best.shape, dtype=bool)
-    for w in range(cand.shape[1] - 1):  # column w claims the free draws at its row's maximum
-        claim = (score[w] == best) & free
-        free ^= claim
-        counts[:, w] = np.count_nonzero(claim, axis=1)
-    counts[:, -1] = np.count_nonzero(free, axis=1)  # unclaimed draws peak here
-    out = np.zeros(cand.shape[:1] + obs_row.shape)
-    np.put_along_axis(out, cand, counts, axis=1)
-    return out / top.shape[0]
+    # mode="clip" lets `take` write straight into `out` (it buffers under "raise").
+    sums = np.take(noise, table.entry_col, axis=0, out=table.sums, mode="clip")
+    sums += table.entry_log_q
+    running = np.take(sums, table.entry, axis=0, out=table.running, mode="clip")
+    for w in range(1, running.shape[0]):
+        np.maximum(running[w - 1], running[w], out=running[w])
+    # reached[w]: the draws whose row maximum is attained at a position <= w. Position w
+    # claims those reached at w but not before, so its count is a difference of the
+    # masks' popcounts, taken on their bits packed along the draws; the last takes the rest.
+    reached = np.equal(running[:-1], running[-1], out=table.reached)
+    reached_by = np.bitwise_count(np.packbits(reached, axis=-1)).sum(axis=-1, dtype=np.int64)
+    num_samples = top.shape[0]
+    counts = np.full(table.entry.shape, num_samples)
+    counts[:-1] = reached_by
+    counts[1:] -= reached_by
+    out = np.zeros(table.cols.shape[:1] + obs_row.shape)
+    np.put_along_axis(out, table.cols, counts.T, axis=1)
+    return out / num_samples
 
 
 def gumbel_cf_probs(m: Mdp, obs: tuple[int, int, int], query_pair: tuple[int, int],
@@ -97,7 +126,8 @@ def gumbel_cf_probs(m: Mdp, obs: tuple[int, int, int], query_pair: tuple[int, in
     check_query(m, obs, query_pair)
     row = m.transition[query_pair[0], query_pair[1]]
     cols = support_columns(row > 0)[None]
-    return _posterior_probs(m.transition[obs[0], obs[1]], obs[2], _score_table(cols, row[cols]),
+    return _posterior_probs(m.transition[obs[0], obs[1]], obs[2],
+                            _score_table(cols, row[cols], num_samples),
                             *_prior_gumbels(rng_from(seed), num_samples, m.num_states))[0]
 
 
@@ -111,7 +141,7 @@ def build_gumbel_cfmdp(m: Mdp, path: ObservedPath, num_samples: int, seed: int) 
     rows = np.hstack([cols, np.take_along_axis(m.transition.reshape(n * k, n), cols, axis=1)])
     query, pair_row = np.unique(rows, axis=0, return_inverse=True)
     cand, probs = np.split(query, 2, axis=1)
-    table = _score_table(cand.astype(np.int64), probs)
+    table = _score_table(cand.astype(np.int64), probs, num_samples)
     for t in range(t_len):
         s_t, a_t, s_next = path.step(t)
         top, noise = _prior_gumbels(rng_from(seed, t), num_samples, n)

@@ -76,8 +76,8 @@ def lp_solve(problem: LpProblem) -> tuple[float, np.ndarray]:
     """Solve an LpProblem; returns (optimum, solution).
 
     Raises ValueError for a malformed problem (as `scipy.optimize.milp` does, and for a
-    non-finite matrix entry), Infeasible or Unbounded; any other outcome is an
-    InvariantViolation.
+    non-finite matrix entry or column arrays that HiGHS would read past or out of its
+    rows), Infeasible or Unbounded; any other outcome is an InvariantViolation.
     """
     sign = _sign(problem.sense)
     c = sign * np.atleast_1d(np.asarray(problem.c, dtype=float))
@@ -87,7 +87,13 @@ def lp_solve(problem: LpProblem) -> tuple[float, np.ndarray]:
     if a.start.size - 1 != c.size:
         raise ValueError(f"constraint matrix of {a.start.size - 1} columns, not {c.size}")
     nnz = a.start[-1]
-    if not np.all(np.isfinite(a.value[:nnz])):
+    index, value = a.index[:nnz], a.value[:nnz]
+    if a.start[0] != 0 or (a.start[1:] < a.start[:-1]).any() or min(index.size, value.size) < nnz:
+        raise ValueError("constraint matrix column starts must rise from 0 to at most the "
+                         "number of stored entries")
+    if nnz and (index.min() < 0 or index.max() >= a.num_row):
+        raise ValueError(f"constraint matrix row index out of range for {a.num_row} rows")
+    if not np.isfinite(value).all():
         raise ValueError("constraint matrix entries must be finite")
     row_lower, row_upper, col_lower, col_upper = (
         np.broadcast_to(v, shape).astype(float) for v, shape in (
@@ -98,7 +104,7 @@ def lp_solve(problem: LpProblem) -> tuple[float, np.ndarray]:
     # passModel's array form: column-wise (1), minimize (1), no offset, all continuous (0).
     if solver.passModel(c.size, a.num_row, nnz, 1, 1, 0.0, c, col_lower, col_upper,
                         row_lower, row_upper, a.start.astype(np.int32),
-                        a.index[:nnz].astype(np.int32), a.value[:nnz],
+                        index.astype(np.int32), value,
                         np.zeros(c.size, dtype=np.int32)) != highs.HighsStatus.kError:
         solver.run()
         status = solver.getModelStatus()

@@ -484,7 +484,7 @@ def per_row_gumbel_cfmdp(m, path, num_samples, seed):
     the noise of `rng_from(seed, t)`, duplicates included."""
     cols = m.support_cols.reshape(-1, m.support_cols.shape[-1])
     table = _score_table(cols, np.take_along_axis(m.transition.reshape(-1, m.num_states), cols,
-                                                  axis=1))
+                                                  axis=1), num_samples)
     return _per_row_cfmdp(m, path, seed, lambda obs_row, s_next, rng: _posterior_probs(
         obs_row, s_next, table, *_prior_gumbels(rng, num_samples, m.num_states)))
 

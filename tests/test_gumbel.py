@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -161,7 +164,8 @@ def kernel_test_mdp(rng, kind):
     return m
 
 
-@pytest.mark.parametrize("num_samples", [1, 37, 1000])
+# 7, 9 and 37 draws end their packed claim bits mid-byte.
+@pytest.mark.parametrize("num_samples", [1, 7, 9, 37, 1000])
 @pytest.mark.parametrize("kind", ["dense", "sparse", "deterministic", "mixed"])
 def test_kernel_matches_column_loop_reference_bit_for_bit(rng, kind, num_samples):
     for trial in range(8):
@@ -205,12 +209,80 @@ def test_ties_go_to_the_lower_state_as_in_the_column_loop():
     query = np.array([[0.25] * 4, [0.5, 0, 0.5, 0], [0, 0.5, 0, 0.5], [0, 0, 0, 1.0]])
     top = np.array([0, 1, 1, 2], dtype=float)
     noise = np.array([[0, 9, 0, 0], [1, 9, 1, 0], [0, 9, 1, 1], [2, 9, 2, 2]], dtype=float)
-    cols = support_columns(query > 0)
-    got = _posterior_probs(obs_row, 1, _score_table(cols, np.take_along_axis(query, cols, 1)),
-                           top, noise.T.copy())
+    got = score_from_draws(obs_row, 1, query, top, noise.T)
     want = column_loop_from_draws(obs_row, 1, query, top, noise.T)
     assert np.array_equal(got, want)
     assert np.array_equal(got, [[0.75, 0.25, 0, 0], [0.75, 0, 0.25, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+
+
+def score_from_draws(obs_row, s_next, query, top, noise):
+    """The library kernel on (R, S) query rows, given prior draws `top` (N,) and `noise`
+    (S, N), as `column_loop_from_draws` takes them."""
+    cols = support_columns(query > 0)
+    return _posterior_probs(obs_row, s_next, _score_table(cols, np.take_along_axis(query, cols, 1),
+                                                          top.shape[0]), top, noise.copy())
+
+
+def test_padding_before_real_columns_never_wins_a_tie():
+    # Rows 1 and 2 pad with column 0, ahead of their real columns, and its noise is the
+    # largest; their real columns tie exactly in some draws.
+    obs_row = np.array([0.0, 1.0, 0.0, 0.0])
+    query = np.array([[0.25, 0.25, 0.5, 0], [0, 0, 0.5, 0.5], [0, 0.5, 0, 0.5]])
+    top = np.array([0.0, 1.0, 2.0])
+    noise = np.array([[9, 9, 1, 1], [9, 9, 0, 0], [9, 9, 3, 2]], dtype=float)
+    cols = support_columns(query > 0)
+    assert np.array_equal(cols[1:, 0], [0, 0])
+    got = score_from_draws(obs_row, 1, query, top, noise.T)
+    assert np.array_equal(got, column_loop_from_draws(obs_row, 1, query, top, noise.T))
+    assert np.array_equal(got[1:], [[0, 0, 1, 0], [0, 2 / 3, 0, 1 / 3]])
+
+
+def test_entry_shared_across_rows_and_positions():
+    # (column 1, q = 0.5) sits at position 1 of row 0 and position 0 of rows 1 and 2.
+    obs_row = np.array([0.2, 0.3, 0.5, 0.0])
+    query = np.array([[0.5, 0.5, 0, 0], [0, 0.5, 0.5, 0], [0, 0.5, 0, 0.5], [0, 0.5, 0.5, 0]])
+    cols = support_columns(query > 0)
+    table = _score_table(cols, np.take_along_axis(query, cols, 1), 37)
+    assert table.entry.shape == (2, 4) and len(table.entry_col) == 4
+    assert table.entry[1, 0] == table.entry[0, 1] == table.entry[0, 2] == table.entry[0, 3]
+    for seed in range(20):
+        top, noise = _prior_gumbels(rng_from(seed), 37, 4)
+        want = column_loop_from_draws(obs_row, 2, query, top, noise)
+        assert np.array_equal(score_from_draws(obs_row, 2, query, top, noise), want)
+
+
+def test_score_table_keys_distinct_entries_on_gridworld():
+    m = build_gridworld(gridworld_spec(0.4))
+    cols = m.support_cols.reshape(-1, m.support_cols.shape[-1])
+    rows = np.hstack([cols, np.take_along_axis(m.transition.reshape(-1, m.num_states), cols, 1)])
+    cand, probs = np.split(np.unique(rows, axis=0), 2, axis=1)
+    table = _score_table(cand.astype(np.int64), probs, 1000)
+    assert table.entry.size == 216 and len(table.entry_col) == 42
+    assert table.sums.shape == (42, 1000)
+
+
+FAULT_SCRIPT = """
+import resource
+from icfmdp import (build_gridworld, build_gumbel_cfmdp, gridworld_spec, random_policy_schedule,
+                    rng_from, sample_path)
+m = build_gridworld(gridworld_spec(0.4))
+path = sample_path(m, random_policy_schedule(m.num_states, m.num_actions, 10, rng_from(0)), 10, 1)
+for seed in range(5):
+    build_gumbel_cfmdp(m, path, 1000, seed)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for seed in range(20):
+    build_gumbel_cfmdp(m, path, 1000, seed)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc page-fault counts")
+def test_steady_state_builds_fault_in_few_pages():
+    # Scratch that a build reuses across its steps stays mapped; a same-size temporary of
+    # 128 KB or more made on every step can be mapped afresh, and faults in each page.
+    res = subprocess.run([sys.executable, "-c", FAULT_SCRIPT], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) / 20 <= 100
 
 
 def assert_within_last_bits(got, want):

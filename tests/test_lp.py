@@ -297,6 +297,27 @@ def test_non_finite_matrix_entry_is_rejected(rows, entry):
             lp_solve(candidate)
 
 
+# Column arrays that HiGHS would read past, or index rows that do not exist; each
+# matrix has 2 columns and, unless its starts end past them, 2 stored entries.
+_ONES = np.ones(2)
+MALFORMED_MATRICES = {
+    "starts-past-entries": CscMatrix(np.array([0, 2, 4]), np.array([0, 0]), _ONES, 1),
+    "too-few-values": CscMatrix(np.array([0, 1, 2]), np.array([0, 0]), np.ones(1), 1),
+    "start-not-zero": CscMatrix(np.array([1, 1, 2]), np.array([0, 0]), _ONES, 1),
+    "start-decreasing": CscMatrix(np.array([0, 2, 1]), np.array([0, 0]), _ONES, 1),
+    "row-index-past-rows": CscMatrix(np.array([0, 1, 2]), np.array([0, 1]), _ONES, 1),
+    "negative-row-index": CscMatrix(np.array([0, 1, 2]), np.array([0, -1]), _ONES, 1),
+}
+
+
+@pytest.mark.parametrize("a", MALFORMED_MATRICES.values(), ids=MALFORMED_MATRICES.keys())
+def test_malformed_matrix_is_rejected(a):
+    problem = LpProblem(c=np.array([-1.0, -1.0]), a=a, row_lower=-np.inf, row_upper=1.0,
+                        upper=1.0)
+    with pytest.raises(ValueError, match="constraint matrix"):
+        lp_solve(problem)
+
+
 def outcome(problem):
     """lp_solve's (optimum, solution), or the class of the error it raises."""
     try:
