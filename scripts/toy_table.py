@@ -2,14 +2,15 @@
 """Print the counterfactual-probability comparison on the 3-state toy MDP.
 
 For the observed transition 0 -> 1, shows per transition: the nominal probability,
-the assumption-free bounds, the Gumbel-max Monte-Carlo estimate, and the bounds
-under stability + monotonicity.
+the assumption-free bounds, the Gumbel-max Monte-Carlo estimate (the rows of the
+library's Gumbel CFMDP, `build_gumbel_cfmdp`, at step 0), and the bounds under
+stability + monotonicity.
 """
 
 import argparse
 
-from icfmdp import (Assumptions, ObservedPath, build_interval_cfmdp, build_toy_mdp,
-                    gumbel_cf_probs)
+from icfmdp import (Assumptions, ObservedPath, build_gumbel_cfmdp, build_interval_cfmdp,
+                    build_toy_mdp)
 
 
 def main() -> None:
@@ -22,8 +23,7 @@ def main() -> None:
     path = ObservedPath((0, 1), (0,))
     none = build_interval_cfmdp(m, path, Assumptions.NONE)
     csm = build_interval_cfmdp(m, path, Assumptions.CS_MON)
-    gumbel = {s: gumbel_cf_probs(m, path.step(0), (s, 0), args.samples, args.seed + s)
-              for s in range(3)}
+    gumbel = build_gumbel_cfmdp(m, path, args.samples, args.seed).transition[0]
 
     print(f"observed: state 0 --(action 0)--> state 1   (gumbel N={args.samples})")
     print(f"{'s':>2} {'a':>2} {'s_next':>6} {'nominal':>8} "
@@ -32,7 +32,7 @@ def main() -> None:
         for s2 in range(3):
             print(f"{s:>2} {0:>2} {s2:>6} {m.transition[s, 0, s2]:>8.2f} "
                   f"{none.lb[0, s, 0, s2]:>11.2f} {none.ub[0, s, 0, s2]:>5.2f} "
-                  f"{gumbel[s][s2]:>7.3f} "
+                  f"{gumbel[s, 0, s2]:>7.3f} "
                   f"{csm.lb[0, s, 0, s2]:>9.2f} {csm.ub[0, s, 0, s2]:>5.2f}")
 
 

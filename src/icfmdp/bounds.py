@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InfeasibleRow, InvariantViolation
-from .mdp import Mdp, ObservedPath, check_path, check_query, support_columns
+from .mdp import Mdp, ObservedPath, check_path, check_query
 
 # Slack for float dust in interval rows: clamped out of computed bounds, allowed in the
 # row check. Anything larger is a real bug.
@@ -215,16 +215,6 @@ class IntervalCfMdp:
         object.__setattr__(self, "slack", 1.0 - lb_sum)
         for name in ("cols", "layer", "layer_lb", "layer_ub", "room", "slack"):
             getattr(self, name).setflags(write=False)
-
-    @classmethod
-    def from_dense(cls, lb: np.ndarray, ub: np.ndarray, assumptions: Assumptions, base: Mdp,
-                   path: ObservedPath) -> "IntervalCfMdp":
-        """ICFMDP of dense (T, S, A, S) bounds: one layer per step, on the columns where
-        some step's lb or ub is nonzero."""
-        cols = support_columns(np.any((lb != 0) | (ub != 0), axis=0))
-        return cls(lb.shape[0], cols, np.arange(lb.shape[0]),
-                   np.take_along_axis(lb, cols[None], axis=3),
-                   np.take_along_axis(ub, cols[None], axis=3), assumptions, base, path)
 
     def _dense(self, layers: np.ndarray) -> np.ndarray:
         out = np.zeros((self.horizon,) + self.cols.shape[:2] + (self.base.num_states,))

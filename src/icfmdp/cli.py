@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import experiments
 from .bounds import Assumptions, build_interval_cfmdp, icfmdp_to_json, write_icfmdp_csv
-from .envs import grid_spec_from_json, gridworld_spec, resolve_env
+from .envs import grid_spec_from_json, resolve_env
 from .errors import ConfigError, InvariantViolation
 from .experiments import COUNT_FIELDS, RunConfig, run_config_from_json
 from .gumbel import build_gumbel_cfmdp, gumbel_cfmdp_to_json
@@ -114,11 +114,7 @@ def _run_config(args) -> RunConfig:
 
 
 def _cmd_env(args) -> None:
-    spec = None
-    if args.grid_spec is not None:
-        spec = grid_spec_from_json(read_json(args.grid_spec))
-    elif args.name.lower() == "gridworld":
-        spec = gridworld_spec(0.9 if args.p is None else args.p)
+    spec = None if args.grid_spec is None else grid_spec_from_json(read_json(args.grid_spec))
     m = resolve_env(args.name, args.p, spec)
     problems = validate_mdp(m)
     if problems:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .mdp import Mdp
+from .mdp import Mdp, json_int
 
 Cell = tuple[int, int]  # (row, col)
 
@@ -52,12 +52,14 @@ def gridworld_spec(p: float) -> GridSpec:
 
 
 def grid_spec_from_json(d: dict) -> GridSpec:
+    def cell(c, name: str) -> Cell:
+        return tuple(json_int(i, name) for i in c)
     try:
         return GridSpec(
-            width=int(d["width"]), height=int(d["height"]),
-            start=tuple(d["start"]), goal=tuple(d["goal"]),
-            danger_cells=frozenset(tuple(c) for c in d.get("danger_cells", [])),
-            hole_cells=frozenset(tuple(c) for c in d.get("hole_cells", [])),
+            width=json_int(d["width"], "width"), height=json_int(d["height"], "height"),
+            start=cell(d["start"], "start"), goal=cell(d["goal"], "goal"),
+            danger_cells=frozenset(cell(c, "danger_cells") for c in d.get("danger_cells", [])),
+            hole_cells=frozenset(cell(c, "hole_cells") for c in d.get("hole_cells", [])),
             p_intended=float(d.get("p_intended", 0.9)),
             goal_reward=float(d.get("goal_reward", 100.0)),
             danger_reward=float(d.get("danger_reward", -100.0)),
@@ -155,14 +157,17 @@ def build_frozen_lake() -> Mdp:
 
 
 def resolve_env(name: str, p: float | None = None, spec: GridSpec | None = None) -> Mdp:
-    """CLI entry point: map an environment name (+ parameters) to an Mdp."""
+    """CLI entry point: map an environment name (+ parameters) to an Mdp. Only GridWorld
+    reads a setting, `p` or `spec` (4x4 at p = 0.9 if neither); any other is a ConfigError."""
     key = name.lower().replace("-", "_")
-    if key == "toy":
-        return build_toy_mdp()
     if key == "gridworld":
-        if spec is None:
-            spec = gridworld_spec(0.9 if p is None else p)
-        return build_gridworld(spec)
-    if key in ("frozen_lake", "frozenlake"):
-        return build_frozen_lake()
-    raise ConfigError(f"unknown environment {name!r} (expected toy, gridworld or frozen_lake)")
+        if p is not None and spec is not None:
+            raise ConfigError("gridworld takes p or a grid spec, not both")
+        return build_gridworld(spec or gridworld_spec(0.9 if p is None else p))
+    builder = {"toy": build_toy_mdp, "frozen_lake": build_frozen_lake,
+               "frozenlake": build_frozen_lake}.get(key)
+    if builder is None:
+        raise ConfigError(f"unknown environment {name!r} (expected toy, gridworld or frozen_lake)")
+    if p is not None or spec is not None:
+        raise ConfigError(f"{name} takes no p and no grid spec")
+    return builder()

@@ -1,5 +1,6 @@
-"""Gumbel-max SCM baseline: posterior noise inference for an observed transition and
-Monte-Carlo counterfactual transition probabilities.
+"""Gumbel-max SCM baseline: the Monte-Carlo counterfactual MDP of an observed path, by
+posterior noise inference at each observed transition. `build_gumbel_cfmdp` is the one
+entry point; step t draws its noise from `rng_from(seed, t)`.
 
 In the Gumbel-max SCM (Oberst & Sontag, 2019) a categorical draw is the argmax of its
 log-probabilities plus one exogenous Gumbel per state, and that one noise vector drives
@@ -32,8 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mdp import (Mdp, ObservedPath, PointCfMdp, check_path, check_query, mdp_to_json, rng_from,
-                  support_columns)
+from .mdp import Mdp, ObservedPath, PointCfMdp, check_path, mdp_to_json, rng_from
 
 
 class _ScoreTable(NamedTuple):
@@ -114,21 +114,6 @@ def _posterior_probs(obs_row: np.ndarray, s_next: int, table: _ScoreTable, top: 
     out = np.zeros(table.cols.shape[:1] + obs_row.shape)
     np.put_along_axis(out, table.cols, counts.T, axis=1)
     return out / num_samples
-
-
-def gumbel_cf_probs(m: Mdp, obs: tuple[int, int, int], query_pair: tuple[int, int],
-                    num_samples: int, seed: int) -> np.ndarray:
-    """Monte-Carlo counterfactual transition probabilities for one query pair.
-
-    Entries are argmax frequencies over `num_samples` posterior draws, so they sum to
-    one exactly; zero-probability successors of the query pair are never selected.
-    """
-    check_query(m, obs, query_pair)
-    row = m.transition[query_pair[0], query_pair[1]]
-    cols = support_columns(row > 0)[None]
-    return _posterior_probs(m.transition[obs[0], obs[1]], obs[2],
-                            _score_table(cols, row[cols], num_samples),
-                            *_prior_gumbels(rng_from(seed), num_samples, m.num_states))[0]
 
 
 def build_gumbel_cfmdp(m: Mdp, path: ObservedPath, num_samples: int, seed: int) -> PointCfMdp:

@@ -297,14 +297,21 @@ def mdp_to_json(m: Mdp) -> dict:
     return out
 
 
+def json_int(value, name: str) -> int:
+    """`value` if it is a JSON integer (a bool is not one), else a ConfigError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def mdp_from_json(d: dict) -> Mdp:
     """Build an Mdp from its JSON dict; it must pass `validate_mdp`. Rows (and the initial
     distribution) whose sum is off 1 by more than its rounding error, S·eps, but within
     ROW_SUM_TOL are re-normalized; all others are kept bit for bit."""
     try:
         labels = tuple(d["state_labels"]) if "state_labels" in d else None
-        m = Mdp(int(d["num_states"]), int(d["num_actions"]), d["transition"], d["reward"],
-                d["initial_dist"], labels)
+        m = Mdp(json_int(d["num_states"], "num_states"), json_int(d["num_actions"], "num_actions"),
+                d["transition"], d["reward"], d["initial_dist"], labels)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed MDP JSON: {exc}") from exc
     problems = validate_mdp(m)
@@ -319,13 +326,10 @@ def mdp_from_json(d: dict) -> Mdp:
                    initial_dist=normalized(m.initial_dist))
 
 
-def path_to_json(path: ObservedPath) -> dict:
-    return {"states": list(path.states), "actions": list(path.actions)}
-
-
 def path_from_json(d: dict) -> ObservedPath:
     try:
-        return ObservedPath(tuple(d["states"]), tuple(d["actions"]))
+        return ObservedPath(*(tuple(json_int(v, f"{key}[{i}]") for i, v in enumerate(d[key]))
+                              for key in ("states", "actions")))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed path JSON: {exc}") from exc
 

@@ -168,8 +168,7 @@ def sample_cfmdp(icf: IntervalCfMdp, seed: int) -> PointCfMdp:
     other successor gets probability 0. Step t draws the visiting-order keys and then the
     uniforms of its rows, each (S·A, K), from its own generator `rng_from(seed, t)`, so it
     depends only on the seed, t, that step's layer and `cols`: the same bounds laid out on
-    wider columns (say, a `from_dense` ICFMDP whose union support is wider) draw
-    differently.
+    wider columns (say, the union support of every step) draw differently.
     """
     shape = (icf.horizon,) + icf.cols.shape
     lb, ub = icf.layer_lb[icf.layer], icf.layer_ub[icf.layer]

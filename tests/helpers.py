@@ -14,8 +14,8 @@ from icfmdp import (GridSpec, IntervalCfMdp, Mdp, Mode, ObservedPath, PolicySche
 from icfmdp.bounds import Assumptions
 from icfmdp.coupling import _coupling_lp, _observed_outcome_box, lp_solve
 from icfmdp.gumbel import _posterior_probs, _prior_gumbels, _score_table
-from icfmdp.lp import CscMatrix
-from icfmdp.mdp import random_policy_schedule, rng_from, sample_path
+from icfmdp.lp import CscMatrix, LpProblem, block_values, stack
+from icfmdp.mdp import random_policy_schedule, rng_from, sample_path, support_columns
 
 
 def make_random_mdp(rng, num_states, num_actions, sparse=False):
@@ -86,6 +86,11 @@ def supports_overlap(m, pair, other):
     return bool(np.any((m.transition[pair] > 0) & (m.transition[other] > 0)))
 
 
+def one_step_path(obs):
+    """The one-step path that observes transition `obs` = (s_t, a_t, s_next)."""
+    return ObservedPath(obs[::2], obs[1:2])
+
+
 def random_path(m, rng, horizon):
     """A random positive-probability path (states chosen by transition sampling)."""
     s = int(rng.choice(m.num_states, p=m.initial_dist))
@@ -101,6 +106,20 @@ def random_path(m, rng, horizon):
 def stationary_policy(actions_per_state, horizon):
     """The policy that takes action `actions_per_state[s]` in state s at every step."""
     return PolicySchedule(horizon, np.tile(np.asarray(actions_per_state), (horizon, 1)))
+
+
+def icfmdp_from_dense(lb, ub, assumptions, base, path):
+    """ICFMDP of dense (T, S, A, S) bounds: one layer per step, on the columns where some
+    step's lb or ub is nonzero."""
+    cols = support_columns(np.any((lb != 0) | (ub != 0), axis=0))
+    return IntervalCfMdp(lb.shape[0], cols, np.arange(lb.shape[0]),
+                         np.take_along_axis(lb, cols[None], axis=3),
+                         np.take_along_axis(ub, cols[None], axis=3), assumptions, base, path)
+
+
+def path_to_json(path):
+    """The JSON dict of an observed path, as `path_from_json` reads it."""
+    return {"states": list(path.states), "actions": list(path.actions)}
 
 
 def random_interval_bounds(rng, num_states=3, num_actions=2, horizon=3, scale=0.5):
@@ -120,7 +139,7 @@ def random_interval_bounds(rng, num_states=3, num_actions=2, horizon=3, scale=0.
 def random_interval_cfmdp(rng, num_states=3, num_actions=2, horizon=3, scale=0.5):
     """Synthetic ICFMDP of `random_interval_bounds`."""
     m, path, lb, ub = random_interval_bounds(rng, num_states, num_actions, horizon, scale)
-    return IntervalCfMdp.from_dense(lb, ub, Assumptions.NONE, m, path)
+    return icfmdp_from_dense(lb, ub, Assumptions.NONE, m, path)
 
 
 def sequential_fill_expectation(values, lb, ub, mode):
@@ -243,6 +262,27 @@ def sequential_robust_vi(icf, reward, mode, tie_rtol=1e-12):
             acts[t, s] = next(a for a in range(k)
                               if q[a] >= v[t, s] - tie_rtol * max(1.0, abs(v[t, s])))
     return v, acts
+
+
+def lp_robust_dp(icf, reward, mode, policy=None):
+    """Reference robust DP whose backup solves each row's inner problem, the min (max when
+    optimistic) of p @ v over lb <= p <= ub and sum(p) = 1, as a linear program on the
+    dense S-wide rows: one block per (s, a) row of step t, all of them in one `lp.stack`
+    solve. The action is the greedy maximum, or `policy`'s. Returns the (T + 1, S) values."""
+    t_len, n, num_actions, _ = icf.lb.shape
+    sense = "min" if mode is Mode.PESSIMISTIC else "max"
+    sum_to_one = csc(np.ones((1, n)))
+    v = np.zeros((t_len + 1, n))
+    for t in range(t_len - 1, -1, -1):
+        acts = (np.tile(np.arange(num_actions), (n, 1)) if policy is None
+                else policy.action_at[t][:, None])
+        s_idx = np.broadcast_to(np.arange(n)[:, None], acts.shape)
+        blocks = [LpProblem(v[t + 1], sum_to_one, 1.0, 1.0, icf.lb[t, s, a], icf.ub[t, s, a],
+                            sense) for s, a in zip(s_idx.ravel(), acts.ravel())]
+        _, x = lp_solve(stack(blocks))
+        q = reward[s_idx, acts] + block_values(blocks, x).reshape(acts.shape)
+        v[t] = q.max(axis=1)
+    return v
 
 
 def oracle_solution(m, obs, query_pair, s_cf, assumptions, sense):

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from icfmdp import (Assumptions, Mdp, Mode, ObservedPath, PolicySchedule,
-                    build_frozen_lake, build_gridworld, build_interval_cfmdp, build_toy_mdp,
-                    enumerate_theta_bounds, gridworld_spec, gumbel_cf_probs, optimal_policy,
-                    oracle_layer, robust_policy_eval, robust_value_iteration,
-                    rollout_rewards, sample_cfmdp, transition_row_bounds)
+                    build_frozen_lake, build_gridworld, build_gumbel_cfmdp,
+                    build_interval_cfmdp, build_toy_mdp, enumerate_theta_bounds,
+                    gridworld_spec, optimal_policy, oracle_layer, robust_policy_eval,
+                    robust_value_iteration, rollout_rewards, sample_cfmdp,
+                    transition_row_bounds)
 from icfmdp.experiments import RunConfig, run_bound_stats, run_ope, run_robustness, run_timing
-from helpers import make_random_mdp, random_interval_cfmdp, random_observed, random_path
+from helpers import (icfmdp_from_dense, make_random_mdp, one_step_path, random_interval_cfmdp,
+                     random_observed, random_path)
 
 TOY_TABLE = {
     (0, 0, 0): ((0.0, 0.0), (0.0, 0.0)),
@@ -175,7 +177,8 @@ def test_c04_nesting(mdp_suite):
 def test_c05_gumbel_baseline():
     t0 = time.perf_counter()
     toy = build_toy_mdp()
-    probs = gumbel_cf_probs(toy, (0, 0, 1), (1, 0), num_samples=100_000, seed=17)
+    probs = build_gumbel_cfmdp(toy, ObservedPath((0, 1), (0,)), num_samples=100_000,
+                               seed=17).transition[0, 1, 0]
     assert abs(probs[0] - 0.35) <= 0.02
     assert probs[1] == 0.0
     assert abs(probs[2] - 0.65) <= 0.02
@@ -187,9 +190,10 @@ def test_c05_gumbel_baseline():
         m = make_random_mdp(rng, int(rng.integers(2, 5)), int(rng.integers(1, 3)),
                             sparse=bool(trial % 2))
         obs = random_observed(m, rng)
+        cf = build_gumbel_cfmdp(m, one_step_path(obs), n_samples, seed=trial * 100)
         for s in range(m.num_states):
             for a in range(m.num_actions):
-                est = gumbel_cf_probs(m, obs, (s, a), n_samples, seed=trial * 100 + s * 10 + a)
+                est = cf.transition[0, s, a]
                 lb, ub = transition_row_bounds(m, obs, (s, a), Assumptions.CS)
                 slack_lb = 3.0 * np.sqrt(lb * (1.0 - lb) / n_samples)
                 slack_ub = 3.0 * np.sqrt(ub * (1.0 - ub) / n_samples)
@@ -205,12 +209,11 @@ def test_c05_gumbel_baseline():
 def test_c06_robust_vi_correctness():
     rng = np.random.default_rng(66)
     # degenerate intervals reproduce classic finite-horizon value iteration
-    from icfmdp.bounds import IntervalCfMdp
     for _ in range(5):
         m = make_random_mdp(rng, 4, 2)
         path = random_path(m, rng, 5)
         nominal = np.broadcast_to(m.transition, (5,) + m.transition.shape).copy()
-        icf = IntervalCfMdp.from_dense(nominal, nominal, Assumptions.NONE, m, path)
+        icf = icfmdp_from_dense(nominal, nominal, Assumptions.NONE, m, path)
         _, v_star = optimal_policy(m, 5)
         for mode in Mode:
             sol = robust_value_iteration(icf, m.reward, mode)

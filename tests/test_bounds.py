@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from icfmdp import (Assumptions, Mdp, ObservedPath, ProbInterval, build_gridworld,
                     build_interval_cfmdp, gridworld_spec, oracle_bounds, transition_row_bounds)
-from icfmdp.bounds import IntervalCfMdp, _cs_mask, make_interval
+from icfmdp.bounds import _cs_mask, make_interval
 from icfmdp.errors import InfeasibleRow, InvariantViolation
-from helpers import (KERNEL_ENVS, kernel_env, make_random_mdp, per_triple_layers,
-                     random_interval_bounds, random_observed, random_path, same_bits,
-                     supports_overlap)
+from helpers import (KERNEL_ENVS, icfmdp_from_dense, kernel_env, make_random_mdp,
+                     per_triple_layers, random_interval_bounds, random_observed, random_path,
+                     same_bits, supports_overlap)
 
 # Reference intervals for the toy MDP after observing 0 -> 1, per (s, a, s'):
 # no-assumption column and stability+monotonicity column.
@@ -267,12 +267,12 @@ class TestCompactLayout:
     def test_from_dense_round_trips(self, rng):
         for sizes in [(3, 2), (6, 3)]:
             m, path, lb, ub = random_interval_bounds(rng, *sizes, horizon=4)
-            icf = IntervalCfMdp.from_dense(lb, ub, Assumptions.NONE, m, path)
+            icf = icfmdp_from_dense(lb, ub, Assumptions.NONE, m, path)
             assert np.array_equal(icf.lb, lb) and np.array_equal(icf.ub, ub)
         m = build_gridworld(gridworld_spec(0.9))  # sparse rows: padded columns
         for assumptions in Assumptions:
             built = build_interval_cfmdp(m, random_path(m, rng, 6), assumptions)
-            again = IntervalCfMdp.from_dense(built.lb, built.ub, assumptions, m, built.path)
+            again = icfmdp_from_dense(built.lb, built.ub, assumptions, m, built.path)
             assert again.layer_lb.shape[-1] <= m.support_cols.shape[-1]
             assert np.array_equal(again.lb, built.lb) and np.array_equal(again.ub, built.ub)
 

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from icfmdp import (Assumptions, build_gridworld, build_gumbel_cfmdp, build_interval_cfmdp,
-                    build_toy_mdp, cli, gridworld_spec, load_mdp, mdp_to_json, path_to_json)
+                    build_toy_mdp, cli, gridworld_spec, load_mdp, mdp_to_json)
 from icfmdp.errors import InvariantViolation
 from icfmdp.experiments import RunConfig, run_ope
 from icfmdp.lp import lp_solve
-from helpers import loop_icfmdp_csv_rows, loop_icfmdp_json, random_path
+from helpers import loop_icfmdp_csv_rows, loop_icfmdp_json, path_to_json, random_path
 
 
 @pytest.fixture
@@ -233,6 +233,50 @@ def test_malformed_mdp_is_config_error(run_cli, tmp_path, toy_files):
                                "reward": [[0.0], [0.0]], "initial_dist": [1.0, 0.0]}))
     res = run_cli("bounds", "--mdp", str(bad), "--path", str(path_file))
     assert res.returncode == 1
+
+
+GRID_SPEC = {"width": 4, "height": 4, "start": [0, 0], "goal": [3, 3]}
+# (input file flag, fields changed in a valid file, the field the error must name)
+NON_INTEGER_INPUTS = {
+    "path state 1.7": ("--path", {"states": [0, 1.7]}, "states[1]"),
+    "path state true": ("--path", {"states": [0, True]}, "states[1]"),
+    "path state '1'": ("--path", {"states": [0, "1"]}, "states[1]"),
+    "mdp num_states 3.9": ("--mdp", {"num_states": 3.9}, "num_states"),
+    "grid start 0.5": ("--grid-spec", {"start": [0, 0.5]}, "start"),
+    "grid width 4.7": ("--grid-spec", {"width": 4.7}, "width"),
+}
+
+
+@pytest.mark.parametrize("flag, change, field", NON_INTEGER_INPUTS.values(),
+                         ids=NON_INTEGER_INPUTS.keys())
+def test_non_integer_json_integer_is_config_error(run_cli, toy_files, tmp_path, flag, change,
+                                                  field):
+    mdp_file, path_file = toy_files
+    valid = {"--mdp": json.loads(mdp_file.read_text()), "--grid-spec": GRID_SPEC,
+             "--path": {"states": [0, 1], "actions": [0]}}[flag]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**valid, **change}))
+    files = {"--mdp": mdp_file, "--path": path_file, flag: bad}
+    res = run_cli(*(["env", "gridworld", "--grid-spec", str(bad)] if flag == "--grid-spec" else
+                    ["bounds", "--mdp", str(files["--mdp"]), "--path", str(files["--path"])]))
+    assert_config_error(res)
+    assert res.stderr.startswith("config error: ") and f"{field} must be an integer" in res.stderr
+
+
+@pytest.mark.parametrize("args", ["toy --p 0.5", "frozen_lake --grid-spec {spec}",
+                                  "gridworld --p 0.4 --grid-spec {spec}"])
+def test_env_setting_that_the_environment_does_not_read_is_config_error(run_cli, tmp_path, args):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(GRID_SPEC))
+    assert_config_error(run_cli("env", *args.format(spec=spec).split()))
+
+
+def test_env_gridworld_from_grid_spec(run_cli, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**GRID_SPEC, "width": 5, "p_intended": 0.4}))
+    res = run_cli("env", "gridworld", "--grid-spec", str(spec))
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["num_states"] == 21
 
 
 def solve_patched_toy(run_cli, toy_files, tmp_path, patch):

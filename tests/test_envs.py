@@ -138,3 +138,14 @@ class TestSpecHandling:
         assert resolve_env("gridworld", p=0.4).num_states == 17
         with pytest.raises(ConfigError):
             resolve_env("sepsis")
+        # a setting is refused where it would be dropped
+        spec = gridworld_spec(0.4)
+        assert np.array_equal(resolve_env("gridworld", spec=spec).transition,
+                              build_gridworld(spec).transition)
+        with pytest.raises(ConfigError, match="not both"):
+            resolve_env("gridworld", p=0.4, spec=spec)
+        for name in ("toy", "frozen-lake"):
+            with pytest.raises(ConfigError, match="takes no p and no grid spec"):
+                resolve_env(name, p=0.4)
+            with pytest.raises(ConfigError, match="takes no p and no grid spec"):
+                resolve_env(name, spec=spec)

@@ -30,6 +30,13 @@ class TestRunConfig:
         assert cfg.assumptions is Assumptions.CS
         assert cfg.p == 0.4
 
+    @pytest.mark.parametrize("env", ["toy", "frozen_lake"])
+    def test_p_for_an_environment_without_one_is_rejected(self, env):
+        with pytest.raises(ConfigError, match="takes no p"):
+            run_config_from_json({"env": env, "p": 0.4})
+        with pytest.raises(ConfigError, match="takes no p"):
+            RunConfig(env=env, p=0.4).validate()
+
     def test_from_json_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             run_config_from_json({"envv": "toy"})

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from icfmdp import (Assumptions, GridSpec, Mdp, ObservedPath, build_gridworld,
-                    build_gumbel_cfmdp, build_interval_cfmdp, gumbel_cf_probs, gridworld_spec,
-                    resolve_env, rng_from, transition_row_bounds)
+                    build_gumbel_cfmdp, build_interval_cfmdp, gridworld_spec, resolve_env,
+                    rng_from, transition_row_bounds)
 from icfmdp.gumbel import _posterior_probs, _prior_gumbels, _score_table
 from icfmdp.mdp import support_columns
-from helpers import (column_loop_from_draws, column_loop_gumbel_cfmdp, column_loop_gumbel_rows,
-                     gumbel_cf_oracle, make_random_mdp, per_row_gumbel_cfmdp, random_observed,
+from helpers import (column_loop_from_draws, column_loop_gumbel_cfmdp, gumbel_cf_oracle,
+                     make_random_mdp, one_step_path, per_row_gumbel_cfmdp, random_observed,
                      random_path)
 
 
@@ -24,12 +24,9 @@ def one_pair_mdp(row, rng):
 
 def assert_observed_row_is_point_mass(m, observed, num_samples, seed):
     """Replaying the posterior through the observed pair's own row returns the observed
-    outcome in every draw, through both entry points."""
-    want = np.eye(m.num_states)[observed]
-    probs = gumbel_cf_probs(m, (0, 0, observed), (0, 0), num_samples, seed)
-    assert np.array_equal(probs, want)
+    outcome in every draw."""
     cf = build_gumbel_cfmdp(m, ObservedPath((0, observed), (0,)), num_samples, seed)
-    assert np.array_equal(cf.transition[0, 0, 0], want)
+    assert np.array_equal(cf.transition[0, 0, 0], np.eye(m.num_states)[observed])
 
 
 def test_posterior_argmax_consistency(rng):
@@ -49,9 +46,6 @@ def test_posterior_rejects_zero_probability_outcome():
     path = ObservedPath((0, 2), (0,))
     with pytest.raises(ValueError, match="path invalid for this MDP"):
         build_gumbel_cfmdp(m, path, num_samples=100, seed=0)
-    for query in ((0, 0), (1, 0), (2, 0)):
-        with pytest.raises(ValueError, match="path invalid for this MDP"):
-            gumbel_cf_probs(m, (0, 0, 2), query, num_samples=100, seed=0)
     with pytest.raises(ValueError, match="path invalid for this MDP"):
         build_interval_cfmdp(m, path, Assumptions.CS)
 
@@ -65,10 +59,9 @@ def test_out_of_range_path_rejected(toy, path):
 
 def test_deterministic_row_replays_observed():
     row = np.array([0.0, 1.0, 0.0])
-    probs = gumbel_cf_probs(Mdp(3, 1, np.tile(row, (3, 1, 1)), np.zeros((3, 1)),
-                                np.array([1.0, 0, 0])),
-                            (0, 0, 1), (1, 0), num_samples=500, seed=1)
-    assert np.array_equal(probs, row)
+    m = Mdp(3, 1, np.tile(row, (3, 1, 1)), np.zeros((3, 1)), np.array([1.0, 0, 0]))
+    cf = build_gumbel_cfmdp(m, ObservedPath((0, 1), (0,)), num_samples=500, seed=1)
+    assert np.array_equal(cf.transition[0, 1, 0], row)
 
 
 def test_uniform_row_replay_is_exact(rng):
@@ -76,18 +69,18 @@ def test_uniform_row_replay_is_exact(rng):
     assert_observed_row_is_point_mass(one_pair_mdp(row, rng), 1, num_samples=2000, seed=0)
 
 
-def test_toy_counterfactual_probabilities(toy, toy_obs):
-    probs = gumbel_cf_probs(toy, toy_obs, (1, 0), num_samples=100_000, seed=11)
+def test_toy_counterfactual_probabilities(toy, toy_path):
+    probs = build_gumbel_cfmdp(toy, toy_path, num_samples=100_000, seed=11).transition[0, 1, 0]
     assert probs[0] == pytest.approx(0.35, abs=0.02)
     assert probs[1] == 0.0
     assert probs[2] == pytest.approx(0.65, abs=0.02)
     assert probs.sum() == 1.0
 
 
-def test_observed_pair_is_exact_delta_for_any_sample_count(toy, toy_obs):
+def test_observed_pair_is_exact_delta_for_any_sample_count(toy, toy_path):
     for n in (1, 3, 50):
-        probs = gumbel_cf_probs(toy, toy_obs, (0, 0), num_samples=n, seed=5)
-        assert np.array_equal(probs, [0.0, 1.0, 0.0])
+        cf = build_gumbel_cfmdp(toy, toy_path, num_samples=n, seed=5)
+        assert np.array_equal(cf.transition[0, 0, 0], [0.0, 1.0, 0.0])
 
 
 def test_identical_row_gives_delta(rng):
@@ -97,8 +90,8 @@ def test_identical_row_gives_delta(rng):
     t[0, 1] = [0.3, 0.7]
     t[1, :] = [0.5, 0.5]
     m = Mdp(2, 2, t, np.zeros((2, 2)), np.array([1.0, 0.0]))
-    probs = gumbel_cf_probs(m, (0, 0, 1), (0, 1), num_samples=400, seed=2)
-    assert np.array_equal(probs, [0.0, 1.0])
+    cf = build_gumbel_cfmdp(m, ObservedPath((0, 1), (0,)), num_samples=400, seed=2)
+    assert np.array_equal(cf.transition[0, 0, 1], [0.0, 1.0])
 
 
 def test_estimates_lie_inside_stability_bounds(rng):
@@ -109,9 +102,10 @@ def test_estimates_lie_inside_stability_bounds(rng):
         m = make_random_mdp(rng, int(rng.integers(2, 5)), int(rng.integers(1, 3)),
                             sparse=bool(trial % 2))
         obs = random_observed(m, rng)
+        cf = build_gumbel_cfmdp(m, one_step_path(obs), n_samples, seed=trial)
         for s in range(m.num_states):
             for a in range(m.num_actions):
-                probs = gumbel_cf_probs(m, obs, (s, a), n_samples, seed=trial)
+                probs = cf.transition[0, s, a]
                 lb, ub = transition_row_bounds(m, obs, (s, a), Assumptions.CS)
                 slack = 3.0 * np.sqrt(probs * (1.0 - probs) / n_samples)
                 assert np.all(probs >= lb - slack - 1e-12)
@@ -139,7 +133,7 @@ def test_build_gumbel_cfmdp_seeded_and_stochastic(toy, rng):
 
 @pytest.mark.parametrize("env", ["gridworld", "frozen-lake"])
 def test_distinct_row_replay_matches_per_row_loop_bit_for_bit(rng, env):
-    m = resolve_env(env, p=0.4)
+    m = resolve_env(env, p=0.4 if env == "gridworld" else None)
     rows = m.transition.reshape(-1, m.num_states)
     assert len(np.unique(rows, axis=0)) < len(rows)  # some pairs share their row
     for seed in range(3):
@@ -176,12 +170,6 @@ def test_kernel_matches_column_loop_reference_bit_for_bit(rng, kind, num_samples
         path = random_path(m, rng, 3)
         assert np.array_equal(build_gumbel_cfmdp(m, path, num_samples, trial).transition,
                               column_loop_gumbel_cfmdp(m, path, num_samples, trial))
-        s_t, a_t, s_next = obs = path.step(0)
-        for pair in np.ndindex(m.num_states, m.num_actions):
-            want = column_loop_gumbel_rows(m.transition[s_t, a_t], s_next,
-                                           m.transition[pair][None], num_samples,
-                                           rng_from(trial))[0]
-            assert np.array_equal(gumbel_cf_probs(m, obs, pair, num_samples, trial), want)
 
 
 GRID32 = GridSpec(width=32, height=32, start=(0, 0), goal=(31, 31),
@@ -195,7 +183,8 @@ GRID32 = GridSpec(width=32, height=32, start=(0, 0), goal=(31, 31),
     pytest.param("gridworld-32x32", 2, 100, id="gridworld-32x32"),
 ])
 def test_benchmark_envs_match_column_loop_reference_bit_for_bit(rng, env, horizon, num_samples):
-    m = build_gridworld(GRID32) if env == "gridworld-32x32" else resolve_env(env, p=0.4)
+    m = (build_gridworld(GRID32) if env == "gridworld-32x32"
+         else resolve_env(env, p=0.4 if env == "gridworld" else None))
     for seed in range(2):
         path = random_path(m, rng, horizon)
         assert np.array_equal(build_gumbel_cfmdp(m, path, num_samples, seed).transition,
@@ -322,9 +311,7 @@ def test_a_zero_uniform_is_redrawn_as_generator_gumbel_does():
     assert ours.bit_generator.state == numpy_gumbel.bit_generator.state
 
 
-def test_sample_count_validated(toy, toy_obs, toy_path):
-    with pytest.raises(ValueError):
-        gumbel_cf_probs(toy, toy_obs, (1, 0), num_samples=0, seed=0)
+def test_sample_count_validated(toy, toy_path):
     with pytest.raises(ValueError):
         build_gumbel_cfmdp(toy, toy_path, num_samples=0, seed=0)
 

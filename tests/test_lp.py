@@ -3,9 +3,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from icfmdp import (Assumptions, Infeasible, InvariantViolation, LpProblem, Unbounded,
-                    block_values, build_toy_mdp, enumerate_theta_bounds, lp, lp_solve, stack)
-from icfmdp.lp import CscMatrix
+from icfmdp import (Assumptions, Infeasible, InvariantViolation, Unbounded, build_toy_mdp,
+                    enumerate_theta_bounds, lp)
+from icfmdp.lp import CscMatrix, LpProblem, block_values, lp_solve, stack
 from icfmdp import coupling
 from icfmdp.coupling import _bound_blocks, _coupling_lp, _successor_table
 from helpers import csc, make_random_mdp, random_observed

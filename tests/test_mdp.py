@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from icfmdp import (Assumptions, ConfigError, Mdp, ObservedPath, PolicySchedule,
-                    enumerate_theta_bounds, exact_policy_value, gumbel_cf_probs, mdp_from_json,
-                    mdp_to_json, optimal_policy, oracle_bounds, path_from_json, path_to_json,
-                    resolve_env, sample_path, transition_row_bounds, validate_mdp)
+                    enumerate_theta_bounds, exact_policy_value, mdp_from_json, mdp_to_json,
+                    optimal_policy, oracle_bounds, path_from_json, resolve_env, sample_path,
+                    transition_row_bounds, validate_mdp)
 from icfmdp.mdp import check_path
-from helpers import make_random_mdp, mc_policy_value, stationary_policy
+from helpers import make_random_mdp, mc_policy_value, path_to_json, stationary_policy
 
 
 def two_state_chain(reward=1.0):
@@ -54,10 +54,6 @@ def test_check_path_zero_probability_transition(toy):
 
 NONE = Assumptions.NONE
 MALFORMED_QUERIES = {  # on the toy MDP, where (1, 0 -> 1) has probability 0
-    "gumbel_cf_probs, query state -1": lambda m: gumbel_cf_probs(m, (0, 0, 1), (-1, 0), 100, 0),
-    "gumbel_cf_probs, query action -1": lambda m: gumbel_cf_probs(m, (0, 0, 1), (0, -1), 100, 0),
-    "gumbel_cf_probs, observed probability 0": lambda m: gumbel_cf_probs(m, (1, 0, 1), (0, 0),
-                                                                         100, 0),
     "transition_row_bounds, observed state -1": lambda m: transition_row_bounds(
         m, (-1, 0, 1), (0, 0), NONE),
     "transition_row_bounds, query action 1": lambda m: transition_row_bounds(

@@ -10,13 +10,14 @@ from icfmdp import (Assumptions, InfeasibleRow, Mdp, Mode, ObservedPath,
                     build_interval_cfmdp, exact_policy_value, gridworld_spec, optimal_policy,
                     point_policy_eval, point_value_iteration, resolve_env, robust_policy_eval,
                     robust_value_iteration, rollout_rewards, sample_cfmdp)
-from icfmdp.bounds import CLAMP_TOL, IntervalCfMdp, check_interval_rows
+from icfmdp.bounds import CLAMP_TOL, check_interval_rows
 from icfmdp.mdp import _greedy, rng_from, sample_path
 from icfmdp.robust import _order_fill, _sample_rows
-from helpers import (KERNEL_ENVS, dense_sample_cfmdp, entry_moments,
-                     interval_simplex_vertices_2, kernel_env, large_grid, make_random_mdp,
-                     mc_nonstationary_value, per_step_cumsum_rollout, random_interval_cfmdp,
-                     random_path, rejection_sample_feasible, same_bits,
+from helpers import (KERNEL_ENVS, dense_sample_cfmdp, entry_moments, icfmdp_from_dense,
+                     interval_simplex_vertices_2, kernel_env, large_grid, lp_robust_dp,
+                     make_random_mdp, mc_nonstationary_value, per_step_cumsum_rollout,
+                     random_interval_bounds, random_interval_cfmdp, random_path,
+                     rejection_sample_feasible, same_bits,
                      sequential_fill_expectation, sequential_robust_vi,
                      trailing_axis_order_fill, trailing_axis_robust_dp,
                      trailing_axis_sample_rows)
@@ -281,7 +282,7 @@ class TestInfeasibleRows:
         lb, ub = icf.lb.copy(), icf.ub.copy()
         lb[1, 2, 1], ub[1, 2, 1] = lb_row, ub_row
         with pytest.raises(InfeasibleRow, match=r"\(t=1, s=2, a=1\).*" + detail):
-            IntervalCfMdp.from_dense(lb, ub, icf.assumptions, icf.base, icf.path)
+            icfmdp_from_dense(lb, ub, icf.assumptions, icf.base, icf.path)
 
     @staticmethod
     def icf_with_bad_row(rng, lb_row, ub_row):
@@ -289,7 +290,7 @@ class TestInfeasibleRows:
         icf = random_interval_cfmdp(rng, num_states=4, num_actions=2, horizon=3)
         lb, ub = icf.lb.copy(), icf.ub.copy()
         lb[1, 2, 1], ub[1, 2, 1] = lb_row, ub_row
-        return IntervalCfMdp.from_dense(lb, ub, icf.assumptions, icf.base, icf.path)
+        return icfmdp_from_dense(lb, ub, icf.assumptions, icf.base, icf.path)
 
     CASES = [(0.5, 0.6, r"sum\(lb\)=2, sum\(ub\)=2\.4"),
              (0.0, 0.1, r"sum\(lb\)=0, sum\(ub\)=0\.4")]
@@ -318,6 +319,42 @@ class TestInfeasibleRows:
             sample_cfmdp(self.icf_with_bad_row(rng, lb_row, ub_row), seed=0)
 
 
+def lp_check_icfmdp(env, rng):
+    """An ICFMDP for the LP check of robust DP. The grids' ICFMDPs hold the observed pair's
+    point-mass rows, and their integer rewards tie values; the random MDP gets integer
+    rewards and, on a third of its rows, degenerate intervals lb = ub. Every successor
+    ties at the last step, where the next values are all 0."""
+    if env != "random":
+        m = build_gridworld(gridworld_spec(0.4)) if env == "gridworld" else build_frozen_lake()
+        return build_interval_cfmdp(m, random_path(m, rng, 6), Assumptions.CS_MON)
+    m, path, lb, ub = random_interval_bounds(rng, num_states=5, num_actions=3, horizon=6)
+    fixed = rng.random(lb.shape[:3]) < 1 / 3
+    lb[fixed] = ub[fixed] = np.broadcast_to(m.transition, lb.shape)[fixed]
+    m = replace(m, reward=rng.integers(0, 3, size=m.reward.shape).astype(float))
+    return icfmdp_from_dense(lb, ub, Assumptions.NONE, m, path)
+
+
+class TestRobustDpAgainstStepLps:
+    """Robust VI and policy evaluation against `lp_robust_dp`, whose backups are linear
+    programs solved by HiGHS rather than order-and-fill."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("env", ["gridworld", "frozen-lake", "random"])
+    def test_values_match(self, rng, env, mode):
+        for _ in range(2):
+            icf = lp_check_icfmdp(env, rng)
+            reward = icf.base.reward
+            assert (icf.room == 0).all(axis=-1).any()  # degenerate rows
+            policy = PolicySchedule(icf.horizon, rng.integers(
+                0, reward.shape[1], size=(icf.horizon, reward.shape[0])))
+            for got, want in [
+                    (robust_value_iteration(icf, reward, mode).values.values,
+                     lp_robust_dp(icf, reward, mode)),
+                    (robust_policy_eval(icf, policy, mode).values,
+                     lp_robust_dp(icf, reward, mode, policy))]:
+                assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
 class TestRobustValueIteration:
     def test_zero_rewards_zero_values(self, rng):
         icf = random_interval_cfmdp(rng)
@@ -329,7 +366,7 @@ class TestRobustValueIteration:
             m = make_random_mdp(rng, 4, 2)
             path = random_path(m, rng, 5)
             nominal = np.broadcast_to(m.transition, (5,) + m.transition.shape).copy()
-            icf = IntervalCfMdp.from_dense(nominal, nominal, Assumptions.NONE, m, path)
+            icf = icfmdp_from_dense(nominal, nominal, Assumptions.NONE, m, path)
             policy_star, v_star = optimal_policy(m, 5)
             for mode in Mode:
                 sol = robust_value_iteration(icf, m.reward, mode)
@@ -346,8 +383,8 @@ class TestRobustValueIteration:
     def test_widening_intervals_is_monotone(self, rng):
         for _ in range(5):
             icf = random_interval_cfmdp(rng, scale=0.3)
-            wider = IntervalCfMdp.from_dense(icf.lb * 0.5, icf.ub + (1.0 - icf.ub) * 0.5,
-                                             icf.assumptions, icf.base, icf.path)
+            wider = icfmdp_from_dense(icf.lb * 0.5, icf.ub + (1.0 - icf.ub) * 0.5,
+                                      icf.assumptions, icf.base, icf.path)
             lo_narrow = robust_value_iteration(icf, icf.base.reward, Mode.PESSIMISTIC)
             lo_wide = robust_value_iteration(wider, icf.base.reward, Mode.PESSIMISTIC)
             hi_narrow = robust_value_iteration(icf, icf.base.reward, Mode.OPTIMISTIC)
@@ -378,7 +415,7 @@ class TestRobustPolicyEval:
         m = make_random_mdp(rng, 4, 2)
         path = random_path(m, rng, 4)
         nominal = np.broadcast_to(m.transition, (4,) + m.transition.shape).copy()
-        icf = IntervalCfMdp.from_dense(nominal, nominal, Assumptions.NONE, m, path)
+        icf = icfmdp_from_dense(nominal, nominal, Assumptions.NONE, m, path)
         policy = PolicySchedule(4, rng.integers(0, 2, size=(4, 4)))
         expected = exact_policy_value(m, policy, 4)
         for mode in Mode:
@@ -391,7 +428,7 @@ class TestSampleCfMdp:
         m = make_random_mdp(rng, 3, 2)
         path = random_path(m, rng, 3)
         nominal = np.broadcast_to(m.transition, (3,) + m.transition.shape).copy()
-        icf = IntervalCfMdp.from_dense(nominal, nominal, Assumptions.NONE, m, path)
+        icf = icfmdp_from_dense(nominal, nominal, Assumptions.NONE, m, path)
         cf = sample_cfmdp(icf, seed=0)
         assert np.allclose(cf.transition, nominal, atol=1e-12)
 
@@ -476,8 +513,7 @@ class TestSampleCfMdp:
         lb = np.stack([lb_rows[r].reshape(n, k, n) for r in rows])
         ub = np.stack([ub_rows[r].reshape(n, k, n) for r in rows])
         m = Mdp(n, k, np.full((n, k, n), 1.0 / n), np.zeros((n, k)), np.eye(n)[0])
-        icf = IntervalCfMdp.from_dense(lb, ub, Assumptions.NONE, m,
-                                       ObservedPath((0, 0, 0), (0, 0)))
+        icf = icfmdp_from_dense(lb, ub, Assumptions.NONE, m, ObservedPath((0, 0, 0), (0, 0)))
         p = sample_cfmdp(icf, seed).transition
         assert np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-12
         # rows with sum(lb) in (1, 1 + CLAMP_TOL] hold no distribution inside [lb, ub]
@@ -544,7 +580,8 @@ class TestPointBackups:
             else:
                 m = (make_random_mdp(rng, int(rng.integers(2, 9)), int(rng.integers(1, 4)),
                                      sparse=True) if env == "random-sparse"
-                     else large_grid(16) if env == "gridworld-16x16" else resolve_env(env, p=0.4))
+                     else large_grid(16) if env == "gridworld-16x16"
+                     else resolve_env(env, p=0.4 if env == "gridworld" else None))
                 path = random_path(m, rng, 10)
                 sampled = sample_cfmdp(build_interval_cfmdp(m, path, Assumptions.CS_MON), seed)
                 transitions = [sampled.transition,
