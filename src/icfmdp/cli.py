@@ -207,6 +207,8 @@ def main(argv: list[str] | None = None) -> int:
                 "solve": _cmd_solve, "gumbel": _cmd_gumbel,
                 **dict.fromkeys(experiments.RUNNERS, _cmd_experiment)}
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:  # the shared --seed
+            raise ConfigError("seed must be >= 0")
         handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .mdp import Mdp, json_int
+from .mdp import Mdp, json_int, json_number
 
 Cell = tuple[int, int]  # (row, col)
 
@@ -60,11 +60,11 @@ def grid_spec_from_json(d: dict) -> GridSpec:
             start=cell(d["start"], "start"), goal=cell(d["goal"], "goal"),
             danger_cells=frozenset(cell(c, "danger_cells") for c in d.get("danger_cells", [])),
             hole_cells=frozenset(cell(c, "hole_cells") for c in d.get("hole_cells", [])),
-            p_intended=float(d.get("p_intended", 0.9)),
-            goal_reward=float(d.get("goal_reward", 100.0)),
-            danger_reward=float(d.get("danger_reward", -100.0)),
+            p_intended=json_number(d.get("p_intended", 0.9), "p_intended"),
+            goal_reward=json_number(d.get("goal_reward", 100.0), "goal_reward"),
+            danger_reward=json_number(d.get("danger_reward", -100.0), "danger_reward"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed grid spec: {exc}") from exc
 
 

@@ -53,10 +53,13 @@ class RunConfig:
     output_dir: Path | None = None
 
     def validate(self) -> Mdp:
-        """The run's environment; raises ConfigError on a count below 1 or an unknown env."""
+        """The run's environment; raises ConfigError on a count below 1, a negative seed or
+        an unknown env."""
         for name in COUNT_FIELDS:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         return resolve_env(self.env, self.p)
 
 

@@ -11,15 +11,17 @@ other in-support state gets a Gumbel truncated below the maximum. States outside
 observed row's support are unconstrained by the observation, so their posterior equals
 the prior. One batched kernel draws the noise once per step and replays it through the
 distinct compact rows (support columns padded to the widest support W, and their
-probabilities) of the base MDP. Their score table, built once per CFMDP, keys the R x W
-entries on their P distinct (column, log-probability) pairs and holds the scratch arrays
-that every step's scoring overwrites, so scoring allocates no large array per step. A
-step scores each distinct entry once against all N draws, (P, N), and each row takes its
-running maximum over its W positions from those scores. A draw goes to the first column
-attaining its row's maximum, the lower state index on a tie: position w claims the draws
-whose maximum is reached at w but not before, counted by popcount over the reached masks
-packed into bits. Equal rows see the same noise, so they get equal probabilities. The
-output is a dense (T, S, A, S) CFMDP.
+probabilities) of the base MDP, keyed on each row's bytes. Their score table, built once
+per CFMDP, keys the R x W entries on their P distinct (column, log-probability) pairs, as
+the complex numbers column + 1j * probability. It holds the scratch that every step
+overwrites (the step's uniforms, its Gumbels and the scores), so a step allocates no
+large array. A step scores each distinct entry once against all N draws, (P, N), and each
+row takes its running maximum over its W positions from those scores. A draw goes to the
+first column attaining its row's maximum, the lower state index on a tie: position w
+claims the draws whose maximum is reached at w but not before, counted by popcount over
+the reached masks packed into bits. Equal rows see the same noise, so they get equal
+probabilities. The frequencies go straight into every (s, a) row of the step in the dense
+(T, S, A, S) output, through one flat index made once per CFMDP.
 
 The prior noise is drawn a whole array at a time as `rng.gumbel` draws it: numpy maps each
 double U of `rng.random` to -log(-log(1 - U)) and redraws on U = 0, so the same doubles in
@@ -38,45 +40,47 @@ from .mdp import Mdp, ObservedPath, PointCfMdp, check_path, mdp_to_json, rng_fro
 
 class _ScoreTable(NamedTuple):
     """Distinct (successor column, log-probability) entries of (R, W) compact query rows,
-    with the scratch arrays that each step of N draws overwrites."""
+    with the scratch arrays that each step of N draws over S states overwrites."""
 
-    cols: np.ndarray  # (R, W) support columns of each row, padded (`support_columns`)
     entry: np.ndarray  # (W, R) each (position, row)'s index among the P distinct entries
     entry_col: np.ndarray  # (P,) successor column of each distinct entry
     entry_log_q: np.ndarray  # (P, 1) its log-probability, -inf on padding
+    uniforms: np.ndarray  # (N * (S + 1),) scratch: the step's doubles of `rng.random`
+    gumbels: np.ndarray  # (S + 1, N) scratch: the prior draws `top` and (S, N) noise
     sums: np.ndarray  # (P, N) scratch: noise[entry_col] + entry_log_q
     running: np.ndarray  # (W, R, N) scratch: each row's running maximum over positions
     reached: np.ndarray  # (W - 1, R, N) scratch: running maximum == row maximum
 
 
-def _score_table(cols: np.ndarray, probs: np.ndarray, num_samples: int) -> _ScoreTable:
+def _score_table(cols: np.ndarray, probs: np.ndarray, num_states: int,
+                 num_samples: int) -> _ScoreTable:
     """Score table of (R, W) compact query rows: `cols`, each row's support columns padded
     to the widest support W (`support_columns`), and `probs`, their probabilities (0 on
     padding), keyed on their distinct (column, probability) entries, with the scratch
-    arrays for steps of `num_samples` draws."""
-    pairs = np.stack([cols, probs], axis=-1).reshape(-1, 2)
-    entries, entry = np.unique(pairs, axis=0, return_inverse=True)
+    arrays for steps of `num_samples` draws over `num_states` states."""
+    if num_samples < 1:
+        raise ValueError("num_samples must be >= 1")
+    entries, entry = np.unique(cols + 1j * probs, return_inverse=True)
     log_q = np.full((len(entries), 1), -np.inf)
-    np.log(entries[:, 1:], out=log_q, where=entries[:, 1:] > 0)
-    r, w = cols.shape
-    return _ScoreTable(cols, entry.reshape(r, w).T.copy(), entries[:, 0].astype(np.int64),
-                       log_q, np.empty((len(entries), num_samples)),
+    np.log(entries.imag[:, None], out=log_q, where=entries.imag[:, None] > 0)
+    (r, w), p = cols.shape, len(entries)
+    return _ScoreTable(entry.reshape(r, w).T.copy(), entries.real.astype(np.int64), log_q,
+                       np.empty(num_samples * (num_states + 1)),
+                       np.empty((num_states + 1, num_samples)), np.empty((p, num_samples)),
                        np.empty((w, r, num_samples)), np.empty((w - 1, r, num_samples), bool))
 
 
-def _prior_gumbels(rng: np.random.Generator, num_samples: int,
-                   num_states: int) -> tuple[np.ndarray, np.ndarray]:
+def _prior_gumbels(rng: np.random.Generator,
+                   table: _ScoreTable) -> tuple[np.ndarray, np.ndarray]:
     """Prior draws `top` (N,) and `noise`, returned as (S, N), of `rng.gumbel(size=N)` and
-    `rng.gumbel(size=(N, S))`, with its doubles, formula and rejections."""
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    size = num_samples * (num_states + 1)
-    u = rng.random(size)
+    `rng.gumbel(size=(N, S))`, with its doubles, formula and rejections, drawn into the
+    table's scratch."""
+    u = rng.random(out=table.uniforms)
     while not u.all():
-        u = np.concatenate([u[u != 0], rng.random(size - np.count_nonzero(u))])
-    g = np.empty((num_states + 1, num_samples))
+        u = np.concatenate([u[u != 0], rng.random(u.size - np.count_nonzero(u))])
+    g, num_samples = table.gumbels, table.gumbels.shape[1]
     np.subtract(1.0, u[:num_samples], out=g[0])
-    np.subtract(1.0, u[num_samples:].reshape(num_samples, num_states).T, out=g[1:])
+    np.subtract(1.0, u[num_samples:].reshape(num_samples, -1).T, out=g[1:])
     for _ in range(2):
         np.negative(np.log(g, out=g), out=g)
     return g[0], g[1:]
@@ -84,16 +88,19 @@ def _prior_gumbels(rng: np.random.Generator, num_samples: int,
 
 def _posterior_probs(obs_row: np.ndarray, s_next: int, table: _ScoreTable, top: np.ndarray,
                      noise: np.ndarray) -> np.ndarray:
-    """Counterfactual probabilities of the `_score_table` rows for one possible observed
-    step, from prior draws `top` (N,) and `noise` (S, N), which becomes the posterior.
+    """Counterfactual probabilities, (W, R), of each position of the `_score_table` rows
+    for one possible observed step, from prior draws `top` (N,) and `noise` (S, N), which
+    becomes the posterior.
 
     Each draw goes to the first column attaining its row's maximum, so ties go to the
-    lower state index and padding (-inf) never wins. Entries are argmax frequencies: rows
-    sum to one and are zero off the query support.
+    lower state index and padding (-inf) never wins. Entries are argmax frequencies: each
+    row's positions sum to one, and padding gets zero.
     """
-    in_support = obs_row > 0
-    logit = np.log(obs_row[in_support])[:, None]
-    noise[in_support] = -np.logaddexp(-top, -(logit + noise[in_support])) - logit
+    support = np.flatnonzero(obs_row > 0)
+    logit = np.log(obs_row[support])[:, None]
+    post = noise[support]
+    np.logaddexp(-top, np.negative(np.add(post, logit, out=post), out=post), out=post)
+    noise[support] = np.subtract(np.negative(post, out=post), logit, out=post)
     noise[s_next] = top - np.log(obs_row[s_next])
 
     # mode="clip" lets `take` write straight into `out` (it buffers under "raise").
@@ -111,9 +118,7 @@ def _posterior_probs(obs_row: np.ndarray, s_next: int, table: _ScoreTable, top: 
     counts = np.full(table.entry.shape, num_samples)
     counts[:-1] = reached_by
     counts[1:] -= reached_by
-    out = np.zeros(table.cols.shape[:1] + obs_row.shape)
-    np.put_along_axis(out, table.cols, counts.T, axis=1)
-    return out / num_samples
+    return counts / num_samples
 
 
 def build_gumbel_cfmdp(m: Mdp, path: ObservedPath, num_samples: int, seed: int) -> PointCfMdp:
@@ -121,17 +126,22 @@ def build_gumbel_cfmdp(m: Mdp, path: ObservedPath, num_samples: int, seed: int) 
     `rng_from(seed, t)`, scored once per distinct compact row."""
     check_path(m, path)
     t_len, n, k = path.horizon, m.num_states, m.num_actions
-    transition = np.empty((t_len, n * k, n))
     cols = m.support_cols.reshape(n * k, -1)
-    rows = np.hstack([cols, np.take_along_axis(m.transition.reshape(n * k, n), cols, axis=1)])
-    query, pair_row = np.unique(rows, axis=0, return_inverse=True)
-    cand, probs = np.split(query, 2, axis=1)
-    table = _score_table(cand.astype(np.int64), probs, num_samples)
+    probs = np.take_along_axis(m.transition.reshape(n * k, n), cols, axis=1)
+    # Each compact row's bytes are its key: a -0.0 apart from a 0.0 splits two rows
+    # that then score alike.
+    rows = np.hstack([cols, probs])
+    _, first, pair_row = np.unique(rows.view(np.dtype((np.void, rows[0].nbytes))).ravel(),
+                                   return_index=True, return_inverse=True)
+    table = _score_table(cols[first], probs[first], n, num_samples)
+    # flat[w, i]: the place of row i's position-w column in one step's (S * A, S) rows.
+    flat = (cols + n * np.arange(n * k)[:, None]).T
+    transition = np.zeros((t_len, n * k, n))
     for t in range(t_len):
         s_t, a_t, s_next = path.step(t)
-        top, noise = _prior_gumbels(rng_from(seed, t), num_samples, n)
-        transition[t] = _posterior_probs(m.transition[s_t, a_t], s_next, table, top,
-                                         noise)[pair_row]
+        probs_t = _posterior_probs(m.transition[s_t, a_t], s_next, table,
+                                   *_prior_gumbels(rng_from(seed, t), table))
+        np.put(transition[t], flat, probs_t[:, pair_row])
     return PointCfMdp(t_len, transition.reshape(t_len, n, k, n), seed)
 
 

@@ -304,15 +304,39 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def json_number(value, name: str) -> float:
+    """`value` as a float if it is a JSON number, an integer or not (a bool is not one),
+    else a ConfigError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_numbers(value, name: str):
+    """`value`, nested JSON lists, if every entry that is not a list is a JSON number; else a
+    ConfigError naming the first other entry by its indices."""
+    if not isinstance(value, list):
+        return json_number(value, name)
+    if not set(map(type, value)) <= {int, float}:  # a list of numbers needs no loop
+        for i, v in enumerate(value):
+            if type(v) not in (int, float):
+                _json_numbers(v, f"{name}[{i}]")
+    return value
+
+
 def mdp_from_json(d: dict) -> Mdp:
     """Build an Mdp from its JSON dict; it must pass `validate_mdp`. Rows (and the initial
     distribution) whose sum is off 1 by more than its rounding error, S·eps, but within
     ROW_SUM_TOL are re-normalized; all others are kept bit for bit."""
     try:
-        labels = tuple(d["state_labels"]) if "state_labels" in d else None
+        labels = d.get("state_labels")
+        if "state_labels" in d and not (isinstance(labels, list)
+                                        and all(isinstance(x, str) for x in labels)):
+            raise ConfigError(f"state_labels must be a list of strings, got {labels!r}")
         m = Mdp(json_int(d["num_states"], "num_states"), json_int(d["num_actions"], "num_actions"),
-                d["transition"], d["reward"], d["initial_dist"], labels)
-    except (KeyError, TypeError, ValueError) as exc:
+                *(_json_numbers(d[key], key) for key in ("transition", "reward", "initial_dist")),
+                None if labels is None else tuple(labels))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed MDP JSON: {exc}") from exc
     problems = validate_mdp(m)
     if problems:

@@ -472,11 +472,26 @@ def per_step_cumsum_rollout(transition, reward, policy, start_state, num_paths, 
     return out
 
 
+def prior_gumbels(rng, num_samples, num_states):
+    """The library's prior draws `top` (N,) and `noise` (S, N) from `rng`, made in the
+    scratch of a one-entry score table."""
+    return _prior_gumbels(rng, _score_table(np.zeros((1, 1), np.int64), np.ones((1, 1)),
+                                            num_states, num_samples))
+
+
+def dense_posterior_probs(obs_row, s_next, cols, table, top, noise):
+    """`_posterior_probs` on the score table of (R, W) padded support columns `cols`,
+    scattered onto (R, S) rows."""
+    out = np.zeros((cols.shape[0], obs_row.shape[0]))
+    np.put_along_axis(out, cols, _posterior_probs(obs_row, s_next, table, top, noise).T, axis=1)
+    return out
+
+
 def column_loop_gumbel_rows(obs_row, s_next, query, num_samples, rng):
     """Reference Gumbel kernel for (R, S) query rows: `column_loop_from_draws` on the
     library's prior draw from `rng`."""
     return column_loop_from_draws(obs_row, s_next, query,
-                                  *_prior_gumbels(rng, num_samples, query.shape[1]))
+                                  *prior_gumbels(rng, num_samples, query.shape[1]))
 
 
 def column_loop_from_draws(obs_row, s_next, query, top, noise):
@@ -524,9 +539,9 @@ def per_row_gumbel_cfmdp(m, path, num_samples, seed):
     the noise of `rng_from(seed, t)`, duplicates included."""
     cols = m.support_cols.reshape(-1, m.support_cols.shape[-1])
     table = _score_table(cols, np.take_along_axis(m.transition.reshape(-1, m.num_states), cols,
-                                                  axis=1), num_samples)
-    return _per_row_cfmdp(m, path, seed, lambda obs_row, s_next, rng: _posterior_probs(
-        obs_row, s_next, table, *_prior_gumbels(rng, num_samples, m.num_states)))
+                                                  axis=1), m.num_states, num_samples)
+    return _per_row_cfmdp(m, path, seed, lambda obs_row, s_next, rng: dense_posterior_probs(
+        obs_row, s_next, cols, table, *_prior_gumbels(rng, table)))
 
 
 def column_loop_gumbel_cfmdp(m, path, num_samples, seed):

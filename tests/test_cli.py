@@ -11,6 +11,7 @@ import pytest
 
 from icfmdp import (Assumptions, build_gridworld, build_gumbel_cfmdp, build_interval_cfmdp,
                     build_toy_mdp, cli, gridworld_spec, load_mdp, mdp_to_json)
+from icfmdp import experiments
 from icfmdp.errors import InvariantViolation
 from icfmdp.experiments import RunConfig, run_ope
 from icfmdp.lp import lp_solve
@@ -251,16 +252,75 @@ NON_INTEGER_INPUTS = {
                          ids=NON_INTEGER_INPUTS.keys())
 def test_non_integer_json_integer_is_config_error(run_cli, toy_files, tmp_path, flag, change,
                                                   field):
+    res = run_on_changed_input(run_cli, toy_files, tmp_path, flag, change)
+    assert_config_error(res)
+    assert res.stderr.startswith("config error: ") and f"{field} must be an integer" in res.stderr
+
+
+def run_on_changed_input(run_cli, toy_files, tmp_path, flag, change):
+    """`env gridworld --grid-spec` or `bounds` with the valid input of `flag` changed by
+    `change`, the toy MDP and a one-step path otherwise."""
     mdp_file, path_file = toy_files
     valid = {"--mdp": json.loads(mdp_file.read_text()), "--grid-spec": GRID_SPEC,
              "--path": {"states": [0, 1], "actions": [0]}}[flag]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**valid, **change}))
     files = {"--mdp": mdp_file, "--path": path_file, flag: bad}
-    res = run_cli(*(["env", "gridworld", "--grid-spec", str(bad)] if flag == "--grid-spec" else
-                    ["bounds", "--mdp", str(files["--mdp"]), "--path", str(files["--path"])]))
+    return run_cli(*(["env", "gridworld", "--grid-spec", str(bad)] if flag == "--grid-spec" else
+                     ["bounds", "--mdp", str(files["--mdp"]), "--path", str(files["--path"])]))
+
+
+TOY_TRANSITION = [[[0.3, 0.4, 0.3]], [[0.4, 0.0, 0.6]], [[0.0, 0.0, 1.0]]]
+# (input file flag, fields changed in a valid file, the field the error must name and
+# what it must be)
+NON_NUMBER_INPUTS = {
+    "grid p_intended true": ("--grid-spec", {"p_intended": True}, "p_intended must be a number"),
+    "grid goal_reward '5'": ("--grid-spec", {"goal_reward": "5"}, "goal_reward must be a number"),
+    "grid danger_reward null": ("--grid-spec", {"danger_reward": None},
+                                "danger_reward must be a number"),
+    "mdp reward true": ("--mdp", {"reward": [[0.0], [True], [0.0]]},
+                        "reward[1][0] must be a number"),
+    "mdp reward false": ("--mdp", {"reward": [[False], [0.0], [0.0]]},
+                         "reward[0][0] must be a number"),
+    "mdp reward '1'": ("--mdp", {"reward": [[0.0], [0.0], ["1"]]},
+                       "reward[2][0] must be a number"),
+    "mdp transition true": ("--mdp", {"transition": [*TOY_TRANSITION[:2], [[0, 0, True]]]},
+                            "transition[2][0][2] must be a number"),
+    "mdp initial_dist '1'": ("--mdp", {"initial_dist": ["1", 0, 0]},
+                             "initial_dist[0] must be a number"),
+    "mdp state_labels 'abc'": ("--mdp", {"state_labels": "abc"},
+                               "state_labels must be a list of strings"),
+    "mdp state_labels ints": ("--mdp", {"state_labels": [0, 1, 2]},
+                              "state_labels must be a list of strings"),
+}
+
+
+@pytest.mark.parametrize("flag, change, message", NON_NUMBER_INPUTS.values(),
+                         ids=NON_NUMBER_INPUTS.keys())
+def test_non_number_json_number_is_config_error(run_cli, toy_files, tmp_path, flag, change,
+                                                message):
+    res = run_on_changed_input(run_cli, toy_files, tmp_path, flag, change)
     assert_config_error(res)
-    assert res.stderr.startswith("config error: ") and f"{field} must be an integer" in res.stderr
+    assert res.stderr.startswith("config error: ") and message in res.stderr
+
+
+@pytest.mark.parametrize("flag, change", [("--grid-spec", {"goal_reward": 10**400}),
+                                          ("--mdp", {"reward": [[10**400], [0.0], [0.0]]})])
+def test_integer_beyond_float_range_is_config_error(run_cli, toy_files, tmp_path, flag, change):
+    assert_config_error(run_on_changed_input(run_cli, toy_files, tmp_path, flag, change))
+
+
+def test_integer_json_numbers_load_as_their_floats(toy_files, tmp_path):
+    mdp_file, _ = toy_files
+    d = json.loads(mdp_file.read_text())
+    d.update(reward=[[1], [0], [-2]], initial_dist=[1, 0, 0])
+    d["transition"][2] = [[0, 0, 1]]
+    ints = tmp_path / "ints.json"
+    ints.write_text(json.dumps(d))
+    got, toy = load_mdp(ints), load_mdp(mdp_file)
+    assert np.array_equal(got.transition, toy.transition)
+    assert got.reward.tolist() == [[1.0], [0.0], [-2.0]]
+    assert np.array_equal(got.initial_dist, toy.initial_dist)
 
 
 @pytest.mark.parametrize("args", ["toy --p 0.5", "frozen_lake --grid-spec {spec}",
@@ -357,6 +417,28 @@ def test_experiment_subcommand_writes_csv(run_cli, tmp_path):
                   "--out", str(tmp_path), "--seed", "9")
     assert res.returncode == 0
     assert (tmp_path / "boundstats.csv").exists()
+
+
+SEED_COMMANDS = ["gumbel", *experiments.RUNNERS]
+
+
+@pytest.mark.parametrize("command", SEED_COMMANDS)
+def test_negative_seed_is_config_error(run_cli, toy_files, tmp_path, command):
+    mdp_file, path_file = toy_files
+    out = tmp_path / "out"
+    args = (["--mdp", str(mdp_file), "--path", str(path_file)] if command == "gumbel" else
+            ["--env", "toy", "--num-paths", "1", "--horizon", "1"])
+    res = run_cli(command, *args, "--seed", "-1", "--out", str(out))
+    assert (res.returncode, res.stderr) == (1, "config error: seed must be >= 0\n")
+    assert not out.exists()
+
+
+def test_negative_seed_in_run_config_is_config_error(run_cli, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"env": "toy", "seed": -3, "output_dir": str(tmp_path / "out")}))
+    res = run_cli("ope", "--config", str(cfg))
+    assert (res.returncode, res.stderr) == (1, "config error: seed must be >= 0\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_bad_config_is_config_error(run_cli, tmp_path):

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ import pytest
 from icfmdp import (Assumptions, GridSpec, Mdp, ObservedPath, build_gridworld,
                     build_gumbel_cfmdp, build_interval_cfmdp, gridworld_spec, resolve_env,
                     rng_from, transition_row_bounds)
-from icfmdp.gumbel import _posterior_probs, _prior_gumbels, _score_table
+from icfmdp.gumbel import _score_table
 from icfmdp.mdp import support_columns
-from helpers import (column_loop_from_draws, column_loop_gumbel_cfmdp, gumbel_cf_oracle,
-                     make_random_mdp, one_step_path, per_row_gumbel_cfmdp, random_observed,
-                     random_path)
+from helpers import (column_loop_from_draws, column_loop_gumbel_cfmdp, dense_posterior_probs,
+                     gumbel_cf_oracle, make_random_mdp, one_step_path, per_row_gumbel_cfmdp,
+                     prior_gumbels, random_observed, random_path)
 
 
 def one_pair_mdp(row, rng):
@@ -172,23 +173,44 @@ def test_kernel_matches_column_loop_reference_bit_for_bit(rng, kind, num_samples
                               column_loop_gumbel_cfmdp(m, path, num_samples, trial))
 
 
+GRID16 = GridSpec(width=16, height=16, start=(0, 0), goal=(15, 15),
+                  danger_cells=frozenset({(1, 1), (8, 8)}), p_intended=0.4)
 GRID32 = GridSpec(width=32, height=32, start=(0, 0), goal=(31, 31),
                   danger_cells=frozenset({(1, 1), (16, 16)}), p_intended=0.4)
 
 
+# On the larger grids R, the number of distinct rows, runs to about a thousand.
 @pytest.mark.parametrize("env, horizon, num_samples", [
     pytest.param("toy", 10, 1000, id="toy"),
     pytest.param("gridworld", 10, 1000, id="gridworld"),
     pytest.param("frozen-lake", 10, 1000, id="frozen-lake"),
+    pytest.param("gridworld-16x16", 3, 37, id="gridworld-16x16-37"),
+    pytest.param("gridworld-16x16", 3, 1000, id="gridworld-16x16-1000"),
     pytest.param("gridworld-32x32", 2, 100, id="gridworld-32x32"),
 ])
 def test_benchmark_envs_match_column_loop_reference_bit_for_bit(rng, env, horizon, num_samples):
-    m = (build_gridworld(GRID32) if env == "gridworld-32x32"
+    grids = {"gridworld-16x16": GRID16, "gridworld-32x32": GRID32}
+    m = (build_gridworld(grids[env]) if env in grids
          else resolve_env(env, p=0.4 if env == "gridworld" else None))
     for seed in range(2):
         path = random_path(m, rng, horizon)
         assert np.array_equal(build_gumbel_cfmdp(m, path, num_samples, seed).transition,
                               column_loop_gumbel_cfmdp(m, path, num_samples, seed))
+
+
+def test_rows_equal_but_for_a_negative_zero_get_equal_output_rows():
+    # Rows (0, 0) and (0, 1) differ only in the sign of their padding's zero, so the
+    # distinct rows, keyed on their bytes, keep both; (2, 1) equals them too.
+    t = np.array([[[0.5, 0.5, 0.0], [0.5, 0.5, -0.0]], [[0.2, 0.0, 0.8], [0.0, 1.0, 0.0]],
+                  [[0.3, 0.3, 0.4], [0.5, 0.5, 0.0]]])
+    m = Mdp(3, 2, t, np.zeros((3, 2)), np.eye(3)[0])
+    assert np.signbit(m.transition[0, 1, 2]) and not np.signbit(m.transition[0, 0, 2])
+    path = ObservedPath((0, 1, 1), (0, 1))
+    for num_samples in (1, 37, 1000):
+        got = build_gumbel_cfmdp(m, path, num_samples, 3).transition
+        assert np.array_equal(got, column_loop_gumbel_cfmdp(m, path, num_samples, 3))
+        assert np.array_equal(got[:, 0, 0], got[:, 0, 1])
+        assert np.array_equal(got[:, 0, 0], got[:, 2, 1])
 
 
 def test_ties_go_to_the_lower_state_as_in_the_column_loop():
@@ -208,8 +230,8 @@ def score_from_draws(obs_row, s_next, query, top, noise):
     """The library kernel on (R, S) query rows, given prior draws `top` (N,) and `noise`
     (S, N), as `column_loop_from_draws` takes them."""
     cols = support_columns(query > 0)
-    return _posterior_probs(obs_row, s_next, _score_table(cols, np.take_along_axis(query, cols, 1),
-                                                          top.shape[0]), top, noise.copy())
+    table = _score_table(cols, np.take_along_axis(query, cols, 1), *noise.shape)
+    return dense_posterior_probs(obs_row, s_next, cols, table, top, noise.copy())
 
 
 def test_padding_before_real_columns_never_wins_a_tie():
@@ -231,23 +253,45 @@ def test_entry_shared_across_rows_and_positions():
     obs_row = np.array([0.2, 0.3, 0.5, 0.0])
     query = np.array([[0.5, 0.5, 0, 0], [0, 0.5, 0.5, 0], [0, 0.5, 0, 0.5], [0, 0.5, 0.5, 0]])
     cols = support_columns(query > 0)
-    table = _score_table(cols, np.take_along_axis(query, cols, 1), 37)
+    table = _score_table(cols, np.take_along_axis(query, cols, 1), 4, 37)
     assert table.entry.shape == (2, 4) and len(table.entry_col) == 4
     assert table.entry[1, 0] == table.entry[0, 1] == table.entry[0, 2] == table.entry[0, 3]
     for seed in range(20):
-        top, noise = _prior_gumbels(rng_from(seed), 37, 4)
+        top, noise = prior_gumbels(rng_from(seed), 37, 4)
         want = column_loop_from_draws(obs_row, 2, query, top, noise)
         assert np.array_equal(score_from_draws(obs_row, 2, query, top, noise), want)
 
 
-def test_score_table_keys_distinct_entries_on_gridworld():
-    m = build_gridworld(gridworld_spec(0.4))
+def distinct_row_table(m, num_samples):
+    """Score table of the distinct compact rows of m, found as whole float rows."""
     cols = m.support_cols.reshape(-1, m.support_cols.shape[-1])
     rows = np.hstack([cols, np.take_along_axis(m.transition.reshape(-1, m.num_states), cols, 1)])
     cand, probs = np.split(np.unique(rows, axis=0), 2, axis=1)
-    table = _score_table(cand.astype(np.int64), probs, 1000)
+    return _score_table(cand.astype(np.int64), probs, m.num_states, num_samples)
+
+
+def test_score_table_keys_distinct_entries_on_gridworld():
+    table = distinct_row_table(build_gridworld(gridworld_spec(0.4)), 1000)
     assert table.entry.size == 216 and len(table.entry_col) == 42
     assert table.sums.shape == (42, 1000)
+
+
+def test_build_allocates_no_dense_rows_beside_its_output():
+    # Past its output, a build's traced peak is the score table's scratch (2.8 MB here)
+    # plus small arrays; one per-step (R, S) float array would add 2.1 MB (R = 1010).
+    m = build_gridworld(GRID16)
+    path = random_path(m, np.random.default_rng(0), 3)
+    table = distinct_row_table(m, 64)
+    scratch = sum(getattr(table, name).nbytes
+                  for name in ("uniforms", "gumbels", "sums", "running", "reached"))
+    del table
+    tracemalloc.start()
+    try:
+        cf = build_gumbel_cfmdp(m, path, 64, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - cf.transition.nbytes <= scratch + 2**20
 
 
 FAULT_SCRIPT = """
@@ -284,7 +328,7 @@ def assert_within_last_bits(got, want):
 def test_whole_array_draw_matches_generator_gumbel(num_samples, num_states):
     for seed in range(5):
         ours, numpy_gumbel = rng_from(seed), rng_from(seed)
-        top, noise = _prior_gumbels(ours, num_samples, num_states)
+        top, noise = prior_gumbels(ours, num_samples, num_states)
         assert_within_last_bits(top, numpy_gumbel.gumbel(size=num_samples))
         assert_within_last_bits(noise.T, numpy_gumbel.gumbel(size=(num_samples, num_states)))
         assert ours.bit_generator.state == numpy_gumbel.bit_generator.state
@@ -304,7 +348,7 @@ def generator_drawing_zero_next():
 def test_a_zero_uniform_is_redrawn_as_generator_gumbel_does():
     assert generator_drawing_zero_next().random() == 0.0
     ours, numpy_gumbel = generator_drawing_zero_next(), generator_drawing_zero_next()
-    top, noise = _prior_gumbels(ours, 3, 2)  # the zero is top[0]'s double
+    top, noise = prior_gumbels(ours, 3, 2)  # the zero is top[0]'s double
     assert np.all(np.isfinite(top)) and np.all(np.isfinite(noise))
     assert_within_last_bits(top, numpy_gumbel.gumbel(size=3))
     assert_within_last_bits(noise.T, numpy_gumbel.gumbel(size=(3, 2)))
