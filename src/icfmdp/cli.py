@@ -18,7 +18,7 @@ from . import experiments
 from .bounds import Assumptions, build_interval_cfmdp, icfmdp_to_json, write_icfmdp_csv
 from .envs import grid_spec_from_json, resolve_env
 from .errors import ConfigError, InvariantViolation
-from .experiments import COUNT_FIELDS, RunConfig, run_config_from_json
+from .experiments import COUNT_FIELDS, RunConfig, check_count, run_config_from_json
 from .gumbel import build_gumbel_cfmdp, gumbel_cfmdp_to_json
 from .mdp import load_mdp, load_path, mdp_to_json, read_json, validate_mdp
 from .robust import Mode, point_value_iteration, robust_value_iteration, solution_to_json
@@ -178,8 +178,7 @@ def _cmd_solve(args) -> None:
 
 
 def _cmd_gumbel(args) -> None:
-    if args.samples < 1:
-        raise ConfigError("samples must be >= 1")
+    check_count("samples", args.samples, COUNT_FIELDS["gumbel_samples"])
     m, path = _load_inputs(args)
     cf = build_gumbel_cfmdp(m, path, args.samples, args.seed)
     payload = gumbel_cfmdp_to_json(cf, m, path, args.samples)

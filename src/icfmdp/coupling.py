@@ -17,18 +17,18 @@ Each directed bound (query, sense) is its own LP, and LPs for different bounds s
 variables, so they are solved as independent blocks of one stacked LP (`lp.stack`): the
 min and the max of a query together, and every reachable query of an observed triple
 together in `oracle_layer`. Each LP is HiGHS's own model, an `lp.CscMatrix` made with
-numpy alone and its row bounds, and every solve goes through this module's `lp_solve`,
+numpy alone and its row bounds. Both builders make the matrix's starts and row indices
+int32 and every bound a float array of its final shape where they make them, so neither
+`lp.stack` nor a solve converts them. Every solve goes through this module's `lp_solve`,
 on the one HiGHS solver `lp` reuses from call to call (so from one thread at a time).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from .bounds import Assumptions, ObsTriple, Pair, ProbInterval, _cs_mask, make_interval
-from .errors import ScaleExceeded
+from .bounds import CLAMP_TOL, Assumptions, ObsTriple, Pair, ProbInterval, _cs_mask, make_interval
+from .errors import InvariantViolation, ScaleExceeded
 from .lp import CscMatrix, LpProblem, block_values, lp_solve, stack
 from .mdp import Mdp, check_query
 
@@ -71,16 +71,16 @@ def _coupling_lp(m: Mdp, obs: ObsTriple, query_pair: Pair,
     obs_row, query_row = m.transition[s_t, a_t], m.transition[s, a]
     rows, cols = np.flatnonzero(obs_row), np.flatnonzero(query_row)
     if (s, a) == (s_t, a_t):
-        ri = rj = np.arange(rows.size)
+        ri = rj = np.arange(rows.size, dtype=np.int32)
     else:
-        ri, rj = np.divmod(np.arange(rows.size * cols.size), cols.size)
+        ri, rj = np.divmod(np.arange(rows.size * cols.size, dtype=np.int32), cols.size)
     i, j = rows[ri], cols[rj]
     lo, hi = _observed_outcome_box(obs_row, s_next, query_row, assumptions)
     lower, upper = np.zeros(i.size), np.full(i.size, np.inf)
     at = i == s_next
     lower[at], upper[at] = lo[j[at]], hi[j[at]]
     # Each variable sits in one row-marginal and one column-marginal equality.
-    marginals = CscMatrix(np.arange(0, 2 * i.size + 1, 2),
+    marginals = CscMatrix(np.arange(0, 2 * i.size + 1, 2, dtype=np.int32),
                           np.column_stack([ri, rows.size + rj]).ravel(), np.ones(2 * i.size),
                           rows.size + cols.size)
     b_eq = np.concatenate([obs_row[rows], query_row[cols]])
@@ -99,7 +99,8 @@ def _bound_blocks(problem: LpProblem, i: np.ndarray, j: np.ndarray, s_next: int,
                   s_cf: int) -> list[LpProblem]:
     """The min and the max of q[s_next, s_cf] over a `_coupling_lp`, as two blocks."""
     c = ((i == s_next) & (j == s_cf)).astype(float)
-    return [replace(problem, c=c, sense="min"), replace(problem, c=c, sense="max")]
+    parts = problem.a, problem.row_lower, problem.row_upper, problem.lower, problem.upper
+    return [LpProblem(c, *parts, sense="min"), LpProblem(c, *parts, sense="max")]
 
 
 def oracle_bounds(m: Mdp, obs: ObsTriple, query_pair: Pair, s_cf: int,
@@ -129,12 +130,24 @@ def oracle_layer(m: Mdp, obs: ObsTriple,
         problem, i, j = _coupling_lp(m, obs, (s, a), assumptions)
         for s_cf in np.flatnonzero(m.transition[s, a]):
             blocks += _bound_blocks(problem, i, j, obs[2], s_cf)
-    values = _solve_blocks(blocks).reshape(-1, 2) / m.transition[obs]
     lb, ub = np.zeros((2,) + m.transition.shape)
-    for entry, (lo, hi) in zip(zip(*np.nonzero(m.transition)), values):  # block order
-        iv = make_interval(lo, hi)
-        lb[entry], ub[entry] = iv.lb, iv.ub
+    reachable = m.transition != 0  # C order is block order
+    lb[reachable], ub[reachable] = _clamped(
+        *(_solve_blocks(blocks).reshape(-1, 2) / m.transition[obs]).T)
     return lb, ub
+
+
+def _clamped(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`make_interval` on arrays of bound pairs, bit for bit: a NaN or a bound beyond
+    CLAMP_TOL raises InvariantViolation, and float dust is clamped with the comparisons
+    of make_interval's min and max, so that even signed zeros come out alike."""
+    ok = (lo <= hi + CLAMP_TOL) & (lo >= -CLAMP_TOL) & (hi <= 1.0 + CLAMP_TOL)
+    if not ok.all():
+        k = np.argmin(ok)
+        raise InvariantViolation(f"bound pair [{lo[k]}, {hi[k]}] violates interval invariants")
+    hi = np.where(hi > 1.0, 1.0, np.where(hi < 0.0, 0.0, hi))
+    lo = np.where(lo < 0.0, 0.0, lo)
+    return np.where(hi < lo, hi, lo), hi
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +189,11 @@ def enumerate_theta_bounds(m: Mdp, obs: ObsTriple, query_triple: tuple[int, int,
     # mechanism that maps the observed pair to s_next and the query pair to j.
     succ = _successor_table(m)
     flat = m.transition.ravel()
-    entry_row = np.cumsum(flat > 0) - 1
+    entry_row = np.cumsum(flat > 0, dtype=np.int32) - 1
     lo, hi = _observed_outcome_box(obs_row, s_next, query_row, assumptions)
     capped, floored = np.isfinite(hi) & (query_row > 0), lo > 0
     box = np.concatenate([capped, floored])
-    box_row = entry_row[-1] + np.cumsum(box)
+    box_row = entry_row[-1] + np.cumsum(box, dtype=np.int32)
     hit, query_succ = succ[s_t * k + a_t] == s_next, succ[s * k + a]
     box_col = np.column_stack([query_succ, n + query_succ])
     # (M, pairs + 2): each mechanism's equality rows, then its capped and floored rows.
@@ -189,11 +202,13 @@ def enumerate_theta_bounds(m: Mdp, obs: ObsTriple, query_triple: tuple[int, int,
     keep = np.column_stack([np.ones(succ.shape[::-1], dtype=bool), hit[:, None] & box[box_col]])
     value = np.ones(index.shape)
     value[:, -1] = -1.0
-    matrix = CscMatrix(np.concatenate([[0], np.cumsum(keep.sum(axis=1))]), index[keep],
-                       value[keep], box_row[-1] + 1)
+    matrix = CscMatrix(np.concatenate([[0], np.cumsum(keep.sum(axis=1))], dtype=np.int32),
+                       index[keep], value[keep], int(box_row[-1]) + 1)
     b_eq = flat[flat > 0]
-    problem = LpProblem(c=(hit & (query_succ == s_cf)).astype(float), a=matrix,
-                        row_lower=np.concatenate([b_eq, np.full(np.count_nonzero(box), -np.inf)]),
-                        row_upper=np.concatenate([b_eq, hi[capped], -lo[floored]]))
-    lo_value, hi_value = _solve_blocks([problem, replace(problem, sense="max")]) / obs_row[s_next]
+    c = (hit & (query_succ == s_cf)).astype(float)
+    bounds = (np.concatenate([b_eq, np.full(np.count_nonzero(box), -np.inf)]),
+              np.concatenate([b_eq, hi[capped], -lo[floored]]), np.zeros(c.size),
+              np.full(c.size, np.inf))
+    blocks = [LpProblem(c, matrix, *bounds, sense=sense) for sense in ("min", "max")]
+    lo_value, hi_value = _solve_blocks(blocks) / obs_row[s_next]
     return make_interval(lo_value, hi_value)

@@ -20,6 +20,9 @@ Cell = tuple[int, int]  # (row, col)
 UP, DOWN, LEFT, RIGHT = 0, 1, 2, 3
 MOVES = {UP: (-1, 0), DOWN: (1, 0), LEFT: (0, -1), RIGHT: (0, 1)}
 ACTION_NAMES = ("up", "down", "left", "right")
+# The widest and tallest grid a GridSpec takes: S = 128 * 128 + 1 states, whose dense
+# (S, A, S) transition is already 8.6 GB.
+MAX_GRID_SIDE = 128
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,9 @@ class GridSpec:
     danger_reward: float = -100.0
 
     def __post_init__(self):
+        for name in ("width", "height"):
+            if not 1 <= getattr(self, name) <= MAX_GRID_SIDE:
+                raise ConfigError(f"{name} must be between 1 and {MAX_GRID_SIDE}")
         object.__setattr__(self, "danger_cells", frozenset(map(tuple, self.danger_cells)))
         object.__setattr__(self, "hole_cells", frozenset(map(tuple, self.hole_cells)))
         cells = [self.start, self.goal, *self.danger_cells, *self.hole_cells]

@@ -35,8 +35,18 @@ from .robust import (Mode, point_policy_eval, point_value_iteration, robust_poli
 _TAG_POLICY, _TAG_PATH, _TAG_GUMBEL, _TAG_CF_SAMPLE, _TAG_ROLLOUT = 1, 2, 3, 4, 5
 
 
-# The run's positive counts, one CLI flag each.
-COUNT_FIELDS = ("num_paths", "horizon", "num_cf_samples", "gumbel_samples", "num_rollouts")
+# The run's positive counts, one CLI flag each, and the largest value each may take:
+# checked before anything is allocated, so a huge count is a config error.
+COUNT_FIELDS = {"num_paths": 100_000, "horizon": 10_000, "num_cf_samples": 1_000_000,
+                "gumbel_samples": 1_000_000, "num_rollouts": 1_000_000}
+
+
+def check_count(name: str, value: int, limit: int) -> None:
+    """Raise ConfigError unless 1 <= value <= limit."""
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1")
+    if value > limit:
+        raise ConfigError(f"{name} must be <= {limit}")
 
 
 @dataclass
@@ -53,11 +63,10 @@ class RunConfig:
     output_dir: Path | None = None
 
     def validate(self) -> Mdp:
-        """The run's environment; raises ConfigError on a count below 1, a negative seed or
-        an unknown env."""
-        for name in COUNT_FIELDS:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        """The run's environment; raises ConfigError on a count outside [1, its bound], a
+        negative seed or an unknown env."""
+        for name, limit in COUNT_FIELDS.items():
+            check_count(name, getattr(self, name), limit)
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         return resolve_env(self.env, self.p)

@@ -8,6 +8,7 @@ deliberately avoid the library code paths they are used to check.
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from icfmdp import (GridSpec, IntervalCfMdp, Mdp, Mode, ObservedPath, PolicySchedule,
                     build_frozen_lake, build_gridworld, build_interval_cfmdp)
@@ -71,6 +72,25 @@ def csc(a):
     col, row = np.nonzero(a.T)
     return CscMatrix(np.searchsorted(col, np.arange(a.shape[1] + 1)), row, a[row, col],
                      a.shape[0])
+
+
+def reference_stack(blocks):
+    """`lp.stack` by other means: scipy's `block_diag` of the blocks' matrices, bounds
+    broadcast to each block's rows or columns and concatenated, max costs negated."""
+    mats = [sp.csc_array((b.a.value[:b.a.start[-1]], b.a.index[:b.a.start[-1]], b.a.start),
+                         shape=(b.a.num_row, b.a.start.size - 1)) for b in blocks]
+    a = sp.block_diag(mats, format="csc")
+
+    def joined(name):  # a row bound spans its block's rows, a variable bound its columns
+        return np.concatenate([np.broadcast_to(getattr(b, name), b.a.num_row if "row" in name
+                                               else np.size(b.c)).astype(float) for b in blocks])
+
+    sign = {"min": 1.0, "max": -1.0}
+    return LpProblem(c=np.concatenate([sign[b.sense] * np.asarray(b.c, dtype=float)
+                                       for b in blocks]),
+                     a=CscMatrix(a.indptr, a.indices, a.data, a.shape[0]),
+                     row_lower=joined("row_lower"), row_upper=joined("row_upper"),
+                     lower=joined("lower"), upper=joined("upper"))
 
 
 def random_observed(m, rng):

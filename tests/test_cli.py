@@ -12,6 +12,7 @@ import pytest
 from icfmdp import (Assumptions, build_gridworld, build_gumbel_cfmdp, build_interval_cfmdp,
                     build_toy_mdp, cli, gridworld_spec, load_mdp, mdp_to_json)
 from icfmdp import experiments
+from icfmdp.envs import MAX_GRID_SIDE, GridSpec
 from icfmdp.errors import InvariantViolation
 from icfmdp.experiments import RunConfig, run_ope
 from icfmdp.lp import lp_solve
@@ -94,6 +95,38 @@ def test_only_the_lp_layer_imports_scipy():
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.append(file.name)
     assert importers == ["lp.py"]
+
+
+def named(tree):
+    """Every name, attribute, imported module part and string under an ast node."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (node.module or "").split(".")
+            yield from (part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.Import):
+            yield from (part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_the_highs_binding_is_used_by_lp_solve_and_solver_alone():
+    # A scipy change to its private binding should break one place: no other module names
+    # `_highspy`, and in `lp.py` only `lp_solve` and `_solver` touch `highs`.
+    src = Path(cli.__file__).parent
+    namers = [f.name for f in sorted(src.rglob("*.py"))
+              if any("_highspy" in name for name in named(ast.parse(f.read_text())))]
+    assert namers == ["lp.py"]
+    tree = ast.parse((src / "lp.py").read_text())
+    users = {node.name for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and "highs" in named(node)}
+    assert users == {"lp_solve", "_solver"}
+    # Nor does any class or module-level statement but the import itself.
+    assert [node for node in tree.body if not isinstance(node, (ast.FunctionDef, ast.ImportFrom))
+            and "highs" in named(node)] == []
 
 
 def test_bounds_json(run_cli, toy_files):
@@ -438,6 +471,54 @@ def test_negative_seed_in_run_config_is_config_error(run_cli, tmp_path):
     cfg.write_text(json.dumps({"env": "toy", "seed": -3, "output_dir": str(tmp_path / "out")}))
     res = run_cli("ope", "--config", str(cfg))
     assert (res.returncode, res.stderr) == (1, "config error: seed must be >= 0\n")
+    assert not (tmp_path / "out").exists()
+
+
+# Counts past their bound, none of which may reach an allocation.
+TOO_LARGE = {"huge": lambda limit: 10**30, "bound+1": lambda limit: limit + 1}
+
+
+@pytest.mark.parametrize("excess", TOO_LARGE)
+@pytest.mark.parametrize("field", experiments.COUNT_FIELDS)
+def test_count_beyond_its_bound_is_config_error(run_cli, tmp_path, field, excess):
+    limit = experiments.COUNT_FIELDS[field]
+    value = TOO_LARGE[excess](limit)
+    want = (1, f"config error: {field} must be <= {limit}\n")
+    out = tmp_path / "out"
+    res = run_cli("traces", "--env", "toy", f"--{field.replace('_', '-')}", str(value),
+                  "--out", str(out))
+    assert (res.returncode, res.stderr) == want
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"env": "toy", field: value, "output_dir": str(out)}))
+    for command in experiments.RUNNERS:
+        res = run_cli(command, "--config", str(cfg))
+        assert (res.returncode, res.stderr) == want
+    assert not out.exists()
+
+
+def test_counts_at_their_bounds_are_accepted():
+    RunConfig(env="toy", **experiments.COUNT_FIELDS).validate()
+    GridSpec(width=MAX_GRID_SIDE, height=MAX_GRID_SIDE, start=(0, 0), goal=(1, 1))
+
+
+@pytest.mark.parametrize("excess", TOO_LARGE)
+def test_gumbel_samples_beyond_their_bound_is_config_error(run_cli, toy_files, tmp_path, excess):
+    mdp_file, path_file = toy_files
+    limit = experiments.COUNT_FIELDS["gumbel_samples"]
+    res = run_cli("gumbel", "--mdp", str(mdp_file), "--path", str(path_file), "--samples",
+                  str(TOO_LARGE[excess](limit)), "--out", str(tmp_path / "out"))
+    assert (res.returncode, res.stderr) == (1, f"config error: samples must be <= {limit}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("excess", TOO_LARGE)
+@pytest.mark.parametrize("side", ["width", "height"])
+def test_grid_side_beyond_its_bound_is_config_error(run_cli, tmp_path, side, excess):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**GRID_SPEC, side: TOO_LARGE[excess](MAX_GRID_SIDE)}))
+    res = run_cli("env", "gridworld", "--grid-spec", str(spec), "--out", str(tmp_path / "out"))
+    assert (res.returncode, res.stderr) == (
+        1, f"config error: malformed grid spec: {side} must be between 1 and {MAX_GRID_SIDE}\n")
     assert not (tmp_path / "out").exists()
 
 

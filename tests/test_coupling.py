@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from icfmdp import (Assumptions, InvariantViolation, Mdp, ScaleExceeded, coupling,
                     enumerate_theta_bounds, oracle_bounds, oracle_layer, transition_row_bounds)
+from icfmdp.bounds import CLAMP_TOL, make_interval
 from icfmdp.coupling import _successor_table
-from helpers import check_coupling_feasible, make_random_mdp, oracle_solution, random_observed
+from helpers import (check_coupling_feasible, make_random_mdp, oracle_solution, random_observed,
+                     same_bits)
 
 
 class TestOracleBounds:
@@ -56,6 +60,44 @@ class TestOracleBounds:
         else:
             with pytest.raises(InvariantViolation, match=message):
                 oracle_layer(toy, toy_obs, Assumptions.CS_MON)
+
+    @pytest.mark.parametrize("block, value", [(0, -2 * CLAMP_TOL), (1, 1.0 + 2 * CLAMP_TOL),
+                                              (0, np.nan), (1, np.nan)],
+                             ids=["min-below-0", "max-above-1", "nan-min", "nan-max"])
+    def test_layer_rejects_values_beyond_the_tolerance_and_nan(self, toy, toy_obs, monkeypatch,
+                                                               block, value):
+        # Blocks 0 and 1 are the min and the max of query (0, 0, 0); move one by
+        # 2 * CLAMP_TOL past its end, or make it NaN, before the division by P(s_next).
+        solve = coupling._solve_blocks
+
+        def moved(blocks):
+            values = solve(blocks)
+            values[block] = value * toy.transition[toy_obs]
+            return values
+
+        monkeypatch.setattr(coupling, "_solve_blocks", moved)
+        with pytest.raises(InvariantViolation, match="violates interval invariants"):
+            oracle_layer(toy, toy_obs, Assumptions.CS_MON)
+
+    def test_layer_clamps_as_make_interval_does(self):
+        # Every pair of edge values, signed zeros and non-finite ones included: the layer's
+        # array rule raises where make_interval raises, and otherwise gives its bits.
+        edges = [np.nan, -np.inf, -1.0, -2 * CLAMP_TOL, -CLAMP_TOL, -CLAMP_TOL / 2, -0.0, 0.0,
+                 1e-300, 0.3, 1.0 - CLAMP_TOL, 1.0, 1.0 + CLAMP_TOL / 2, 1.0 + CLAMP_TOL,
+                 1.0 + 2 * CLAMP_TOL, 2.0, np.inf]
+        kept, want = [], []
+        for lo, hi in itertools.product(edges, repeat=2):
+            try:
+                iv = make_interval(lo, hi)
+            except InvariantViolation:
+                with pytest.raises(InvariantViolation):
+                    coupling._clamped(np.array([lo]), np.array([hi]))
+                continue
+            kept.append((lo, hi))
+            want.append((iv.lb, iv.ub))
+        assert len(kept) > 20
+        got = coupling._clamped(*np.array(kept).T)
+        assert same_bits(np.column_stack(got), np.array(want))
 
     def test_zero_query_entries_are_zero_in_the_lp(self, rng):
         # oracle_bounds answers these without a solve; the full LP must agree.

@@ -3,12 +3,12 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from icfmdp import (Assumptions, Infeasible, InvariantViolation, Unbounded, build_toy_mdp,
-                    enumerate_theta_bounds, lp)
+from icfmdp import (Assumptions, Infeasible, InvariantViolation, Unbounded, build_gridworld,
+                    build_toy_mdp, enumerate_theta_bounds, gridworld_spec, lp, oracle_layer)
 from icfmdp.lp import CscMatrix, LpProblem, block_values, lp_solve, stack
 from icfmdp import coupling
 from icfmdp.coupling import _bound_blocks, _coupling_lp, _successor_table
-from helpers import csc, make_random_mdp, random_observed
+from helpers import csc, make_random_mdp, random_observed, reference_stack, same_bits
 
 
 def scipy_matrix(a):
@@ -156,6 +156,53 @@ def test_stacked_block_values_equal_separate_solves(rng, sparse):
             assert np.abs(block_values(blocks, x) - separate).max() <= 1e-12
 
 
+def stack_cases(rng):
+    """Block lists for `stack`: scalar and array bounds, blocks with no rows, one min/max
+    pair of a coupling query, and every block of a GridWorld `oracle_layer` stack."""
+    m = make_random_mdp(rng, 3, 2, sparse=True)
+    obs = random_observed(m, rng)
+    problem, i, j = _coupling_lp(m, obs, (1, 1), Assumptions.CS_MON)
+    generic = generic_blocks(rng)
+    grid = build_gridworld(gridworld_spec(0.4))
+    return {"scalar-and-array-bounds": generic,
+            "no-rows": [no_rows(np.ones(2), upper=1.0), generic[0],
+                        no_rows(np.ones(3), lower=np.arange(3.0), upper=5.0, sense="max")],
+            "min-max-pair": _bound_blocks(problem, i, j, obs[2], j[-1]),
+            "gridworld-layer": coupling_blocks(grid, (6, 1, 10), Assumptions.CS_MON)}
+
+
+def test_stack_matches_block_diag_reference(rng):
+    cases = stack_cases(rng)
+    assert len(cases["gridworld-layer"]) == 448
+    for name, blocks in cases.items():
+        got, want = stack(blocks), reference_stack(blocks)
+        for field in ("c", "row_lower", "row_upper", "lower", "upper"):
+            assert same_bits(getattr(got, field), getattr(want, field)), (name, field)
+        # scipy picks its own index dtype, so starts and row indices compare by value.
+        assert np.array_equal(got.a.start, want.a.start), name
+        assert np.array_equal(got.a.index, want.a.index), name
+        assert same_bits(got.a.value, want.a.value) and got.a.num_row == want.a.num_row
+        assert got.sense == "min"
+
+
+def test_lp_builders_make_int32_column_arrays(rng, monkeypatch):
+    captured = []
+    monkeypatch.setattr(coupling, "_solve_blocks",
+                        lambda blocks: captured.append(blocks) or np.zeros(len(blocks)))
+    for sparse in (False, True):
+        m = make_random_mdp(rng, 3, 2, sparse=sparse)
+        obs = random_observed(m, rng)
+        for assumptions in Assumptions:
+            enumerate_theta_bounds(m, obs, (1, 1, int(np.argmax(m.transition[1, 1]))),
+                                   assumptions)
+            oracle_layer(m, obs, assumptions)
+    cases = stack_cases(rng)
+    layers = [cases["min-max-pair"], cases["gridworld-layer"]]
+    matrices = [b.a for blocks in captured + layers for b in blocks]
+    for a in matrices + [stack(blocks).a for blocks in captured + layers]:
+        assert a.start.dtype == a.index.dtype == np.int32
+
+
 def test_stack_with_one_infeasible_block_is_infeasible(rng):
     infeasible = ub_rows(np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([0.2, -0.5]))
     blocks = generic_blocks(rng)
@@ -295,6 +342,18 @@ def test_non_finite_matrix_entry_is_rejected(rows, entry):
     for candidate in (problem, stack([problem])):
         with pytest.raises(ValueError, match="finite"):
             lp_solve(candidate)
+
+
+# Not in the milp-parity table either: bounds of more than one dimension.
+@pytest.mark.parametrize("field", ["row_lower", "row_upper", "lower", "upper"])
+def test_two_dimensional_bound_is_rejected(field):
+    problem = LpProblem(c=np.ones(2), a=_TWO_ROWS, row_lower=np.zeros(2), row_upper=np.ones(2),
+                        lower=np.zeros(2), upper=np.ones(2))
+    setattr(problem, field, np.ones((1, 2)))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        lp_solve(problem)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        stack([problem])
 
 
 # Column arrays that HiGHS would read past, or index rows that do not exist; each
