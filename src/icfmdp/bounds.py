@@ -18,6 +18,11 @@ given a set of observed steps, vectorized over steps, rows and successors: the I
 one call over every unique observed triple and every (s, a) row, and
 `transition_row_bounds` is the one-row call.
 
+Checks. The kernel clamps float dust out of its block (`clamp_intervals`, as the LP
+oracle's layers do). Raw lower bounds are never negative, so a row that passes raw passes
+clamped, and the rows are checked once, clamped: by the ICFMDP's constructor, or by
+`transition_row_bounds` for its one row. `make_interval` is the per-query oracles' clamp.
+
 Layout. Every bound is zero off the query row's support, and the bounds of a step depend
 only on its observed triple. An `IntervalCfMdp` therefore stores one (S, A, K) layer per
 unique observed triple, on the base MDP's support columns padded to K = the widest row
@@ -67,12 +72,24 @@ class ProbInterval:
 
 
 def make_interval(lb: float, ub: float) -> ProbInterval:
-    """Clamp float dust (<= CLAMP_TOL) out of a computed bound pair."""
+    """Clamp float dust (<= CLAMP_TOL) out of one computed bound pair (`clamp_intervals`)."""
     if lb > ub + CLAMP_TOL or lb < -CLAMP_TOL or ub > 1.0 + CLAMP_TOL:
         raise InvariantViolation(f"bound pair [{lb}, {ub}] violates interval invariants")
     ub = min(max(ub, 0.0), 1.0)
     lb = min(max(lb, 0.0), ub)
     return ProbInterval(lb, ub)
+
+
+def clamp_intervals(lb: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`make_interval` on arrays of bound pairs, bit for bit: a NaN or a bound beyond
+    CLAMP_TOL raises InvariantViolation, and dust is clamped in make_interval's argument
+    order, so that a tie keeps the bound itself and signed zeros come out alike."""
+    ok = (lb <= ub + CLAMP_TOL) & (lb >= -CLAMP_TOL) & (ub <= 1.0 + CLAMP_TOL)
+    if not ok.all():
+        k = np.unravel_index(np.argmin(ok), ok.shape)
+        raise InvariantViolation(f"bound pair [{lb[k]}, {ub[k]}] violates interval invariants")
+    ub = np.minimum(1.0, np.maximum(0.0, ub))
+    return np.minimum(ub, np.maximum(0.0, lb)), ub
 
 
 def _cs_mask(obs: np.ndarray, p_obs: float, query: np.ndarray,
@@ -115,8 +132,8 @@ def check_interval_rows(lb: np.ndarray, ub: np.ndarray,
 
 
 def _bound_block(p_obs: np.ndarray | float, obs: np.ndarray, query: np.ndarray,
-                 at_next: np.ndarray, is_observed: np.ndarray, assumptions: Assumptions,
-                 row_name: Callable[[tuple], str]) -> tuple[np.ndarray, np.ndarray]:
+                 at_next: np.ndarray, is_observed: np.ndarray,
+                 assumptions: Assumptions) -> tuple[np.ndarray, np.ndarray]:
     """Per-successor (lb, ub) for a block of query rows, each given an observed transition.
 
     The arguments broadcast to the rows' shape (..., K). `query` holds each query row's
@@ -126,9 +143,9 @@ def _bound_block(p_obs: np.ndarray | float, obs: np.ndarray, query: np.ndarray,
     outcome, of probability `p_obs` (..., 1) under the observed pair; `is_observed` (...)
     marks the observed pair's own rows. Rows whose support is disjoint from the observed
     pair's take the assumption-free formulas, since stability and monotonicity are
-    vacuous there. Maxima over the K columns run one column at a time over all rows. The
-    raw rows pass `check_interval_rows`, which names a row by `row_name` of its index,
-    before float dust is clamped out.
+    vacuous there. Maxima over the K columns run one column at a time over all rows.
+    Float dust is clamped out last (`clamp_intervals`); the rows are not checked here,
+    but by the caller: the ICFMDP constructor, or `transition_row_bounds`.
     """
     k = query.shape[-1]
     ratio = query / p_obs
@@ -153,7 +170,7 @@ def _bound_block(p_obs: np.ndarray | float, obs: np.ndarray, query: np.ndarray,
         lb_o = np.where(leftover > k * np.finfo(float).eps, leftover, 0.0)
         if assumptions is Assumptions.CS_MON:
             lb_o = np.where(at_next, np.maximum(p_next_q, lb_o), lb_o)
-        lb_o[cs | (query <= 0)] = 0.0  # off the support (padding too), before the row check
+        lb_o[cs | (query <= 0)] = 0.0  # off the support (padding too)
         lb = np.where(overlap, lb_o, lb)
         ub = np.where(overlap, ub_o, ub)
     # Same mechanism input reproduces the observed outcome, under every assumption set.
@@ -161,11 +178,7 @@ def _bound_block(p_obs: np.ndarray | float, obs: np.ndarray, query: np.ndarray,
     hit = is_observed[..., None] & at_next
     lb[hit] = ub[hit] = 1.0
 
-    check_interval_rows(lb, ub, row_name)
-    np.clip(ub, 0.0, 1.0, out=ub)
-    np.minimum(lb, ub, out=lb)
-    np.clip(lb, 0.0, 1.0, out=lb)
-    return lb, ub
+    return clamp_intervals(lb, ub)
 
 
 def transition_row_bounds(m: Mdp, obs: ObsTriple, query_pair: Pair,
@@ -176,8 +189,8 @@ def transition_row_bounds(m: Mdp, obs: ObsTriple, query_pair: Pair,
     cols = m.support_cols[s, a]
     obs_row = m.transition[obs[0], obs[1]]
     lb, ub = _bound_block(obs_row[obs[2]], obs_row[cols], m.transition[s, a, cols],
-                          cols == obs[2], np.array((s, a) == tuple(obs[:2])), assumptions,
-                          lambda idx: f"pair {query_pair} given {obs}")
+                          cols == obs[2], np.array((s, a) == tuple(obs[:2])), assumptions)
+    check_interval_rows(lb, ub, lambda idx: f"pair {query_pair} given {obs}")
     dense = np.zeros((2, m.num_states))
     dense[:, cols] = lb, ub
     return dense[0], dense[1]
@@ -191,7 +204,8 @@ class IntervalCfMdp:
     the counterfactual probability of successor `cols[s, a, j]`, and every successor not
     in `cols[s, a]` has the interval [0, 0]. The dense (T, S, A, S) `lb` and `ub` are
     built on first access and cached. Every layer row must be a set of distributions
-    (`check_interval_rows`); a bad row is named by the first step that uses its layer.
+    (`check_interval_rows`, the one row check of an ICFMDP); a bad row is named by the
+    first step that uses its layer and that step's observed triple.
     The order-and-fill backups of `robust` read each layer row's room `ub - lb` and slack
     `1 - sum(lb)`, computed once here.
     """
@@ -208,9 +222,10 @@ class IntervalCfMdp:
     slack: np.ndarray = field(init=False, repr=False, compare=False)  # (U, S, A)
 
     def __post_init__(self):
-        lb_sum = check_interval_rows(
-            self.layer_lb, self.layer_ub, lambda idx: "(t={}, s={}, a={})".format(
-                int(np.argmax(self.layer == idx[0])), *idx[1:]))
+        def row_name(idx: tuple) -> str:
+            t = int(np.argmax(self.layer == idx[0]))
+            return "(t={}, s={}, a={}) given {}".format(t, *idx[1:], self.path.step(t))
+        lb_sum = check_interval_rows(self.layer_lb, self.layer_ub, row_name)
         object.__setattr__(self, "room", self.layer_ub - self.layer_lb)
         object.__setattr__(self, "slack", 1.0 - lb_sum)
         for name in ("cols", "layer", "layer_lb", "layer_ub", "room", "slack"):
@@ -232,15 +247,12 @@ class IntervalCfMdp:
         """Dense (T, S, A, S) upper bounds (read-only)."""
         return self._dense(self.layer_ub)
 
-    def widths(self) -> np.ndarray:
-        return self.ub - self.lb
-
 
 def build_interval_cfmdp(m: Mdp, path: ObservedPath, assumptions: Assumptions) -> IntervalCfMdp:
     """Interval CFMDP covering every transition of m at every observed step of the path.
 
     Each unique observed triple is bounded once, and all of them in one block of U·S·A
-    rows. A bad raw row is named by the first step that observes its triple.
+    rows. The constructor checks the rows.
     """
     check_path(m, path)
     steps = [path.step(t) for t in range(path.horizon)]
@@ -251,8 +263,7 @@ def build_interval_cfmdp(m: Mdp, path: ObservedPath, assumptions: Assumptions) -
         m.transition[s_t, a_t, s_next][:, None, None], m.transition[s_t, a_t][:, cols],
         np.take_along_axis(m.transition, m.support_cols, axis=2).reshape(cols.shape),
         cols == s_next[:, None, None], np.arange(len(cols)) == (s_t * m.num_actions + a_t)[:, None],
-        assumptions, lambda idx: "(t={}, s={}, a={}) given {}".format(
-            steps.index(triples[idx[0]]), *divmod(idx[1], m.num_actions), triples[idx[0]]))
+        assumptions)
     shape = (len(triples),) + m.support_cols.shape
     return IntervalCfMdp(path.horizon, m.support_cols,
                          np.array([triples.index(obs) for obs in steps], dtype=np.int64),

@@ -7,12 +7,14 @@ timing, traces. Exit codes: 0 success, 1 configuration error, 2 invariant violat
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import functools
 import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import experiments
 from .bounds import Assumptions, build_interval_cfmdp, icfmdp_to_json, write_icfmdp_csv
@@ -39,7 +41,13 @@ _SHARED_FLAGS = {
     "--config": dict(type=Path, help="JSON run configuration"),
     "--assumptions": dict(choices=[a.value for a in Assumptions]),
     "--out": dict(dest="output_dir", type=Path, help="CSV/JSON output directory"),
+    **{"--" + name.replace("_", "-"): dict(type=int) for name in COUNT_FIELDS},
 }
+
+# The run flags each experiment reads; --config takes every RunConfig field, for all.
+_PATHS, _GUMBEL = ("--num-paths", "--horizon"), ("--assumptions", "--gumbel-samples")
+_RUN_FLAGS = dict.fromkeys(("ope", "robustness", "timing"), _PATHS + _GUMBEL) | {
+    "boundstats": _PATHS, "traces": _PATHS + _GUMBEL + ("--num-cf-samples", "--num-rollouts")}
 
 
 def _add_flags(parser: argparse.ArgumentParser, *names: str, **defaults) -> None:
@@ -82,9 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=runner.__doc__.splitlines()[0])
         p.add_argument("--env")
         p.add_argument("--p", type=float, help="GridWorld intended-move probability")
-        for field in COUNT_FIELDS:
-            p.add_argument("--" + field.replace("_", "-"), type=int)
-        _add_flags(p, "--seed", "--config", "--out", "--assumptions")
+        _add_flags(p, "--seed", "--config", "--out", *_RUN_FLAGS[name])
 
     return parser
 
@@ -107,7 +113,7 @@ def _run_config(args) -> RunConfig:
     """Each RunConfig field from its flag if set, else from --config, else its default."""
     cfg = run_config_from_json(read_json(args.config) if args.config else {})
     overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
-                 if getattr(args, f.name) is not None}
+                 if getattr(args, f.name, None) is not None}
     if "assumptions" in overrides:
         overrides["assumptions"] = Assumptions(overrides["assumptions"])
     return replace(cfg, **overrides)  # validated by the runner
@@ -139,35 +145,27 @@ def _cmd_verify(args) -> None:
     m, path = _load_inputs(args)
     assumptions = Assumptions(args.assumptions)
     icf = build_interval_cfmdp(m, path, assumptions)
-    # Bounds depend only on the observed triple: one stacked LP per unique triple.
-    lp_layer = functools.cache(lambda obs: oracle_layer(m, obs, assumptions))
-    writer = csv.writer(sys.stdout)
-    out_fh = None
+    # One stacked LP per ICFMDP layer, on the triple of the first step that uses it.
+    first_steps = np.unique(icf.layer, return_index=True)[1]
+    lp = np.array([oracle_layer(m, path.step(int(t)), assumptions) for t in first_steps])
+    lp_lb, lp_ub = np.moveaxis(lp[icf.layer], 1, 0)  # each (T, S, A, S)
+    delta = np.maximum(abs(icf.lb - lp_lb), abs(icf.ub - lp_ub))
+    cells = np.indices(delta.shape).reshape(4, -1).tolist()
+    cells += [x.ravel().tolist() for x in (icf.lb, lp_lb, icf.ub, lp_ub, delta)]
     if args.output_dir is not None:
         args.output_dir.mkdir(parents=True, exist_ok=True)
-        out_fh = open(args.output_dir / "verify.csv", "w", newline="")
-        writer = csv.writer(out_fh)
-    try:
+    with (contextlib.nullcontext(sys.stdout) if args.output_dir is None
+          else open(args.output_dir / "verify.csv", "w", newline="")) as fh:
+        writer = csv.writer(fh)
         writer.writerow(["t", "s", "a", "s_next", "closed_lb", "lp_lb",
                          "closed_ub", "lp_ub", "delta"])
-        worst = 0.0
-        for t in range(path.horizon):
-            lp_lb, lp_ub = lp_layer(path.step(t))
-            for s in range(m.num_states):
-                for a in range(m.num_actions):
-                    lb_row, ub_row = icf.lb[t, s, a], icf.ub[t, s, a]
-                    for s2 in range(m.num_states):
-                        lo, hi = lp_lb[s, a, s2], lp_ub[s, a, s2]
-                        delta = max(abs(lb_row[s2] - lo), abs(ub_row[s2] - hi))
-                        worst = max(worst, delta)
-                        writer.writerow([t, s, a, s2, f"{lb_row[s2]:.12g}", f"{lo:.12g}",
-                                         f"{ub_row[s2]:.12g}", f"{hi:.12g}", f"{delta:.3g}"])
-        if worst > 1e-8:
-            raise InvariantViolation(
-                f"closed-form bounds disagree with the LP oracle (max delta {worst:.3g})")
-    finally:
-        if out_fh is not None:
-            out_fh.close()
+        writer.writerows([t, s, a, s2, f"{lo:.12g}", f"{lp_lo:.12g}", f"{hi:.12g}",
+                          f"{lp_hi:.12g}", f"{d:.3g}"]
+                         for t, s, a, s2, lo, lp_lo, hi, lp_hi, d in zip(*cells))
+    worst = delta.max(initial=0.0)
+    if worst > 1e-8:
+        raise InvariantViolation(
+            f"closed-form bounds disagree with the LP oracle (max delta {worst:.3g})")
 
 
 def _cmd_solve(args) -> None:

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import CLAMP_TOL, Assumptions, ObsTriple, Pair, ProbInterval, _cs_mask, make_interval
-from .errors import InvariantViolation, ScaleExceeded
+from .bounds import (Assumptions, ObsTriple, Pair, ProbInterval, _cs_mask, clamp_intervals,
+                     make_interval)
+from .errors import ScaleExceeded
 from .lp import CscMatrix, LpProblem, block_values, lp_solve, stack
 from .mdp import Mdp, check_query
 
@@ -132,22 +133,9 @@ def oracle_layer(m: Mdp, obs: ObsTriple,
             blocks += _bound_blocks(problem, i, j, obs[2], s_cf)
     lb, ub = np.zeros((2,) + m.transition.shape)
     reachable = m.transition != 0  # C order is block order
-    lb[reachable], ub[reachable] = _clamped(
+    lb[reachable], ub[reachable] = clamp_intervals(
         *(_solve_blocks(blocks).reshape(-1, 2) / m.transition[obs]).T)
     return lb, ub
-
-
-def _clamped(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`make_interval` on arrays of bound pairs, bit for bit: a NaN or a bound beyond
-    CLAMP_TOL raises InvariantViolation, and float dust is clamped with the comparisons
-    of make_interval's min and max, so that even signed zeros come out alike."""
-    ok = (lo <= hi + CLAMP_TOL) & (lo >= -CLAMP_TOL) & (hi <= 1.0 + CLAMP_TOL)
-    if not ok.all():
-        k = np.argmin(ok)
-        raise InvariantViolation(f"bound pair [{lo[k]}, {hi[k]}] violates interval invariants")
-    hi = np.where(hi > 1.0, 1.0, np.where(hi < 0.0, 0.0, hi))
-    lo = np.where(lo < 0.0, 0.0, lo)
-    return np.where(hi < lo, hi, lo), hi
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ Cell = tuple[int, int]  # (row, col)
 
 UP, DOWN, LEFT, RIGHT = 0, 1, 2, 3
 MOVES = {UP: (-1, 0), DOWN: (1, 0), LEFT: (0, -1), RIGHT: (0, 1)}
-ACTION_NAMES = ("up", "down", "left", "right")
 # The widest and tallest grid a GridSpec takes: S = 128 * 128 + 1 states, whose dense
 # (S, A, S) transition is already 8.6 GB.
 MAX_GRID_SIDE = 128

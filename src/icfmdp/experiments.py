@@ -244,7 +244,7 @@ def run_bound_stats(cfg: RunConfig) -> list[ExperimentRecord]:
         for assumption, key in _ASSUMPTION_KEY.items():
             icf = build_interval_cfmdp(m, path, assumption)
             mask = icf.ub > 0
-            widths[key] = icf.widths()
+            widths[key] = icf.ub - icf.lb
             metrics[f"mean_width_{key}"] = float(widths[key][mask].mean())
             metrics[f"num_intervals_{key}"] = int(mask.sum())
         tables = {"boundstats": [metrics]}

@@ -620,9 +620,10 @@ def loop_boundstats_detail_rows(cfg, run_id):
                                         rng_from(cfg.seed, 1, trial))
         path_seed = int(np.random.SeedSequence([cfg.seed, 2, trial]).generate_state(1)[0])
         path = sample_path(m, policy, cfg.horizon, path_seed)
-        widths = {key: build_interval_cfmdp(m, path, assumption).widths()
-                  for key, assumption in [("cs_mon", Assumptions.CS_MON),
-                                          ("cs", Assumptions.CS), ("none", Assumptions.NONE)]}
+        icfs = {key: build_interval_cfmdp(m, path, assumption)
+                for key, assumption in [("cs_mon", Assumptions.CS_MON),
+                                        ("cs", Assumptions.CS), ("none", Assumptions.NONE)]}
+        widths = {key: icf.ub - icf.lb for key, icf in icfs.items()}
         t_len, n, k, _ = widths["none"].shape
         for t in range(t_len):
             for s in range(n):

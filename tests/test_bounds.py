@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icfmdp import (Assumptions, Mdp, ObservedPath, ProbInterval, build_gridworld,
+from icfmdp import (Assumptions, Mdp, ObservedPath, ProbInterval, bounds, build_gridworld,
                     build_interval_cfmdp, gridworld_spec, oracle_bounds, transition_row_bounds)
 from icfmdp.bounds import _cs_mask, make_interval
 from icfmdp.errors import InfeasibleRow, InvariantViolation
@@ -330,6 +330,21 @@ class TestOneBoundBlock:
         assert same_bits(icf.room, icf.layer_ub - icf.layer_lb)
         assert same_bits(icf.slack, 1.0 - icf.layer_lb.sum(axis=-1))
         assert not icf.room.flags.writeable and not icf.slack.flags.writeable
+
+    @pytest.mark.parametrize("env", KERNEL_ENVS)
+    def test_build_checks_the_rows_once(self, rng, monkeypatch, env):
+        # The constructor is the one row check; the kernel only clamps.
+        calls = []
+        check = bounds.check_interval_rows
+
+        def counting(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(bounds, "check_interval_rows", counting)
+        m = kernel_env(env, rng)
+        build_interval_cfmdp(m, random_path(m, rng, 10), Assumptions.CS_MON)
+        assert len(calls) == 1
 
 
 def _assumption_rows(m, obs, pair):

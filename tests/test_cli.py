@@ -11,7 +11,7 @@ import pytest
 
 from icfmdp import (Assumptions, build_gridworld, build_gumbel_cfmdp, build_interval_cfmdp,
                     build_toy_mdp, cli, gridworld_spec, load_mdp, mdp_to_json)
-from icfmdp import experiments
+from icfmdp import coupling, experiments
 from icfmdp.envs import MAX_GRID_SIDE, GridSpec
 from icfmdp.errors import InvariantViolation
 from icfmdp.experiments import RunConfig, run_ope
@@ -204,6 +204,29 @@ def test_verify_solves_each_observed_triple_once(toy_files, tmp_path, monkeypatc
         rows = list(csv.reader(fh))[1:]
     assert len(rows) == 3 * 9
     assert [r[1:] for r in rows[18:]] == [r[1:] for r in rows[:9]]
+
+
+def test_verify_disagreement_exits_2_after_writing_the_csv(run_cli, toy_files, tmp_path,
+                                                            monkeypatch):
+    mdp_file, path_file = toy_files
+    oracle_layer = coupling.oracle_layer
+
+    def moved(m, obs, assumptions):
+        lb, ub = oracle_layer(m, obs, assumptions)
+        lb[1, 0, 0] += 1e-6  # the closed form's [0.4, 0.4]
+        return lb, ub
+
+    monkeypatch.setattr(coupling, "oracle_layer", moved)
+    res = run_cli("verify", "--mdp", str(mdp_file), "--path", str(path_file),
+                  "--out", str(tmp_path / "v"))
+    assert res.returncode == 2
+    assert "closed-form bounds disagree with the LP oracle (max delta 1e-06)" in res.stderr
+    with open(tmp_path / "v" / "verify.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    moved_row = [r for r in rows if (r["s"], r["a"], r["s_next"]) == ("1", "0", "0")]
+    assert [(r["closed_lb"], r["lp_lb"], r["delta"]) for r in moved_row] == [
+        ("0.4", "0.400001", "1e-06")]
+    assert all(float(r["delta"]) <= 1e-8 for r in rows if r not in moved_row)
 
 
 def test_solve_pessimistic(run_cli, toy_files):
@@ -432,13 +455,17 @@ def test_unreadable_input_file_is_config_error(toy_files, tmp_path, capsys, comm
 UNREAD_FLAGS = [(cmd, flag) for cmd in ("env", "bounds", "verify", "solve")
                 for flag in ("--seed", "--config")]
 UNREAD_FLAGS += [("env", "--assumptions"), ("gumbel", "--assumptions"), ("gumbel", "--config")]
+UNREAD_FLAGS += [("boundstats", flag) for flag in ("--assumptions", "--gumbel-samples")]
+UNREAD_FLAGS += [(cmd, flag) for cmd in ("boundstats", "ope", "robustness", "timing")
+                 for flag in ("--num-cf-samples", "--num-rollouts")]
 
 
 @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
 def test_flag_the_subcommand_does_not_read_is_usage_error(toy_files, capsys, command, flag):
     mdp_file, path_file = toy_files
-    args = ["toy"] if command == "env" else ["--mdp", str(mdp_file), "--path", str(path_file)]
-    value = {"--seed": "3", "--config": str(mdp_file), "--assumptions": "cs"}[flag]
+    args = (["toy"] if command == "env" else ["--env", "toy"] if command in experiments.RUNNERS
+            else ["--mdp", str(mdp_file), "--path", str(path_file)])
+    value = {"--seed": "3", "--config": str(mdp_file), "--assumptions": "cs"}.get(flag, "5")
     with pytest.raises(SystemExit) as exc:
         cli.main([command, *args, flag, value])
     assert exc.value.code == 1

@@ -5,7 +5,7 @@ import pytest
 
 from icfmdp import (Assumptions, InvariantViolation, Mdp, ScaleExceeded, coupling,
                     enumerate_theta_bounds, oracle_bounds, oracle_layer, transition_row_bounds)
-from icfmdp.bounds import CLAMP_TOL, make_interval
+from icfmdp.bounds import CLAMP_TOL, clamp_intervals, make_interval
 from icfmdp.coupling import _successor_table
 from helpers import (check_coupling_feasible, make_random_mdp, oracle_solution, random_observed,
                      same_bits)
@@ -91,12 +91,12 @@ class TestOracleBounds:
                 iv = make_interval(lo, hi)
             except InvariantViolation:
                 with pytest.raises(InvariantViolation):
-                    coupling._clamped(np.array([lo]), np.array([hi]))
+                    clamp_intervals(np.array([lo]), np.array([hi]))
                 continue
             kept.append((lo, hi))
             want.append((iv.lb, iv.ub))
         assert len(kept) > 20
-        got = coupling._clamped(*np.array(kept).T)
+        got = clamp_intervals(*np.array(kept).T)
         assert same_bits(np.column_stack(got), np.array(want))
 
     def test_zero_query_entries_are_zero_in_the_lp(self, rng):
